@@ -60,7 +60,7 @@ def evaluate_candidates(ys: np.ndarray, base_config, delta: float,
     """
     try:
         return _evaluate_batch(ys, base_config, delta, omegas, objective)
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except np.linalg.LinAlgError as exc:
         logger.warning("batched evaluation failed (%s); falling back to per-candidate", exc)
         return _evaluate_reference(ys, base_config, delta, omegas, objective)
 

@@ -16,7 +16,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -37,7 +36,7 @@ from .io import (
     write_search_trace_csv,
     write_volatility_csv,
 )
-from .likelihood import loglik_at_filter_path, loglik_from_records, perf_metrics
+from .likelihood import loglik_from_records, perf_metrics
 from .search import SearchSpec, coordinate_search
 from .simulate import simulate_path
 
@@ -201,31 +200,40 @@ def main():
     """Sequential multivariate volatility estimation pipeline."""
 
 
+def _filter_input(config_path, out_dir, seed, input_path, levels, scale,
+                  compute_loglik=True):
+    """Validate, make ``--out`` and filter once; exits 2 or 3 on failure.
+
+    Returns the output directory, the manifest, the records and, with
+    ``compute_loglik``, the likelihood breakdown summed from them.
+    """
+    try:
+        _, config, table, manifest = _prepare(config_path, input_path, seed,
+                                              levels, scale)
+    except SeqvolError as exc:
+        _fail(VALIDATION_EXIT, str(exc))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        records, _ = filter_run(table.values, config, compute_loglik=compute_loglik)
+        breakdown = loglik_from_records(records, config) if compute_loglik else None
+    except (FilterNumericalError, DomainError, NotPositiveDefinite) as exc:
+        _fail(NUMERICAL_EXIT, str(exc))
+    return out, manifest, records, breakdown
+
+
 @main.command("filter")
 @add_options(common_options)
 @add_options(input_options)
 def filter_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
     """Filter a series: volatility path, forecasts, metrics and likelihood."""
     started = time.perf_counter()
-    try:
-        raw, config, table, manifest = _prepare(config_path, input_path, seed,
-                                                levels, scale)
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        records, _ = filter_run(table.values, config)
-        breakdown = loglik_from_records(records, config)
-        report = perf_metrics(records)
-    except FilterNumericalError as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
-    except (DomainError, NotPositiveDefinite) as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
+    out, manifest, records, breakdown = _filter_input(
+        config_path, out_dir, seed, input_path, levels, scale)
     write_volatility_csv(out / "volatility.csv", records)
     write_forecast_csv(out / "forecast.csv", records)
     write_json(out / "report.json", {
-        "perf": _perf_dict(report),
+        "perf": _perf_dict(perf_metrics(records)),
         "loglik": _loglik_dict(breakdown),
         "manifest": manifest.to_dict(),
     })
@@ -281,19 +289,8 @@ def simulate_cmd(config_path, out_dir, seed, jobs, n_steps):
 def loglik_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
     """Evaluate the plug-in log-likelihood of a series."""
     started = time.perf_counter()
-    try:
-        raw, config, table, manifest = _prepare(config_path, input_path, seed,
-                                                levels, scale)
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        breakdown = loglik_at_filter_path(table.values, config)
-    except FilterNumericalError as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
-    except (DomainError, NotPositiveDefinite) as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
+    out, manifest, _, breakdown = _filter_input(
+        config_path, out_dir, seed, input_path, levels, scale)
     write_json(out / "report.json", {
         "loglik": _loglik_dict(breakdown),
         "manifest": manifest.to_dict(),
@@ -343,18 +340,9 @@ def search_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
 def metrics_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
     """Compute the forecast performance measures of a filter run."""
     started = time.perf_counter()
-    try:
-        raw, config, table, manifest = _prepare(config_path, input_path, seed,
-                                                levels, scale)
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        records, _ = filter_run(table.values, config, compute_loglik=False)
-        report = perf_metrics(records)
-    except FilterNumericalError as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
+    out, manifest, records, _ = _filter_input(
+        config_path, out_dir, seed, input_path, levels, scale, compute_loglik=False)
+    report = perf_metrics(records)
     write_json(out / "report.json", {
         "perf": _perf_dict(report),
         "manifest": manifest.to_dict(),

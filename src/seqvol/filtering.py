@@ -9,6 +9,10 @@ volatility matrix used both as output and to form the adaptive gain.
 The forecast-precision matrix ``Q`` is frozen at its limit ``P + Omega + I``
 for the whole run; ``P_t`` itself still follows its exact recursion because
 the gain needs it.
+
+The same pass evaluates each step's plug-in likelihood terms, so each matrix
+is decomposed once per step; :func:`seqvol.likelihood.loglik_path` is the
+oracle for arbitrary paths.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
-from .linalg import DEFAULT_REL_TOL, check_spd, spd_inverse, sym_sqrt, sym_sqrt_pair
+from .linalg import (DEFAULT_REL_TOL, check_spd, spd_eigh, spd_inverse,
+                     sqrt_pair_from_eigh, sym_sqrt, sym_sqrt_pair)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
 STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
@@ -140,6 +145,10 @@ class FilterState:
     m: np.ndarray
     P: np.ndarray
     S: np.ndarray
+    # (S^{-1/2}, eigenvalues, eigenvectors of S^*), set by filter_step only:
+    # not an init field, so a state built by hand or by replace() has none
+    _threaded: tuple | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
 
 @dataclass(frozen=True)
@@ -166,6 +175,9 @@ class StepRecord:
     u: np.ndarray
     s_star: np.ndarray
     loglik_t: float
+    # (quad, chol_logdet, lt, sigma_logdet); None when loglik_t is NaN (not
+    # computed) or -inf (no positive L_t eigenvalue)
+    terms: tuple[float, float, float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -265,16 +277,17 @@ def _estimate_sigma(s: np.ndarray, s_sqrt: np.ndarray, ctx: _RunContext,
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
-                q: np.ndarray, *, ctx: _RunContext | None = None,
-                prev_sigma_est: np.ndarray | None = None,
-                _cache: dict | None = None) -> tuple[FilterState, StepRecord]:
+                q: np.ndarray, *, ctx: _RunContext | None = None
+                ) -> tuple[FilterState, StepRecord]:
     """Advance the filter by one observation.
 
     ``q`` is the steady forecast precision scale from :func:`steady_Q`.
     When called standalone the run context is rebuilt; :func:`filter_run`
-    hoists it. ``prev_sigma_est`` is the previous posterior volatility
-    estimate, needed only for the per-step log-likelihood contribution
-    (recomputed from ``state.S`` when omitted).
+    hoists it. Each matrix is decomposed once per step: the new state
+    carries the inverse root of ``S_t`` (the next ``forecast_cov``
+    standardizer) and the eigendecomposition of ``S_t^*`` (the next
+    likelihood factor ``U``); a state without them has them derived from
+    ``state.S``.
     """
     p = config.p
     y = np.asarray(y, dtype=float)
@@ -284,6 +297,12 @@ def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
         ctx = _make_context(config, np.asarray(q, dtype=float))
     k = config.k
     n = config.posterior_dof
+
+    if state._threaded is None:
+        s_sqrt, s_inv_sqrt = sym_sqrt_pair(state.S)
+        w_prev, v_prev = spd_eigh(_estimate_sigma(state.S, s_sqrt, ctx, n, p))
+    else:
+        s_inv_sqrt, w_prev, v_prev = state._threaded
 
     forecast_mean = state.m if config.forecast_mean_mode == "plain" else config.phi * state.m
     e = y - forecast_mean
@@ -296,31 +315,22 @@ def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
 
     s_sqrt_new, s_inv_sqrt_new = sym_sqrt_pair(s_new)
     s_star = _estimate_sigma(s_new, s_sqrt_new, ctx, n, p)
-    star_sqrt, star_inv_sqrt = sym_sqrt_pair(s_star)
+    w_star, v_star = spd_eigh(s_star)
+    star_sqrt, star_inv_sqrt = sqrt_pair_from_eigh(w_star, v_star)
     gain = star_sqrt @ p_new @ star_inv_sqrt
     m_new = state.m + gain @ e
 
     cov_factor = config.forecast_cov_factor
-    forecast_cov = cov_factor * state.S
-    if config.standardization_mode == "forecast_cov":
-        # previous step's pair for state.S, when the caller threads it
-        if _cache is not None and "s_inv_sqrt" in _cache:
-            u_inv_sqrt = _cache["s_inv_sqrt"]
-        else:
-            _, u_inv_sqrt = sym_sqrt_pair(state.S)
-    else:
-        u_inv_sqrt = s_inv_sqrt_new
-    if _cache is not None:
-        _cache["s_inv_sqrt"] = s_inv_sqrt_new
-    u = (u_inv_sqrt @ e) / math.sqrt(cov_factor)
+    if config.standardization_mode == "posterior_st":
+        s_inv_sqrt = s_inv_sqrt_new
+    u = (s_inv_sqrt @ e) / math.sqrt(cov_factor)
 
+    terms = None
     if ctx.compute_loglik:
-        if prev_sigma_est is None:
-            prev_s_sqrt, _ = sym_sqrt_pair(state.S)
-            prev_sigma_est = _estimate_sigma(state.S, prev_s_sqrt, ctx, n, p)
+        u_chol = _likelihood._chol_upper_of_inverse(w_prev, v_prev)
         try:
-            terms = _likelihood.step_terms(prev_sigma_est, s_star, e, config,
-                                           ctx.q_inv)
+            terms = _likelihood._step_terms_threaded(
+                u_chol, w_star, v_star, e, p, k, config.delta, ctx.q_inv)
             loglik_t = ctx.c1 + sum(terms)
         except DomainError:
             # a zero-error step puts the plug-in path on the boundary of the
@@ -334,9 +344,10 @@ def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
         dof=config.forecast_dof,
         location=forecast_mean,
         scale=state.S / k,
-        covariance=forecast_cov,
+        covariance=cov_factor * state.S,
     )
     new_state = FilterState(t=state.t + 1, m=m_new, P=p_new, S=s_new)
+    object.__setattr__(new_state, "_threaded", (s_inv_sqrt_new, w_star, v_star))
     record = StepRecord(
         t=state.t + 1,
         forecast=forecast,
@@ -344,6 +355,7 @@ def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
         u=u,
         s_star=s_star,
         loglik_t=loglik_t,
+        terms=terms,
     )
     return new_state, record
 
@@ -354,7 +366,8 @@ def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
 
     Returns the per-step records and the final state. With
     ``compute_loglik`` each record carries its additive log-likelihood
-    contribution (their sum is the plug-in log-likelihood of the run).
+    contribution and term groups, which
+    :func:`seqvol.likelihood.loglik_from_records` sums.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.size == 0:
@@ -367,22 +380,12 @@ def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
     q = steady_Q(config)
     ctx = _make_context(config, q, compute_loglik)
     state = filter_init(config)
-    prev_sigma_est = None
-    s0_pair = sym_sqrt_pair(config.s0)
-    if compute_loglik:
-        prev_sigma_est = _estimate_sigma(config.s0, s0_pair[0], ctx,
-                                         config.posterior_dof, config.p)
-    cache = {"s_inv_sqrt": s0_pair[1]}
     records: list[StepRecord] = []
     for t, y in enumerate(ys, start=1):
         try:
-            state, record = filter_step(state, y, config, q, ctx=ctx,
-                                        prev_sigma_est=prev_sigma_est,
-                                        _cache=cache)
+            state, record = filter_step(state, y, config, q, ctx=ctx)
         except (NotPositiveDefinite, DomainError, ValueError,
                 np.linalg.LinAlgError) as exc:
             raise FilterNumericalError(t, exc) from exc
         records.append(record)
-        if compute_loglik:
-            prev_sigma_est = record.s_star
     return records, state

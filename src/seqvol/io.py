@@ -192,12 +192,29 @@ def _vech_labels(prefix: str, p: int) -> list[str]:
 
 
 def correlation_from_cov(cov: np.ndarray) -> np.ndarray:
-    """Correlation matrix with an exactly-unit diagonal."""
-    d = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(d, d)
+    """Correlation matrix, or stack ``(..., p, p)`` of them, with unit diagonal."""
+    d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    corr = cov / (d[..., :, None] * d[..., None, :])
     corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
+    diag = np.arange(corr.shape[-1])
+    corr[..., diag, diag] = 1.0
     return corr
+
+
+_BLOCK = 256  # records per block: bounds the writers' numpy temporaries
+
+
+def _write_records(handle, records: Sequence, n_cols: int, table) -> None:
+    """Write one line ``t,v1,...`` per record, as ``csv.writer`` would.
+
+    ``table(block)`` gives a block's ``(len(block), n_cols)`` floats, written
+    with 17 significant digits.
+    """
+    line = "{}" + ",{:.17g}" * n_cols + "\r\n"
+    for start in range(0, len(records), _BLOCK):
+        block = records[start:start + _BLOCK]
+        handle.writelines(line.format(rec.t, *row.tolist())
+                          for rec, row in zip(block, table(block)))
 
 
 def write_volatility_csv(path: str | Path, records: Sequence) -> None:
@@ -205,17 +222,19 @@ def write_volatility_csv(path: str | Path, records: Sequence) -> None:
     if not records:
         raise DimensionMismatch("no records to write")
     p = records[0].s_star.shape[0]
+    rows, cols = np.tril_indices(p)  # row-major lower triangle
+
+    def table(block):
+        s_star = np.array([rec.s_star for rec in block])
+        return np.hstack([s_star[:, rows, cols],
+                          correlation_from_cov(s_star)[:, rows, cols]])
+
     with Path(path).open("w", newline="") as handle:
         handle.write("# vech ordering: row-major lower triangle "
                      "(i=0..p-1, j=0..i); corr diagonal is exactly 1\n")
         writer = csv.writer(handle)
         writer.writerow(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p))
-        for rec in records:
-            corr = correlation_from_cov(rec.s_star)
-            row = ([str(rec.t)]
-                   + [fmt17(v) for v in vech_lower(rec.s_star)]
-                   + [fmt17(v) for v in vech_lower(corr)])
-            writer.writerow(row)
+        _write_records(handle, records, 2 * len(rows), table)
 
 
 def write_forecast_csv(path: str | Path, records: Sequence) -> None:
@@ -226,15 +245,16 @@ def write_forecast_csv(path: str | Path, records: Sequence) -> None:
     cols = ([f"forecast_{j}" for j in range(p)]
             + [f"e_{j}" for j in range(p)]
             + [f"u_{j}" for j in range(p)])
+
+    def table(block):
+        return np.hstack([np.array([rec.forecast.location for rec in block]),
+                          np.array([rec.e for rec in block]),
+                          np.array([rec.u for rec in block])])
+
     with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t"] + cols)
-        for rec in records:
-            row = ([str(rec.t)]
-                   + [fmt17(v) for v in rec.forecast.location]
-                   + [fmt17(v) for v in rec.e]
-                   + [fmt17(v) for v in rec.u])
-            writer.writerow(row)
+        _write_records(handle, records, 3 * p, table)
 
 
 def write_returns_csv(path: str | Path, values: np.ndarray,

@@ -8,6 +8,9 @@ positive-eigenvalue matrices ``L_t`` of the transition, and a
 log-determinant of the volatility matrices themselves. The breakdown is
 returned so each group can be audited; per-step sums are accumulated in
 fixed time order, so results are deterministic and reproducible.
+At the filter's own path the filter evaluates the terms in its one pass and
+:func:`loglik_from_records` sums them; :func:`loglik_path` is the oracle for
+arbitrary paths.
 """
 
 from __future__ import annotations
@@ -17,14 +20,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
-from .gwishart import RANK_REL_TOL, giw_estimator
+from .gwishart import RANK_REL_TOL
 from .linalg import log_multigamma, spd_inverse, spd_logdet
 
 if TYPE_CHECKING:  # import would be circular at runtime
     from .filtering import ModelConfig, StepRecord
+
+
+_NO_POSITIVE_LT = "transition matrix L_t has no positive eigenvalues"
 
 
 @dataclass(frozen=True)
@@ -38,6 +44,20 @@ class LikelihoodBreakdown:
     lt_term: float
     sigma_logdet_term: float
     per_step: list[float]
+
+    @classmethod
+    def from_terms(cls, constant: float, terms, per_step: list[float]
+                   ) -> "LikelihoodBreakdown":
+        """Sum per-step ``(quad, chol_logdet, lt, sigma_logdet)`` in time order."""
+        quad = chol = lt = sig = 0.0
+        for quad_t, chol_t, lt_t, sig_t in terms:
+            quad += quad_t
+            chol += chol_t
+            lt += lt_t
+            sig += sig_t
+        return cls(total=constant + quad + chol + lt + sig, constant_c=constant,
+                   quad_term=quad, chol_logdet_term=chol, lt_term=lt,
+                   sigma_logdet_term=sig, per_step=per_step)
 
 
 @dataclass(frozen=True)
@@ -101,14 +121,16 @@ def _step_terms_threaded(u_chol_prev: np.ndarray, w: np.ndarray, v: np.ndarray,
     chol = -(2.0 * delta - 1.0) / (1.0 - delta) * log_u
 
     # W = U'^{-1} Sigma^{-1} U^{-1} = A A' with A = U'^{-1} V diag(1/sqrt(w))
-    a = solve_triangular(u_chol_prev.T, v / sqrt_w, lower=True,
-                         check_finite=False)
+    # trtrs directly: at p=8 solve_triangular's wrapper costs 4x the solve
+    a, info = dtrtrs(u_chol_prev, v / sqrt_w, lower=0, trans=1)
+    if info != 0:
+        raise NotPositiveDefinite(f"triangular solve failed (trtrs info={info})")
     inner = np.eye(p) - (a @ a.T) / k
     l_eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
     threshold = RANK_REL_TOL * max(1.0, abs(float(l_eigs[0])), float(l_eigs[-1]))
     l_eigs = l_eigs[l_eigs > threshold]
     if l_eigs.size == 0:
-        raise DomainError("transition matrix L_t has no positive eigenvalues")
+        raise DomainError(_NO_POSITIVE_LT)
     lt = -0.5 * p * float(np.sum(np.log(l_eigs)))
 
     sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * float(np.sum(np.log(w)))
@@ -151,7 +173,7 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     c1 = constant / n_obs if n_obs else 0.0
     p, k, delta = config.p, config.k, config.delta
 
-    quad_sum = chol_sum = lt_sum = sig_sum = 0.0
+    terms: list[tuple[float, float, float, float]] = []
     per_step: list[float] = []
     # thread each matrix's eigendecomposition to the next transition
     w, v = _eigh_pd(0.5 * (sigmas[0] + np.asarray(sigmas[0]).T), p)
@@ -164,50 +186,43 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
                                                        delta, q_inv)
         except DomainError as exc:
             raise DomainError(f"t={t}: {exc}") from exc
-        quad_sum += quad
-        chol_sum += chol
-        lt_sum += lt
-        sig_sum += sig
+        terms.append((quad, chol, lt, sig))
         per_step.append(c1 + quad + chol + lt + sig)
-
-    total = constant + quad_sum + chol_sum + lt_sum + sig_sum
-    return LikelihoodBreakdown(
-        total=total,
-        constant_c=constant,
-        quad_term=quad_sum,
-        chol_logdet_term=chol_sum,
-        lt_term=lt_sum,
-        sigma_logdet_term=sig_sum,
-        per_step=per_step,
-    )
+    return LikelihoodBreakdown.from_terms(constant, terms, per_step)
 
 
 def loglik_from_records(records: Sequence["StepRecord"],
                         config: "ModelConfig") -> LikelihoodBreakdown:
-    """Likelihood breakdown along an already-filtered run.
+    """Likelihood breakdown of a run: sums the term groups its records carry.
 
-    Plugs the records' posterior volatility estimates in as the path, with
-    the prior point estimate at time 0.
+    Equals :func:`loglik_path` on the records' ``S_t^*`` after the prior
+    point estimate. Raises :class:`DomainError` for records filtered without
+    the likelihood, and at the first step with no positive ``L_t``
+    eigenvalue.
     """
     from .filtering import steady_Q  # deferred: avoids import cycle
 
-    q = steady_Q(config)
-    sigma0 = giw_estimator(spd_inverse(q), config.s0, config.posterior_dof)
-    sigmas = [sigma0] + [r.s_star for r in records]
-    es = [r.e for r in records]
-    return loglik_path(sigmas, es, config, q)
+    for rec in records:
+        if rec.terms is None:
+            if math.isnan(rec.loglik_t):
+                raise DomainError("records carry no likelihood terms: "
+                                  "filter_run ran with compute_loglik=False")
+            raise DomainError(f"t={rec.t}: {_NO_POSITIVE_LT}")
+    constant = loglik_constant(config, steady_Q(config), len(records))
+    return LikelihoodBreakdown.from_terms(constant, [rec.terms for rec in records],
+                                          [rec.loglik_t for rec in records])
 
 
 def loglik_at_filter_path(ys, config: "ModelConfig") -> LikelihoodBreakdown:
     """Model-selection objective: likelihood at the filtered point estimates.
 
-    Runs the filter, plugs the posterior volatility estimates ``S_t^*`` in
-    as the path (with the prior point estimate at time 0), and evaluates
-    :func:`loglik_path`. Deterministic given ``(ys, config)``.
+    One filter pass, summed by :func:`loglik_from_records`; the path is the
+    prior point estimate, then each ``S_t^*``. Deterministic given
+    ``(ys, config)``.
     """
     from .filtering import filter_run  # deferred: avoids import cycle
 
-    records, _ = filter_run(ys, config, compute_loglik=False)
+    records, _ = filter_run(ys, config)
     return loglik_from_records(records, config)
 
 

@@ -78,28 +78,14 @@ def _positivity_threshold(w: np.ndarray, rel_tol: float | None) -> float:
     return rel_tol * scale
 
 
-def sym_sqrt(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
-    """Symmetric positive definite square root of an SPD matrix.
+def spd_eigh(m: np.ndarray, rel_tol: float | None = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition ``(w, V)`` of an SPD matrix, ascending ``w``.
 
-    Raises :class:`NotPositiveDefinite` when any eigenvalue falls at or below
-    the positivity threshold (machine level by default).
+    Raises :class:`NotPositiveDefinite` when any eigenvalue is non-finite or
+    falls at or below the positivity threshold (machine level by default).
     """
-    m = check_square(m, "sym_sqrt input")
-    w, v = np.linalg.eigh(m)
-    if not np.isfinite(w).all():
-        raise NotPositiveDefinite("matrix has non-finite entries")
-    if w.size == 0 or w[0] <= _positivity_threshold(w, rel_tol):
-        raise NotPositiveDefinite(
-            f"sym_sqrt input not positive definite (min eigenvalue {w[0]:.3e})"
-        )
-    r = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (r + r.T)
-
-
-def sym_sqrt_pair(m: np.ndarray, rel_tol: float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(M**0.5, M**-0.5)`` from a single eigendecomposition."""
-    m = check_square(m, "sym_sqrt_pair input")
+    m = check_square(m, "spd_eigh input")
     w, v = np.linalg.eigh(m)
     if not np.isfinite(w).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
@@ -107,10 +93,33 @@ def sym_sqrt_pair(m: np.ndarray, rel_tol: float | None = None
         raise NotPositiveDefinite(
             f"matrix not positive definite (min eigenvalue {w[0]:.3e})"
         )
+    return w, v
+
+
+def sym_sqrt(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+    """Symmetric positive definite square root of an SPD matrix.
+
+    Raises :class:`NotPositiveDefinite` when any eigenvalue falls at or below
+    the positivity threshold (machine level by default).
+    """
+    w, v = spd_eigh(m, rel_tol)
+    r = (v * np.sqrt(w)) @ v.T
+    return 0.5 * (r + r.T)
+
+
+def sqrt_pair_from_eigh(w: np.ndarray, v: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``(M**0.5, M**-0.5)`` from the eigendecomposition of an SPD ``M``."""
     sq = np.sqrt(w)
     root = (v * sq) @ v.T
     inv_root = (v / sq) @ v.T
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
+
+
+def sym_sqrt_pair(m: np.ndarray, rel_tol: float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(M**0.5, M**-0.5)`` from a single eigendecomposition."""
+    return sqrt_pair_from_eigh(*spd_eigh(m, rel_tol))
 
 
 def psd_sqrt(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from seqvol.io import (
     load_prices_csv,
     render_json,
     vech_lower,
+    write_forecast_csv,
     write_returns_csv,
+    write_volatility_csv,
 )
 from seqvol.likelihood import loglik_at_filter_path
 from seqvol.simulate import simulate_path
@@ -104,6 +108,64 @@ class TestSerialization:
         corr = correlation_from_cov(cov)
         assert np.all(np.abs(corr) <= 1.0)
         assert np.all(np.diag(corr) == 1.0)
+
+
+def _reference_csv(path, header, rows, comment=""):
+    """The writers' format, one fmt17 field at a time through csv.writer."""
+    with path.open("w", newline="") as handle:
+        handle.write(comment)
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+class TestWriters:
+    @pytest.fixture
+    def records(self):
+        config = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.0, 1.5]))
+        ys = 0.3 * np.random.default_rng(7).standard_normal((25, 3))
+        records, _ = filter_run(ys, config, compute_loglik=False)
+        # a perfectly correlated pair whose raw ratio rounds above 1, and a
+        # negative zero in the covariance and in the forecast error
+        cov = np.array([[3.0, 3.0, -0.0], [3.0, 3.0, 0.0], [-0.0, 0.0, 1.0]])
+        assert cov[1, 0] / (math.sqrt(3.0) * math.sqrt(3.0)) > 1.0
+        records[4] = replace(records[4], s_star=cov,
+                             e=np.array([-0.0, 0.25, 1e-300]))
+        return records
+
+    def test_volatility_csv_bytes(self, records, tmp_path):
+        rows = []
+        for rec in records:
+            s = rec.s_star
+            d = np.sqrt(np.diag(s))
+            cov = [fmt17(s[i, j]) for i in range(3) for j in range(i + 1)]
+            corr = [fmt17(1.0 if i == j else min(1.0, max(-1.0, s[i, j] / (d[i] * d[j]))))
+                    for i in range(3) for j in range(i + 1)]
+            rows.append([str(rec.t)] + cov + corr)
+        labels = [f"{i}_{j}" for i in range(3) for j in range(i + 1)]
+        _reference_csv(tmp_path / "ref.csv",
+                       ["t"] + [f"cov_{x}" for x in labels] + [f"corr_{x}" for x in labels],
+                       rows,
+                       comment="# vech ordering: row-major lower triangle "
+                               "(i=0..p-1, j=0..i); corr diagonal is exactly 1\n")
+        write_volatility_csv(tmp_path / "got.csv", records)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b",1,1,1,-0,0,1\r\n" in got  # the clipped pair and the -0
+
+    def test_forecast_csv_bytes(self, records, tmp_path):
+        rows = [[str(rec.t)] + [fmt17(v) for v in rec.forecast.location]
+                + [fmt17(v) for v in rec.e] + [fmt17(v) for v in rec.u]
+                for rec in records]
+        _reference_csv(tmp_path / "ref.csv",
+                       ["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
+                                for j in range(3)],
+                       rows)
+        write_forecast_csv(tmp_path / "got.csv", records)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b",-0,0.25,1e-300," in got
 
 
 @pytest.fixture
@@ -223,6 +285,27 @@ class TestCli:
                                    "--input", str(bad), "--out", str(tmp_path)])
         assert res.exit_code == 3
         assert "t=6" in res.output
+
+    def test_zero_error_step(self, workdir, tmp_path):
+        # y_21 equal to its forecast mean m_20 puts the plug-in path on the
+        # boundary of the transition's support: L_t has no positive eigenvalue
+        tmp, cfg = workdir
+        config = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.5]))
+        ys = np.random.default_rng(21).standard_normal((30, 2))
+        _, state = filter_run(ys[:20], config)
+        ys[20] = state.m
+        records, _ = filter_run(ys, config)
+        assert len(records) == 30
+        assert [r.t for r in records if r.loglik_t == -math.inf] == [21]
+
+        data = tmp_path / "zero_error.csv"
+        write_returns_csv(data, ys)
+        message = "t=21: transition matrix L_t has no positive eigenvalues"
+        for command in ("filter", "loglik"):
+            res = CliRunner().invoke(main, [command, "--config", str(cfg), "--input",
+                                            str(data), "--out", str(tmp_path / command)])
+            assert res.exit_code == 3
+            assert message in res.output
 
     def test_metrics_command(self, workdir):
         tmp, cfg = workdir

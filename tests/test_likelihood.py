@@ -7,12 +7,15 @@ from scipy.stats import beta as beta_dist
 
 from seqvol.errors import DimensionMismatch, DomainError, EmptyInput
 from seqvol.filtering import ModelConfig, StepRecord, filter_run, steady_Q
+from seqvol.gwishart import giw_estimator
 from seqvol.likelihood import (
     loglik_at_filter_path,
     loglik_constant,
+    loglik_from_records,
     loglik_path,
     perf_metrics,
 )
+from seqvol.linalg import spd_inverse
 from seqvol.simulate import evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -190,6 +193,42 @@ class TestLoglikAtFilterPath:
         c1 = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.5]))
         c2 = ModelConfig(omega=np.diag([0.5, 1.5]), phi=1.0, delta=0.8)
         assert loglik_at_filter_path(ys, c1).total == loglik_at_filter_path(ys, c2).total
+
+
+class TestLoglikFromRecords:
+    @pytest.mark.parametrize("standardization", ["forecast_cov", "posterior_st"])
+    @pytest.mark.parametrize("mean_mode", ["plain", "phi_scaled"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_pass_matches_path_oracle(self, p, mean_mode, standardization):
+        config = ModelConfig(delta=0.85, phi=0.9,
+                             omega=np.diag(np.linspace(0.5, 1.5, p)),
+                             forecast_mean_mode=mean_mode,
+                             standardization_mode=standardization)
+        # a path from the model itself stays inside the transition support
+        ys = simulate_path(np.random.default_rng(p), config, n_steps=120).ys
+        records, _ = filter_run(ys, config)
+        bd = loglik_from_records(records, config)
+
+        # the plugged path: prior estimate at time 0, then each S_t^*
+        q = steady_Q(config)
+        sigma0 = giw_estimator(spd_inverse(q), config.s0, config.posterior_dof)
+        oracle = loglik_path([sigma0] + [r.s_star for r in records],
+                             [r.e for r in records], config, q)
+        for group in ("total", "constant_c", "quad_term", "chol_logdet_term",
+                      "lt_term", "sigma_logdet_term"):
+            assert getattr(bd, group) == pytest.approx(getattr(oracle, group),
+                                                       rel=1e-12), group
+        assert bd.per_step == pytest.approx(oracle.per_step, rel=1e-12)
+        if p == 1:
+            _, total = run_scalar_pipeline(ys[:, 0], delta=0.85, phi=0.9, omega=0.5,
+                                           phi_scaled_mean=mean_mode == "phi_scaled")
+            assert bd.total == pytest.approx(total, rel=1e-10)
+
+    def test_records_without_terms_are_refused(self, rng, config2):
+        ys = 0.3 * rng.standard_normal((20, 2))
+        records, _ = filter_run(ys, config2, compute_loglik=False)
+        with pytest.raises(DomainError, match="compute_loglik=False"):
+            loglik_from_records(records, config2)
 
 
 def _record(e, u, t=1):
