@@ -31,6 +31,7 @@ from .linalg import (
     positive_eigenvalues,
     spd_inverse,
     spd_logdet,
+    sym,
     sym_sqrt,
     sym_sqrt_pair,
 )
@@ -303,10 +304,6 @@ def transformed_beta_logpdf(params: SingularBetaParams, a_t: np.ndarray,
             - log_abs_det_a - p * math.log(au_norm))
 
 
-def _bat_sym(mats: np.ndarray) -> np.ndarray:
-    return 0.5 * (mats + np.swapaxes(mats, -1, -2))
-
-
 def sample_wishart(rng: np.random.Generator, df: float, p: int,
                    size: int | None = None) -> np.ndarray:
     """Draw from ``W_p(df, I)`` by the Bartlett construction.
@@ -325,7 +322,7 @@ def sample_wishart(rng: np.random.Generator, df: float, p: int,
     t[:, rows, cols] = rng.standard_normal((n, len(rows)))
     diag = np.arange(p)
     t[:, diag, diag] = np.sqrt(rng.chisquare(df - diag, size=(n, p)))
-    w = _bat_sym(t @ np.swapaxes(t, -1, -2))
+    w = sym(t @ np.swapaxes(t, -1, -2))
     return w[0] if size is None else w
 
 
@@ -349,8 +346,8 @@ def sample_singular_beta(rng: np.random.Generator, params: SingularBetaParams,
         raise NotPositiveDefinite(f"Cholesky of C failed: {exc}") from exc
     # B = (U')^{-1} A1 U^{-1} = L^{-1} A1 L^{-T}
     half = np.linalg.solve(low, a1)
-    b = _bat_sym(np.swapaxes(np.linalg.solve(low, np.swapaxes(half, -1, -2)),
-                             -1, -2))
+    b = sym(np.swapaxes(np.linalg.solve(low, np.swapaxes(half, -1, -2)),
+                        -1, -2))
     return b[0] if size is None else b
 
 
@@ -361,4 +358,4 @@ def sample_wishart_scaled(rng: np.random.Generator, df: float,
     scale = check_spd(scale, name="scale")
     lower = np.linalg.cholesky(scale)
     w = sample_wishart(rng, df, scale.shape[0], size=size)
-    return _bat_sym(lower @ w @ lower.T)
+    return sym(lower @ w @ lower.T)

@@ -30,6 +30,11 @@ DEFAULT_REL_TOL = 1e-10
 SYMMETRY_REL_TOL = 1e-12
 
 
+def sym(m: np.ndarray) -> np.ndarray:
+    """Symmetric part ``(M + M') / 2`` of a matrix or a stack of matrices."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
 def check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

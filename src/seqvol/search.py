@@ -7,6 +7,14 @@ joint grid is combinatorially infeasible beyond two coordinates, so the
 search is cyclic coordinate ascent over the per-coordinate grids, with the
 discount factor handled as an independent outer grid.
 
+All discount factors are searched in lockstep. Each (sweep, coordinate)
+step makes one batched call for the uncached points on the grid lines of
+every discount factor still moving; the start point ``z = 0.5`` lies on
+every grid and rides along with the first line. A discount factor leaves
+the lockstep after a sweep that moves nothing, or at once when its start
+point is not finite. Each one leaves the trace it would leave if searched
+alone, and the traces follow the order of ``delta_candidates``.
+
 Ties within a coordinate's grid are broken toward smaller ``z`` (a smaller
 innovation scale gives smoother volatility paths); a move is accepted only
 when it improves the objective or reaches the same value at a smaller
@@ -79,18 +87,21 @@ def omega_diag_to_z(w) -> np.ndarray:
     return w / (1.0 + w)
 
 
-def _evaluate(ys, base_config, delta, z_rows, objective, jobs) -> np.ndarray:
-    omegas = np.array([np.diag(z / (1.0 - z)) for z in z_rows])
-    if jobs > 1 and len(z_rows) > 1:
-        chunks = np.array_split(np.arange(len(z_rows)), jobs)
+def _evaluate(ys, base_config, keys, objective, jobs) -> np.ndarray:
+    """Objective values of ``(delta, z)`` keys: one evaluator call per worker."""
+    deltas = np.array([delta for delta, _ in keys])
+    zs = np.array([z for _, z in keys])
+    omegas = np.array([np.diag(w) for w in zs / (1.0 - zs)])
+    if jobs > 1 and len(keys) > 1:
+        chunks = [c for c in np.array_split(np.arange(len(keys)), jobs) if c.size]
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(
-                lambda idx: evaluate_candidates(ys, base_config, delta,
+                lambda idx: evaluate_candidates(ys, base_config, deltas[idx],
                                                 omegas[idx], objective),
-                [c for c in chunks if c.size],
+                chunks,
             ))
         return np.concatenate(parts)
-    return evaluate_candidates(ys, base_config, delta, omegas, objective)
+    return evaluate_candidates(ys, base_config, deltas, omegas, objective)
 
 
 def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
@@ -100,9 +111,8 @@ def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
 
     Returns ``(best z vector, best delta, evaluation trace)``. Requires at
     least ``10 p`` observations to avoid degenerate fits. Candidates that
-    fail numerically are skipped; a discount factor with no surviving
-    candidate is dropped, and the search aborts only when every candidate of
-    every discount factor fails.
+    fail numerically are skipped; a discount factor whose start point fails
+    is dropped, and the search aborts only when every discount factor is.
     """
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
@@ -113,58 +123,58 @@ def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
             f"need at least 10*p = {10 * p} observations, got {ys.shape[0]}"
         )
     grid = np.arange(1, 10 ** spec.q) / 10.0 ** spec.q
-    trace: list[TraceEntry] = []
-    best: tuple[float, float, np.ndarray] | None = None  # (objective, delta, z)
-    cache: dict[tuple, float] = {}
+    deltas = spec.delta_candidates
+    cache: dict[tuple, float] = {}  # (delta, z) -> objective
+    zs = [np.full(p, 0.5) for _ in deltas]
+    current = [-np.inf] * len(deltas)
+    traces: list[list[TraceEntry]] = [[] for _ in deltas]
+    active = list(range(len(deltas)))  # indices of the discount factors still moving
 
-    def evaluate(delta: float, rows: list[np.ndarray]) -> np.ndarray:
-        missing = [z for z in rows if (delta, tuple(z)) not in cache]
-        if missing:
-            values = _evaluate(ys, base_config, delta, missing, spec.objective, jobs)
-            for z, val in zip(missing, values):
-                cache[(delta, tuple(z))] = float(val)
-        return np.array([cache[(delta, tuple(z))] for z in rows])
-
-    for delta in spec.delta_candidates:
-        z = np.full(p, 0.5)
-        current = evaluate(delta, [z])[0]
-        trace.append(TraceEntry(delta, tuple(z), None, 0, current, True))
-        if not np.isfinite(current):
-            logger.warning("delta=%g: initial point failed; dropping candidate", delta)
-            continue
-        for sweep in range(1, spec.max_sweeps + 1):
-            changed = False
-            for coord in range(p):
-                rows = []
-                for g in grid:
-                    cand = z.copy()
-                    cand[coord] = g
-                    rows.append(cand)
-                values = evaluate(delta, rows)
+    for sweep in range(1, spec.max_sweeps + 1):
+        changed = set()
+        for coord in range(p):
+            lines = {}
+            for i in active:
+                rows = np.repeat(zs[i][None, :], grid.size, axis=0)
+                rows[:, coord] = grid
+                lines[i] = [(deltas[i], tuple(row)) for row in rows]
+            starts = ([(deltas[i], tuple(zs[i])) for i in active]
+                      if sweep == 1 and coord == 0 else [])
+            keys = starts + [key for i in active for key in lines[i]]
+            missing = [key for key in dict.fromkeys(keys) if key not in cache]
+            if missing:
+                values = _evaluate(ys, base_config, missing, spec.objective, jobs)
+                cache.update(zip(missing, map(float, values)))
+            if starts:
+                for i, key in zip(active, starts):
+                    current[i] = cache[key]
+                    traces[i].append(TraceEntry(*key, None, 0, current[i], True))
+                    if not np.isfinite(current[i]):
+                        logger.warning("delta=%g: initial point failed; "
+                                       "dropping candidate", deltas[i])
+                active = [i for i in active if np.isfinite(current[i])]
+            for i in active:
+                z = zs[i]
+                values = np.array([cache[key] for key in lines[i]])
                 best_idx = int(np.argmax(values))  # first max = smallest z
                 cand_val = values[best_idx]
                 cand_z = grid[best_idx]
-                improves = cand_val > current or (cand_val == current
-                                                  and cand_z < z[coord])
-                for g, val in zip(grid, values):
-                    accepted = improves and g == cand_z
-                    zt = z.copy()
-                    zt[coord] = g
-                    trace.append(TraceEntry(delta, tuple(zt), coord, sweep,
-                                            float(val), accepted))
+                improves = cand_val > current[i] or (cand_val == current[i]
+                                                     and cand_z < z[coord])
+                for g, (_, zt), val in zip(grid, lines[i], values):
+                    traces[i].append(TraceEntry(deltas[i], zt, coord, sweep,
+                                                float(val), improves and g == cand_z))
                 if improves and np.isfinite(cand_val):
                     z[coord] = cand_z
-                    current = float(cand_val)
-                    changed = True
-            if not changed:
-                break
-        if not np.isfinite(current):
-            logger.warning("delta=%g: no finite objective; dropping candidate", delta)
-            continue
-        if best is None or current > best[0] or (current == best[0]
-                                                 and delta < best[1]):
-            best = (current, delta, z.copy())
+                    current[i] = float(cand_val)
+                    changed.add(i)
+        active = [i for i in active if i in changed]
+        if not active:
+            break
 
-    if best is None:
+    kept = [i for i in range(len(deltas)) if np.isfinite(current[i])]
+    if not kept:
         raise DomainError("every (z, delta) candidate failed numerically")
-    return best[2], best[1], trace
+    # highest objective; a tie goes to the smaller delta, then to the first listed
+    best = max(kept, key=lambda i: (current[i], -deltas[i]))
+    return zs[best], deltas[best], [entry for trace in traces for entry in trace]

@@ -1,15 +1,21 @@
 import itertools
+import logging
+import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqvol.search
 from seqvol._fastpath import evaluate_candidates
-from seqvol.errors import DomainError
+from seqvol.errors import DomainError, SeqvolError
 from seqvol.filtering import ModelConfig, filter_run
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
 from seqvol.search import (
     SearchSpec,
+    TraceEntry,
     coordinate_search,
     omega_diag_to_z,
     z_to_omega,
@@ -20,6 +26,15 @@ from seqvol.search import (
 def stationary_ys():
     rng = np.random.default_rng(42)
     return 0.01 * rng.standard_normal((150, 1))
+
+
+@pytest.fixture
+def drifting_ys2():
+    # random-walk log-volatility: delta=0.8 stops after 2 sweeps, 0.9 after 3
+    rng = np.random.default_rng(2)
+    log_vol = np.cumsum(0.1 * rng.standard_normal(200))
+    chol = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    return 0.01 * np.exp(log_vol)[:, None] * rng.standard_normal((200, 2)) @ chol.T
 
 
 @pytest.fixture
@@ -96,6 +111,102 @@ class TestFastpathEquivalence:
         out = evaluate_candidates(stationary_ys2, base, 0.8, omegas, "loglik")
         assert out[0] == -np.inf
         assert np.isfinite(out[1])
+
+
+class TestFastpathMasking:
+    def test_extreme_shock_fails_every_candidate_quietly(self, caplog):
+        # one 1e40 shock leaves S_t numerically singular for every candidate:
+        # the filter refuses each one, so the stacked pass must mask them all
+        # rather than let one non-PD matrix abort the stacked Cholesky
+        ys = 0.01 * np.random.default_rng(0).standard_normal((120, 2))
+        ys[60] = 1e40 * np.array([math.cos(0.3), math.sin(0.3)])
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        omegas = np.array([np.diag([0.3, 1.0]), np.eye(2), np.diag([50.0, 0.01])])
+        for omega in omegas:
+            with pytest.raises(SeqvolError):
+                loglik_at_filter_path(ys, replace(base, omega=omega))
+        with caplog.at_level(logging.DEBUG), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for objective in ("loglik", "msse_distance"):
+                out = evaluate_candidates(ys, base, 0.8, omegas, objective)
+                assert np.all(out == -np.inf), (objective, out)
+        assert caplog.records == []
+
+
+class TestPerCandidateDelta:
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_mixed_deltas_equal_single_delta_calls(self, stationary_ys2, objective):
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        zs = np.array([[0.3, 0.6], [0.5, 0.5], [0.85, 0.15], [0.1, 0.9]])
+        omegas = np.array([np.diag(z / (1 - z)) for z in zs])
+        deltas = np.array([0.75, 0.9, 0.75, 0.95])
+        mixed = evaluate_candidates(stationary_ys2, base, deltas, omegas, objective)
+        for d in np.unique(deltas):
+            sel = deltas == d
+            alone = evaluate_candidates(stationary_ys2, base, d, omegas[sel], objective)
+            np.testing.assert_array_equal(mixed[sel], alone)
+        assert np.all(np.isfinite(mixed))
+
+
+def _trace_bits(trace):
+    return [(e.delta, e.z, e.coordinate, e.sweep, e.objective.hex(), e.accepted)
+            for e in trace]
+
+
+class TestLockstep:
+    def test_equals_each_delta_searched_alone(self, drifting_ys2):
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        spec = SearchSpec(q=1, delta_candidates=(0.8, 0.9), max_sweeps=10)
+        z, delta, trace = coordinate_search(drifting_ys2, base, spec)
+        alone = [coordinate_search(drifting_ys2, base,
+                                   replace(spec, delta_candidates=(d,)))
+                 for d in spec.delta_candidates]
+        # the two discount factors stop at different sweeps, so the first
+        # leaves the lockstep while the second still moves
+        assert [max(e.sweep for e in t) for _, _, t in alone] == [2, 3]
+        assert _trace_bits(trace) == _trace_bits(alone[0][2] + alone[1][2])
+        z_best, d_best, _ = max(alone, key=lambda r: max(e.objective for e in r[2]
+                                                         if e.accepted))
+        np.testing.assert_array_equal(z, z_best)
+        assert delta == d_best
+        z2, d2, t2 = coordinate_search(drifting_ys2, base, spec, jobs=2)
+        np.testing.assert_array_equal(z, z2)
+        assert (delta, _trace_bits(trace)) == (d2, _trace_bits(t2))
+
+    def test_failed_start_keeps_only_initial_entry(self, drifting_ys2, monkeypatch):
+        real = seqvol.search.evaluate_candidates
+
+        def start_fails_at_08(ys, base_config, deltas, omegas, objective):
+            out = real(ys, base_config, deltas, omegas, objective)
+            out[np.asarray(deltas) == 0.8] = -np.inf
+            return out
+
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        spec = SearchSpec(q=1, delta_candidates=(0.8, 0.9), max_sweeps=10)
+        _, _, alone = coordinate_search(drifting_ys2, base,
+                                        replace(spec, delta_candidates=(0.9,)))
+        monkeypatch.setattr(seqvol.search, "evaluate_candidates", start_fails_at_08)
+        _, delta, trace = coordinate_search(drifting_ys2, base, spec)
+        assert trace[0] == TraceEntry(0.8, (0.5, 0.5), None, 0, -np.inf, True)
+        assert _trace_bits(trace[1:]) == _trace_bits(alone)
+        assert delta == 0.9
+
+    def test_one_evaluator_call_per_coordinate(self, drifting_ys2, monkeypatch):
+        calls = []
+        real = seqvol.search.evaluate_candidates
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[3]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(seqvol.search, "evaluate_candidates", counting)
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        spec = SearchSpec(q=1, delta_candidates=(0.8, 0.9), max_sweeps=1)
+        coordinate_search(drifting_ys2, base, spec, jobs=1)
+        # start points and both lines of coordinate 0, then both lines of
+        # coordinate 1 less the points already evaluated
+        assert len(calls) == 2
+        assert calls == [18, 16]
 
 
 class TestCoordinateSearch:
