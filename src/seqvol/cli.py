@@ -173,7 +173,6 @@ common_options = [
                  help="Output directory."),
     click.option("--seed", type=int, default=None,
                  help="Random seed (overrides the config)."),
-    click.option("--jobs", type=int, default=1, help="Parallel evaluations."),
 ]
 
 input_options = [
@@ -225,7 +224,7 @@ def _filter_input(config_path, out_dir, seed, input_path, levels, scale,
 @main.command("filter")
 @add_options(common_options)
 @add_options(input_options)
-def filter_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
+def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Filter a series: volatility path, forecasts, metrics and likelihood."""
     started = time.perf_counter()
     out, manifest, records, breakdown = _filter_input(
@@ -244,7 +243,7 @@ def filter_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
 @main.command("simulate")
 @add_options(common_options)
 @click.option("--n-steps", type=int, required=True, help="Number of steps.")
-def simulate_cmd(config_path, out_dir, seed, jobs, n_steps):
+def simulate_cmd(config_path, out_dir, seed, n_steps):
     """Simulate a path from the generative model and write it as CSV."""
     started = time.perf_counter()
     try:
@@ -286,7 +285,7 @@ def simulate_cmd(config_path, out_dir, seed, jobs, n_steps):
 @main.command("loglik")
 @add_options(common_options)
 @add_options(input_options)
-def loglik_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
+def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Evaluate the plug-in log-likelihood of a series."""
     started = time.perf_counter()
     out, manifest, _, breakdown = _filter_input(
@@ -302,7 +301,7 @@ def loglik_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
 @main.command("search")
 @add_options(common_options)
 @add_options(input_options)
-def search_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
+def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Grid-search the diagonal innovation scale and the discount factor."""
     started = time.perf_counter()
     try:
@@ -314,7 +313,7 @@ def search_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        z, delta, trace = coordinate_search(table.values, config, spec, jobs=jobs)
+        z, delta, trace = coordinate_search(table.values, config, spec)
     except FilterNumericalError as exc:
         _fail(NUMERICAL_EXIT, str(exc))
     except DomainError as exc:
@@ -337,7 +336,7 @@ def search_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
 @main.command("metrics")
 @add_options(common_options)
 @add_options(input_options)
-def metrics_cmd(config_path, out_dir, seed, jobs, input_path, levels, scale):
+def metrics_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Compute the forecast performance measures of a filter run."""
     started = time.perf_counter()
     out, manifest, records, _ = _filter_input(

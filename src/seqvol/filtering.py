@@ -10,15 +10,20 @@ The forecast-precision matrix ``Q`` is frozen at its limit ``P + Omega + I``
 for the whole run; ``P_t`` itself still follows its exact recursion because
 the gain needs it.
 
-The same pass evaluates each step's plug-in likelihood terms, so each matrix
-is decomposed once per step; :func:`seqvol.likelihood.loglik_path` is the
-oracle for arbitrary paths.
+One stacked recursion, :func:`_recursion`, is the only code that runs a
+filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
+lockstep along a leading axis and evaluates each step's plug-in likelihood
+terms from the eigendecompositions of ``S_{t-1}^*`` and ``S_t^*`` it
+carries anyway (:func:`seqvol.likelihood.terms_from_spectra`).
+:func:`filter_run` is its ``B = 1`` case, :func:`filter_step` its
+one-observation case, and :func:`seqvol.search.evaluate_candidates` its
+many-candidate case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +34,8 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
-from .linalg import (DEFAULT_REL_TOL, check_spd, spd_eigh, spd_inverse,
-                     sqrt_pair_from_eigh, sym_sqrt, sym_sqrt_pair)
+from .linalg import DEFAULT_REL_TOL, check_spd, positive_spectrum, spectral, sym
+from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
 STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
@@ -127,6 +132,11 @@ class ModelConfig:
         return 1.0 / (1.0 - self.delta) + 2 * self.p
 
     @property
+    def estimator_denominator(self) -> float:
+        """``2n - 4p - 4`` of the point estimator, ``n`` the posterior dof."""
+        return 2.0 * self.posterior_dof - 4.0 * self.p - 4.0
+
+    @property
     def forecast_dof(self) -> float:
         """Student-t degrees of freedom ``delta/(1-delta)`` of the forecast."""
         return self.delta / (1.0 - self.delta)
@@ -145,10 +155,6 @@ class FilterState:
     m: np.ndarray
     P: np.ndarray
     S: np.ndarray
-    # (S^{-1/2}, eigenvalues, eigenvectors of S^*), set by filter_step only:
-    # not an init field, so a state built by hand or by replace() has none
-    _threaded: tuple | None = field(default=None, init=False, repr=False,
-                                    compare=False)
 
 
 @dataclass(frozen=True)
@@ -180,17 +186,6 @@ class StepRecord:
     terms: tuple[float, float, float, float] | None = None
 
 
-@dataclass(frozen=True)
-class _RunContext:
-    """Quantities constant along a run, hoisted out of the step loop."""
-
-    q: np.ndarray
-    q_inv: np.ndarray
-    q_inv_sqrt: np.ndarray
-    c1: float  # per-step additive constant of the log-likelihood
-    compute_loglik: bool = True
-
-
 def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     """Limit of the ``P_t`` recursion as a function of ``phi`` and ``omega``.
 
@@ -200,11 +195,11 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     ``lam(w) = (sqrt((w + 1 - phi^2)^2 + 4 phi^2 w) - w - (1 - phi^2)) / (2 phi^2)``
 
     to each eigenvalue ``w`` of ``omega`` (``lam(w) = w/(1+w)`` for
-    ``phi = 0``). The spectrum of the result lies in ``(0, 1)``.
+    ``phi = 0``). The spectrum of the result lies in ``(0, 1)``. ``omega``
+    may be one matrix or a stack of them.
     """
-    omega = np.asarray(omega, dtype=float)
-    w, v = np.linalg.eigh(0.5 * (omega + omega.T))
-    if w[0] <= 0.0:
+    w, v = np.linalg.eigh(sym(np.asarray(omega, dtype=float)))
+    if np.any(w[..., 0] <= 0.0):
         raise NotPositiveDefinite("omega must be positive definite")
     phi2 = phi * phi
     if phi2 == 0.0:
@@ -212,8 +207,7 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     else:
         shift = w + 1.0 - phi2
         lam = (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2)
-    out = (v * lam) @ v.T
-    return 0.5 * (out + out.T)
+    return spectral(v, lam)
 
 
 def steady_Q(config: ModelConfig) -> np.ndarray:
@@ -256,108 +250,146 @@ def filter_init(config: ModelConfig) -> FilterState:
     )
 
 
-def _make_context(config: ModelConfig, q: np.ndarray,
-                  compute_loglik: bool = True) -> _RunContext:
-    q_inv = spd_inverse(q)
-    return _RunContext(
-        q=q,
-        q_inv=q_inv,
-        q_inv_sqrt=sym_sqrt(q_inv),
-        c1=_likelihood.loglik_constant(config, q, 1) if compute_loglik else math.nan,
-        compute_loglik=compute_loglik,
-    )
+class _Step(NamedTuple):
+    """One observation's results for every candidate of a stacked run."""
+
+    f: np.ndarray  # forecast mean, (B, p)
+    e: np.ndarray  # forecast error, (B, p)
+    u: np.ndarray  # standardized forecast error, (B, p)
+    s_star: np.ndarray  # point estimate S_t^*, (B, p, p)
+    m: np.ndarray  # state after the step
+    P: np.ndarray
+    S: np.ndarray
+    c1: np.ndarray  # per-step log-likelihood constant, (B,)
+    # (quad, chol_logdet, lt, sigma_logdet), each (B,); lt is -inf when L_t
+    # has no positive eigenvalue. None when the likelihood is off.
+    terms: tuple | None
+    # (B,): an S_t or S_t^* spectrum, at this step or before, was not
+    # positive definite at machine level
+    failed: np.ndarray
 
 
-def _estimate_sigma(s: np.ndarray, s_sqrt: np.ndarray, ctx: _RunContext,
-                    n: float, p: int) -> np.ndarray:
-    # giw_estimator with A = Q^{-1} fixed: reuse the precomputed A^{1/2}.
-    est = (s_sqrt @ ctx.q_inv @ s_sqrt + ctx.q_inv_sqrt @ s @ ctx.q_inv_sqrt)
-    est /= 2.0 * n - 4.0 * p - 4.0
-    return 0.5 * (est + est.T)
+def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
+               q: np.ndarray, start: tuple, loglik: bool):
+    """The filter recursion for ``B`` candidates in lockstep.
+
+    Candidate ``b`` has discount factor ``deltas[b]``, innovation scale
+    ``omegas[b]`` and forecast precision scale ``q[b]``, and starts from
+    row ``b`` of the ``start = (m, P, S)`` stacks; every other setting comes
+    from ``base``. Yields one :class:`_Step` per observation. A candidate's
+    values do not depend on the rest of its stack, bit for bit. Callers
+    silence floating-point warnings: a failed candidate runs on with
+    non-finite values.
+    """
+    p = base.p
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim == 1:
+        ys = ys[:, None]
+    if ys.ndim != 2 or ys.shape[1] != p:
+        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {p})")
+    # each distinct discount factor's scalars, gathered per candidate
+    distinct, index = np.unique(deltas, return_inverse=True)
+    configs = [replace(base, delta=float(d)) for d in distinct]
+    k = np.array([c.k for c in configs])[index]
+    denom = np.array([c.estimator_denominator for c in configs])[index]
+    root_cov = np.sqrt([c.forecast_cov_factor for c in configs])[index, None]
+    c1 = np.empty(len(deltas))
+    for i, config in enumerate(configs):
+        c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
+    k3, denom3 = k[:, None, None], denom[:, None, None]
+    phi = base.phi
+    eye = np.eye(p)
+    wq, vq = np.linalg.eigh(q)
+    q_inv = spectral(vq, 1.0 / wq)
+    q_inv_sqrt = spectral(vq, 1.0 / np.sqrt(wq))
+
+    def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1} fixed
+        s_sqrt = spectral(vs, np.sqrt(ws))
+        return sym((s_sqrt @ q_inv @ s_sqrt + q_inv_sqrt @ s @ q_inv_sqrt) / denom3)
+
+    m, p_mat, s = start
+    ws, vs = np.linalg.eigh(s)
+    w_star, v_star = np.linalg.eigh(estimate(s, ws, vs))
+    failed = ~(positive_spectrum(ws) & positive_spectrum(w_star))
+    for y in ys:
+        f = m if base.forecast_mean_mode == "plain" else phi * m
+        e = y - f
+        s = s / k3 + e[:, :, None] * e[:, None, :]
+        r = phi * phi * p_mat + omegas
+        p_mat = sym(np.linalg.solve(r + eye, r))
+
+        w_base, v_base = ws, vs  # S_{t-1}, the forecast_cov standardizer
+        ws, vs = np.linalg.eigh(s)
+        s_star = estimate(s, ws, vs)
+        w_prev, v_prev = w_star, v_star
+        w_star, v_star = np.linalg.eigh(s_star)
+        failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+        root = np.sqrt(w_star)
+        gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
+        m = m + (gain @ e[:, :, None])[:, :, 0]
+
+        if base.standardization_mode == "posterior_st":
+            w_base, v_base = ws, vs
+        vte = v_base.swapaxes(-1, -2) @ e[:, :, None]
+        u = (v_base @ (vte / np.sqrt(w_base)[:, :, None]))[:, :, 0] / root_cov
+        terms = (_likelihood.terms_from_spectra(w_prev, v_prev, w_star, v_star, e,
+                                                q_inv, k, deltas)
+                 if loglik else None)
+        yield _Step(f, e, u, s_star, m, p_mat, s, c1, terms, failed)
+
+
+def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
+            compute_loglik: bool) -> tuple[list[StepRecord], FilterState]:
+    """Run :func:`_recursion` for one candidate from ``state``, as records."""
+    steps = _recursion(ys, config, np.array([config.delta]), config.omega[None],
+                       q[None], (state.m[None], state.P[None], state.S[None]),
+                       compute_loglik)
+    records: list[StepRecord] = []
+    t, s_prev = state.t, state.S
+    k, cov_factor, dof = config.k, config.forecast_cov_factor, config.forecast_dof
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        try:
+            for step in steps:
+                t += 1
+                if step.failed[0]:
+                    raise FilterNumericalError(t, NotPositiveDefinite(
+                        "S_t or S_t^* is not positive definite at machine precision"))
+                terms, loglik_t = None, float("nan")
+                if compute_loglik:
+                    terms = tuple(float(g[0]) for g in step.terms)
+                    # a zero-error step puts the plug-in path on the boundary
+                    # of the transition's support (L_t = 0): the state update
+                    # is still defined, so the step contributes -inf
+                    loglik_t = float(step.c1[0]) + sum(terms)
+                    if terms[2] == -np.inf:
+                        terms = None
+                forecast = ForecastDist(dof=dof, location=step.f[0], scale=s_prev / k,
+                                        covariance=cov_factor * s_prev)
+                s_prev = step.S[0]
+                records.append(StepRecord(t=t, forecast=forecast, e=step.e[0],
+                                          u=step.u[0], s_star=step.s_star[0],
+                                          loglik_t=loglik_t, terms=terms))
+        except np.linalg.LinAlgError as exc:
+            raise FilterNumericalError(t + 1, exc) from exc
+    if not records:
+        return records, state
+    return records, FilterState(t=t, m=step.m[0], P=step.P[0], S=s_prev)
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
-                q: np.ndarray, *, ctx: _RunContext | None = None
-                ) -> tuple[FilterState, StepRecord]:
+                q: np.ndarray) -> tuple[FilterState, StepRecord]:
     """Advance the filter by one observation.
 
     ``q`` is the steady forecast precision scale from :func:`steady_Q`.
-    When called standalone the run context is rebuilt; :func:`filter_run`
-    hoists it. Each matrix is decomposed once per step: the new state
-    carries the inverse root of ``S_t`` (the next ``forecast_cov``
-    standardizer) and the eigendecomposition of ``S_t^*`` (the next
-    likelihood factor ``U``); a state without them has them derived from
-    ``state.S``.
+    Runs the filter's recursion on one observation, started from ``state``;
+    a numerical failure raises :class:`FilterNumericalError` with the step
+    index.
     """
-    p = config.p
     y = np.asarray(y, dtype=float)
-    if y.shape != (p,):
-        raise DimensionMismatch(f"observation has shape {y.shape}, expected ({p},)")
-    if ctx is None:
-        ctx = _make_context(config, np.asarray(q, dtype=float))
-    k = config.k
-    n = config.posterior_dof
-
-    if state._threaded is None:
-        s_sqrt, s_inv_sqrt = sym_sqrt_pair(state.S)
-        w_prev, v_prev = spd_eigh(_estimate_sigma(state.S, s_sqrt, ctx, n, p))
-    else:
-        s_inv_sqrt, w_prev, v_prev = state._threaded
-
-    forecast_mean = state.m if config.forecast_mean_mode == "plain" else config.phi * state.m
-    e = y - forecast_mean
-    s_new = state.S / k + np.outer(e, e)
-
-    phi2 = config.phi * config.phi
-    r = phi2 * state.P + config.omega
-    p_new = np.linalg.solve(r + np.eye(p), r)
-    p_new = 0.5 * (p_new + p_new.T)
-
-    s_sqrt_new, s_inv_sqrt_new = sym_sqrt_pair(s_new)
-    s_star = _estimate_sigma(s_new, s_sqrt_new, ctx, n, p)
-    w_star, v_star = spd_eigh(s_star)
-    star_sqrt, star_inv_sqrt = sqrt_pair_from_eigh(w_star, v_star)
-    gain = star_sqrt @ p_new @ star_inv_sqrt
-    m_new = state.m + gain @ e
-
-    cov_factor = config.forecast_cov_factor
-    if config.standardization_mode == "posterior_st":
-        s_inv_sqrt = s_inv_sqrt_new
-    u = (s_inv_sqrt @ e) / math.sqrt(cov_factor)
-
-    terms = None
-    if ctx.compute_loglik:
-        u_chol = _likelihood._chol_upper_of_inverse(w_prev, v_prev)
-        try:
-            terms = _likelihood._step_terms_threaded(
-                u_chol, w_star, v_star, e, p, k, config.delta, ctx.q_inv)
-            loglik_t = ctx.c1 + sum(terms)
-        except DomainError:
-            # a zero-error step puts the plug-in path on the boundary of the
-            # transition's support (L_t = 0); the state update is still well
-            # defined, so record a -inf contribution instead of aborting
-            loglik_t = -math.inf
-    else:
-        loglik_t = math.nan
-
-    forecast = ForecastDist(
-        dof=config.forecast_dof,
-        location=forecast_mean,
-        scale=state.S / k,
-        covariance=cov_factor * state.S,
-    )
-    new_state = FilterState(t=state.t + 1, m=m_new, P=p_new, S=s_new)
-    object.__setattr__(new_state, "_threaded", (s_inv_sqrt_new, w_star, v_star))
-    record = StepRecord(
-        t=state.t + 1,
-        forecast=forecast,
-        e=e,
-        u=u,
-        s_star=s_star,
-        loglik_t=loglik_t,
-        terms=terms,
-    )
-    return new_state, record
+    if y.shape != (config.p,):
+        raise DimensionMismatch(f"observation has shape {y.shape}, expected ({config.p},)")
+    records, new_state = _filter(y[None], config, np.asarray(q, dtype=float), state, True)
+    return new_state, records[0]
 
 
 def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
@@ -367,25 +399,8 @@ def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
     Returns the per-step records and the final state. With
     ``compute_loglik`` each record carries its additive log-likelihood
     contribution and term groups, which
-    :func:`seqvol.likelihood.loglik_from_records` sums.
+    :func:`seqvol.likelihood.loglik_from_records` sums. A step whose
+    ``L_t`` has no positive eigenvalue contributes ``-inf`` and does not
+    stop the run.
     """
-    ys = np.asarray(ys, dtype=float)
-    if ys.size == 0:
-        return [], filter_init(config)
-    if ys.ndim == 1:
-        ys = ys[:, None]
-    if ys.ndim != 2 or ys.shape[1] != config.p:
-        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {config.p})")
-
-    q = steady_Q(config)
-    ctx = _make_context(config, q, compute_loglik)
-    state = filter_init(config)
-    records: list[StepRecord] = []
-    for t, y in enumerate(ys, start=1):
-        try:
-            state, record = filter_step(state, y, config, q, ctx=ctx)
-        except (NotPositiveDefinite, DomainError, ValueError,
-                np.linalg.LinAlgError) as exc:
-            raise FilterNumericalError(t, exc) from exc
-        records.append(record)
-    return records, state
+    return _filter(ys, config, steady_Q(config), filter_init(config), compute_loglik)

@@ -8,9 +8,12 @@ positive-eigenvalue matrices ``L_t`` of the transition, and a
 log-determinant of the volatility matrices themselves. The breakdown is
 returned so each group can be audited; per-step sums are accumulated in
 fixed time order, so results are deterministic and reproducible.
-At the filter's own path the filter evaluates the terms in its one pass and
-:func:`loglik_from_records` sums them; :func:`loglik_path` is the oracle for
-arbitrary paths.
+
+:func:`terms_from_spectra` is the one place the term groups are computed,
+from the eigendecompositions of ``Sigma_{t-1}`` and ``Sigma_t``, for one
+transition or a stack. The filter's recursion calls it at every step, and
+:func:`loglik_from_records` sums what the filter recorded;
+:func:`loglik_path` and :func:`step_terms` call it on arbitrary paths.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
-from .errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError, EmptyInput
 from .gwishart import RANK_REL_TOL
-from .linalg import log_multigamma, spd_inverse, spd_logdet
+from .linalg import log_multigamma, spd_eigh, spd_inverse, sym
 
 if TYPE_CHECKING:  # import would be circular at runtime
     from .filtering import ModelConfig, StepRecord
@@ -76,6 +78,8 @@ def loglik_constant(config: "ModelConfig", q: np.ndarray, n_obs: int) -> float:
 
     ``c = N [ -p log pi - (1/2) log|Q| - (p/2) log k
     + log{ Gamma_p((d(1-p)+p)/(2(1-d))) / Gamma_p((d(2-p)+p-1)/(2(1-d))) } ]``
+
+    ``q`` may be a stack of matrices; the result is then one constant each.
     """
     if n_obs == 0:
         return 0.0
@@ -84,57 +88,55 @@ def loglik_constant(config: "ModelConfig", q: np.ndarray, n_obs: int) -> float:
     gamma_hi = log_multigamma(p, (d * (1 - p) + p) / (2.0 * (1.0 - d)))
     gamma_lo = log_multigamma(p, (d * (2 - p) + p - 1) / (2.0 * (1.0 - d)))
     per = (-p * math.log(math.pi)
-           - 0.5 * spd_logdet(np.asarray(q, dtype=float))
+           - 0.5 * np.linalg.slogdet(q)[1]
            - 0.5 * p * math.log(config.k)
            + gamma_hi - gamma_lo)
     return n_obs * per
 
 
-def _eigh_pd(sigma: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    w, v = np.linalg.eigh(sigma)
-    if not np.isfinite(w).all():
-        raise NotPositiveDefinite("volatility matrix in path has non-finite entries")
-    scale = float(w[-1])
-    if scale <= 0.0 or w[0] <= p * np.finfo(float).eps * scale:
-        raise NotPositiveDefinite("volatility matrix in path is not positive definite")
-    return w, v
+def terms_from_spectra(w_prev, v_prev, w, v, e, q_inv, k, delta):
+    """Term groups ``(quad, chol_logdet, lt, sigma_logdet)`` of transitions.
 
+    ``(w_prev, v_prev)`` and ``(w, v)`` are the eigendecompositions of
+    ``Sigma_{t-1}`` and ``Sigma_t``; every argument may carry leading stack
+    axes, ``k`` and ``delta`` one value per transition. With ``U`` the upper
+    Cholesky factor of ``Sigma_{t-1}^{-1}``:
 
-def _chol_upper_of_inverse(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Upper factor U with U'U = Sigma^{-1}, from Sigma's eigendecomposition."""
-    inv = (v / w) @ v.T
-    try:
-        lower = np.linalg.cholesky(0.5 * (inv + inv.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky of inverse failed: {exc}") from exc
-    return lower.T
-
-
-def _step_terms_threaded(u_chol_prev: np.ndarray, w: np.ndarray, v: np.ndarray,
-                         e: np.ndarray, p: int, k: float, delta: float,
-                         q_inv: np.ndarray) -> tuple[float, float, float, float]:
-    """Term groups given the previous factor and the current spectrum."""
-    log_u = float(np.sum(np.log(np.diag(u_chol_prev))))
-    sqrt_w = np.sqrt(w)
-    x = v @ ((v.T @ e) / sqrt_w)
-    quad = -0.5 * float(x @ q_inv @ x)
+    * ``sum log diag(U) = -1/2 sum log w_prev``;
+    * ``L_t`` holds the positive eigenvalues of
+      ``I - k^{-1} U'^{-1} Sigma_t^{-1} U^{-1}``, kept at relative tolerance
+      1e-8. They are those of ``I - k^{-1} B B'`` with
+      ``B = diag(w^{-1/2}) V' V_prev diag(w_prev^{1/2})``, since ``XY`` and
+      ``YX`` share their nonzero eigenvalues (Horn & Johnson, *Matrix
+      Analysis*, Thm 1.3.22). ``lt`` is ``-inf`` when none is kept.
+    """
+    k = np.asarray(k, dtype=float)
+    vt = v.swapaxes(-1, -2)
+    root = np.sqrt(w)
+    x = v @ ((vt @ e[..., None]) / root[..., None])
+    quad = -0.5 * (x.swapaxes(-1, -2) @ q_inv @ x)[..., 0, 0]
+    log_u = -0.5 * np.log(w_prev).sum(axis=-1)
     chol = -(2.0 * delta - 1.0) / (1.0 - delta) * log_u
 
-    # W = U'^{-1} Sigma^{-1} U^{-1} = A A' with A = U'^{-1} V diag(1/sqrt(w))
-    # trtrs directly: at p=8 solve_triangular's wrapper costs 4x the solve
-    a, info = dtrtrs(u_chol_prev, v / sqrt_w, lower=0, trans=1)
-    if info != 0:
-        raise NotPositiveDefinite(f"triangular solve failed (trtrs info={info})")
-    inner = np.eye(p) - (a @ a.T) / k
-    l_eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
-    threshold = RANK_REL_TOL * max(1.0, abs(float(l_eigs[0])), float(l_eigs[-1]))
-    l_eigs = l_eigs[l_eigs > threshold]
-    if l_eigs.size == 0:
-        raise DomainError(_NO_POSITIVE_LT)
-    lt = -0.5 * p * float(np.sum(np.log(l_eigs)))
+    b = (vt @ v_prev) * (np.sqrt(w_prev)[..., None, :] / root[..., None])
+    # eigvalsh reads one triangle of the symmetric matrix
+    bbt = b @ b.swapaxes(-1, -2)
+    l_eigs = np.linalg.eigvalsh(np.eye(w.shape[-1]) - bbt / k[..., None, None])
+    threshold = RANK_REL_TOL * np.maximum(1.0, np.abs(l_eigs).max(axis=-1))
+    kept = l_eigs > threshold[..., None]  # ascending: the largest is kept if any is
+    lt = -0.5 * w.shape[-1] * np.log(np.where(kept, l_eigs, 1.0)).sum(axis=-1)
+    lt = np.where(kept[..., -1], lt, -np.inf)
 
-    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * float(np.sum(np.log(w)))
+    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * np.log(w).sum(axis=-1)
     return quad, chol, lt, sig
+
+
+def _transition(w_prev, v_prev, w, v, e, config, q_inv) -> tuple[float, ...]:
+    terms = tuple(map(float, terms_from_spectra(w_prev, v_prev, w, v, e, q_inv,
+                                                config.k, config.delta)))
+    if terms[2] == -math.inf:
+        raise DomainError(_NO_POSITIVE_LT)
+    return terms
 
 
 def step_terms(sigma_prev: np.ndarray, sigma_t: np.ndarray, e: np.ndarray,
@@ -142,17 +144,12 @@ def step_terms(sigma_prev: np.ndarray, sigma_t: np.ndarray, e: np.ndarray,
                ) -> tuple[float, float, float, float]:
     """Per-step term group values ``(quad, chol_logdet, lt, sigma_logdet)``.
 
-    ``L_t`` is the diagonal of positive eigenvalues of
-    ``I - k^{-1} U'^{-1} Sigma_t^{-1} U^{-1}`` with ``U`` the upper Cholesky
-    factor of ``Sigma_{t-1}^{-1}``; eigenvalues are kept at relative
-    tolerance 1e-8. Raises :class:`DomainError` when none survive.
+    See :func:`terms_from_spectra`. Raises :class:`DomainError` when ``L_t``
+    has no positive eigenvalue.
     """
-    p = config.p
-    w_prev, v_prev = _eigh_pd(0.5 * (sigma_prev + sigma_prev.T), p)
-    u_chol = _chol_upper_of_inverse(w_prev, v_prev)
-    w, v = _eigh_pd(0.5 * (sigma_t + sigma_t.T), p)
-    return _step_terms_threaded(u_chol, w, v, np.asarray(e, dtype=float),
-                                p, config.k, config.delta, q_inv)
+    return _transition(*spd_eigh(sym(np.asarray(sigma_prev, dtype=float))),
+                       *spd_eigh(sym(np.asarray(sigma_t, dtype=float))),
+                       np.asarray(e, dtype=float), config, q_inv)
 
 
 def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
@@ -171,19 +168,18 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     q_inv = spd_inverse(q)
     constant = loglik_constant(config, q, n_obs)
     c1 = constant / n_obs if n_obs else 0.0
-    p, k, delta = config.p, config.k, config.delta
 
     terms: list[tuple[float, float, float, float]] = []
     per_step: list[float] = []
     # thread each matrix's eigendecomposition to the next transition
-    w, v = _eigh_pd(0.5 * (sigmas[0] + np.asarray(sigmas[0]).T), p)
+    w, v = spd_eigh(sym(np.asarray(sigmas[0], dtype=float)))
     for t in range(1, n_obs + 1):
-        u_chol = _chol_upper_of_inverse(w, v)
-        e = np.asarray(es[t - 1], dtype=float)
-        w, v = _eigh_pd(0.5 * (sigmas[t] + np.asarray(sigmas[t]).T), p)
+        w_prev, v_prev = w, v
+        w, v = spd_eigh(sym(np.asarray(sigmas[t], dtype=float)))
         try:
-            quad, chol, lt, sig = _step_terms_threaded(u_chol, w, v, e, p, k,
-                                                       delta, q_inv)
+            quad, chol, lt, sig = _transition(w_prev, v_prev, w, v,
+                                              np.asarray(es[t - 1], dtype=float),
+                                              config, q_inv)
         except DomainError as exc:
             raise DomainError(f"t={t}: {exc}") from exc
         terms.append((quad, chol, lt, sig))

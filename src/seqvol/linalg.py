@@ -29,10 +29,12 @@ DEFAULT_REL_TOL = 1e-10
 # Symmetry is a stricter storage-level requirement than definiteness.
 SYMMETRY_REL_TOL = 1e-12
 
+EPS = np.finfo(float).eps
+
 
 def sym(m: np.ndarray) -> np.ndarray:
     """Symmetric part ``(M + M') / 2`` of a matrix or a stack of matrices."""
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -68,19 +70,20 @@ def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
     return m
 
 
-def _positivity_threshold(w: np.ndarray, rel_tol: float | None) -> float:
-    """Eigenvalue threshold below which a matrix counts as not PD.
+def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
+    """Whether ascending spectra (last axis) are positive definite.
 
-    ``rel_tol=None`` means machine level: ``p * eps`` times the spectral
-    radius, i.e. only numerically-singular or negative spectra are rejected.
+    The smallest eigenvalue must exceed ``rel_tol`` times the spectral
+    radius. ``rel_tol=None`` means machine level, ``p * eps``: only
+    numerically singular, negative or non-finite spectra are rejected.
     Volatility paths are legitimately very ill-conditioned, so a fixed
     relative tolerance here would reject valid states; fixed tolerances are
-    for untrusted input (:func:`check_spd`) and rank decisions.
+    for untrusted input (:func:`check_spd`) and rank decisions. Returns a
+    bool, or a bool array over the leading axes of a stack.
     """
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
     if rel_tol is None:
-        rel_tol = len(w) * np.finfo(float).eps
-    return rel_tol * scale
+        rel_tol = w.shape[-1] * EPS
+    return w[..., 0] > rel_tol * np.abs(w).max(axis=-1)
 
 
 def spd_eigh(m: np.ndarray, rel_tol: float | None = None
@@ -94,11 +97,16 @@ def spd_eigh(m: np.ndarray, rel_tol: float | None = None
     w, v = np.linalg.eigh(m)
     if not np.isfinite(w).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
-    if w.size == 0 or w[0] <= _positivity_threshold(w, rel_tol):
+    if w.size == 0 or not positive_spectrum(w, rel_tol):
         raise NotPositiveDefinite(
             f"matrix not positive definite (min eigenvalue {w[0]:.3e})"
         )
     return w, v
+
+
+def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """Spectral map ``V diag(f(w)) V'`` of a matrix or a stack, given ``f(w)``."""
+    return sym((v * fw[..., None, :]) @ v.swapaxes(-1, -2))
 
 
 def sym_sqrt(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
@@ -108,23 +116,15 @@ def sym_sqrt(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
     the positivity threshold (machine level by default).
     """
     w, v = spd_eigh(m, rel_tol)
-    r = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (r + r.T)
-
-
-def sqrt_pair_from_eigh(w: np.ndarray, v: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """``(M**0.5, M**-0.5)`` from the eigendecomposition of an SPD ``M``."""
-    sq = np.sqrt(w)
-    root = (v * sq) @ v.T
-    inv_root = (v / sq) @ v.T
-    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
+    return spectral(v, np.sqrt(w))
 
 
 def sym_sqrt_pair(m: np.ndarray, rel_tol: float | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(M**0.5, M**-0.5)`` from a single eigendecomposition."""
-    return sqrt_pair_from_eigh(*spd_eigh(m, rel_tol))
+    w, v = spd_eigh(m, rel_tol)
+    sq = np.sqrt(w)
+    return spectral(v, sq), sym((v / sq) @ v.T)
 
 
 def psd_sqrt(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

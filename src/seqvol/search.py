@@ -7,6 +7,14 @@ joint grid is combinatorially infeasible beyond two coordinates, so the
 search is cyclic coordinate ascent over the per-coordinate grids, with the
 discount factor handled as an independent outer grid.
 
+Each objective value comes from :func:`evaluate_candidates`, which runs the
+filter's own stacked recursion (``filtering._recursion``) over a whole
+stack of ``(delta, Omega)`` candidates in one pass over the series. It is
+the code :func:`seqvol.filtering.filter_run` runs for one candidate, so a
+``"loglik"`` value equals :func:`seqvol.likelihood.loglik_at_filter_path`
+bit for bit. A candidate that fails numerically is masked as ``-inf``
+inside the pass.
+
 All discount factors are searched in lockstep. Each (sweep, coordinate)
 step makes one batched call for the uncached points on the grid lines of
 every discount factor still moving; the start point ``z = 0.5`` lies on
@@ -24,14 +32,12 @@ when it improves the objective or reaches the same value at a smaller
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._fastpath import evaluate_candidates
 from .errors import DomainError
-from .filtering import ModelConfig
+from .filtering import ModelConfig, _recursion, limit_P
 
 logger = logging.getLogger(__name__)
 
@@ -87,21 +93,41 @@ def omega_diag_to_z(w) -> np.ndarray:
     return w / (1.0 + w)
 
 
-def _evaluate(ys, base_config, keys, objective, jobs) -> np.ndarray:
-    """Objective values of ``(delta, z)`` keys: one evaluator call per worker."""
-    deltas = np.array([delta for delta, _ in keys])
-    zs = np.array([z for _, z in keys])
-    omegas = np.array([np.diag(w) for w in zs / (1.0 - zs)])
-    if jobs > 1 and len(keys) > 1:
-        chunks = [c for c in np.array_split(np.arange(len(keys)), jobs) if c.size]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(
-                lambda idx: evaluate_candidates(ys, base_config, deltas[idx],
-                                                omegas[idx], objective),
-                chunks,
-            ))
-        return np.concatenate(parts)
-    return evaluate_candidates(ys, base_config, deltas, omegas, objective)
+def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray,
+                        objective: str = "loglik") -> np.ndarray:
+    """Objective values for a stack of ``(delta, Omega)`` candidates.
+
+    ``omegas`` has shape ``(B, p, p)``; ``deltas`` is one discount factor
+    shared by every candidate or a ``(B,)`` array of them. The remaining
+    settings come from ``base_config``. Returns a ``(B,)`` array; candidates
+    that fail numerically get ``-inf``. The ``"loglik"`` value sums the
+    term groups in the order :func:`loglik_from_records` does, so it equals
+    :func:`loglik_at_filter_path` exactly.
+    """
+    omegas = np.asarray(omegas, dtype=float)
+    nb, p = omegas.shape[0], base_config.p
+    deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (nb,))
+    start = tuple(np.broadcast_to(x, (nb,) + x.shape) for x in
+                  (base_config.m0, base_config.p0 * np.eye(p), base_config.s0))
+    want_loglik = objective == "loglik"
+    # sums of the term groups (quad, chol_logdet, lt, sigma_logdet), or of u^2
+    sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
+    n_obs, c1, failed = 0, 0.0, np.zeros(nb, dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        q = limit_P(base_config.phi, omegas) + omegas + np.eye(p)  # steady_Q of each
+        for step in _recursion(ys, base_config, deltas, omegas, q, start, want_loglik):
+            n_obs, c1, failed = n_obs + 1, step.c1, step.failed
+            if want_loglik:
+                for acc, term in zip(sums, step.terms):
+                    acc += term
+            else:
+                sums += step.u ** 2
+        if want_loglik:
+            out = n_obs * c1 + sums[0] + sums[1] + sums[2] + sums[3]
+        else:
+            out = -np.linalg.norm(sums / n_obs - 1.0, axis=-1)
+    out[failed | ~np.isfinite(out)] = -np.inf
+    return out
 
 
 def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
@@ -113,10 +139,10 @@ def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
     least ``10 p`` observations to avoid degenerate fits. Candidates that
     fail numerically are skipped; a discount factor whose start point fails
     is dropped, and the search aborts only when every discount factor is.
+    ``jobs`` has no effect: every pass is one stacked evaluation in this
+    thread.
     """
     ys = np.asarray(ys, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[:, None]
     p = base_config.p
     if ys.shape[0] < 10 * p:
         raise DomainError(
@@ -143,7 +169,9 @@ def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
             keys = starts + [key for i in active for key in lines[i]]
             missing = [key for key in dict.fromkeys(keys) if key not in cache]
             if missing:
-                values = _evaluate(ys, base_config, missing, spec.objective, jobs)
+                values = evaluate_candidates(
+                    ys, base_config, [delta for delta, _ in missing],
+                    np.array([z_to_omega(z) for _, z in missing]), spec.objective)
                 cache.update(zip(missing, map(float, values)))
             if starts:
                 for i, key in zip(active, starts):

@@ -7,7 +7,7 @@ from scipy.stats import beta as beta_dist
 
 from seqvol.errors import DimensionMismatch, DomainError, EmptyInput
 from seqvol.filtering import ModelConfig, StepRecord, filter_run, steady_Q
-from seqvol.gwishart import giw_estimator
+from seqvol.gwishart import RANK_REL_TOL, giw_estimator
 from seqvol.likelihood import (
     loglik_at_filter_path,
     loglik_constant,
@@ -15,7 +15,7 @@ from seqvol.likelihood import (
     loglik_path,
     perf_metrics,
 )
-from seqvol.linalg import spd_inverse
+from seqvol.linalg import chol_upper, spd_inverse
 from seqvol.simulate import evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -229,6 +229,50 @@ class TestLoglikFromRecords:
         records, _ = filter_run(ys, config2, compute_loglik=False)
         with pytest.raises(DomainError, match="compute_loglik=False"):
             loglik_from_records(records, config2)
+
+
+class TestIdentityBAccuracy:
+    def test_lt_against_extended_precision_definition(self):
+        # The filter takes L_t from the spectrum of I - B B'/k (identity B).
+        # Check its lt term at the 4 steps of a p=8 run with the smallest kept
+        # L_t eigenvalues against the definition, U = upper Cholesky factor
+        # of Sigma_{t-1}^{-1}, evaluated with 50 digits. Observations planted
+        # next to their forecast mean put kept eigenvalues near the 1e-8 cut.
+        import mpmath
+        p, n_obs = 8, 200
+        rng = np.random.default_rng(8)
+        corr = 0.3 + 0.7 * np.eye(p)
+        ys = 0.01 * rng.standard_normal((n_obs, p)) @ np.linalg.cholesky(corr).T
+        config = ModelConfig(delta=0.7, phi=1.0, omega=np.eye(p))
+        for t, scale in zip((50, 90, 130, 170), (3e-4, 4e-4, 6e-4, 1e-3)):
+            _, state = filter_run(ys[:t], config, compute_loglik=False)
+            ys[t] = state.m + scale * ys[t]
+        records, _ = filter_run(ys, config)
+        q = steady_Q(config)
+        sigmas = ([giw_estimator(spd_inverse(q), config.s0, config.posterior_dof)]
+                  + [r.s_star for r in records])
+
+        def smallest_kept(t):
+            u = chol_upper(spd_inverse(sigmas[t - 1]))
+            a = np.linalg.solve(u.T, np.linalg.solve(u.T, spd_inverse(sigmas[t])).T).T
+            eigs = np.linalg.eigvalsh(np.eye(p) - 0.5 * (a + a.T) / config.k)
+            kept = eigs[eigs > RANK_REL_TOL * max(1.0, np.max(np.abs(eigs)))]
+            return kept.min() if kept.size else np.inf
+
+        steps = sorted(range(1, n_obs + 1), key=smallest_kept)[:4]
+        assert smallest_kept(steps[0]) < 1e-7
+        mpmath.mp.dps = 50
+        k = mpmath.mpf(config.k)
+        for t in steps:
+            low = mpmath.cholesky(mpmath.inverse(mpmath.matrix(sigmas[t - 1].tolist())))
+            low_inv = mpmath.inverse(low)  # U = low', so U'^{-1} = low^{-1}
+            inner = mpmath.eye(p) - (low_inv * mpmath.inverse(mpmath.matrix(
+                sigmas[t].tolist())) * low_inv.T) / k
+            eigs, _ = mpmath.eigsy((inner + inner.T) / 2)
+            eigs = [eigs[i] for i in range(p)]
+            threshold = RANK_REL_TOL * max(1, max(abs(x) for x in eigs))
+            exact = -p / 2 * mpmath.fsum(mpmath.log(x) for x in eigs if x > threshold)
+            assert abs(records[t - 1].terms[2] - float(exact)) <= 2e-6, t
 
 
 def _record(e, u, t=1):

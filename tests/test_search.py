@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import seqvol.search
-from seqvol._fastpath import evaluate_candidates
-from seqvol.errors import DomainError, SeqvolError
+from seqvol.search import evaluate_candidates
+from seqvol.errors import DimensionMismatch, DomainError, SeqvolError
 from seqvol.filtering import ModelConfig, filter_run
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
+from seqvol.simulate import simulate_path
 from seqvol.search import (
     SearchSpec,
     TraceEntry,
@@ -111,6 +112,21 @@ class TestFastpathEquivalence:
         out = evaluate_candidates(stationary_ys2, base, 0.8, omegas, "loglik")
         assert out[0] == -np.inf
         assert np.isfinite(out[1])
+
+
+class TestSingleKernel:
+    @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
+                                       ("phi_scaled", "posterior_st")])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_candidate_equals_filter_path_exactly(self, p, modes):
+        # the search and the filter run the same recursion and sum the same
+        # terms in the same order, so the values agree bit for bit
+        config = ModelConfig(delta=0.85, phi=0.9,
+                             omega=np.diag(np.linspace(0.5, 1.5, p)),
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        ys = simulate_path(np.random.default_rng(p), config, n_steps=120).ys
+        out = evaluate_candidates(ys, config, config.delta, config.omega[None], "loglik")
+        assert out[0] == loglik_at_filter_path(ys, config).total
 
 
 class TestFastpathMasking:
@@ -265,14 +281,14 @@ class TestCoordinateSearch:
             coordinate_search(0.01 * rng.standard_normal((15, 2)), base,
                               SearchSpec(q=1, delta_candidates=(0.75,)))
 
-    def test_jobs_do_not_change_result(self, stationary_ys2):
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_series_of_wrong_width(self, columns):
         base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
-        spec = SearchSpec(q=1, delta_candidates=(0.8,), max_sweeps=4)
-        z1, d1, t1 = coordinate_search(stationary_ys2, base, spec, jobs=1)
-        z2, d2, t2 = coordinate_search(stationary_ys2, base, spec, jobs=3)
-        np.testing.assert_array_equal(z1, z2)
-        assert d1 == d2
-        assert [e.objective for e in t1] == [e.objective for e in t2]
+        ys = 0.01 * np.random.default_rng(4).standard_normal((40, columns))
+        with pytest.raises(DimensionMismatch):
+            coordinate_search(ys, base, SearchSpec(q=1, delta_candidates=(0.8,)))
+        with pytest.raises(DimensionMismatch):
+            filter_run(ys, base)
 
     def test_msse_objective_runs(self, stationary_ys):
         base = ModelConfig(delta=0.75, phi=1.0, omega=np.eye(1))
