@@ -5,35 +5,38 @@ Each reads a JSON config (keys: ``delta``, ``phi``, ``omega_diag`` or
 ``omega_matrix``, ``m0``, ``p0``, ``s0``, ``q``, ``delta_candidates``,
 ``seed``, ``modes``) and writes machine-readable outputs into ``--out``.
 
-Exit codes: 0 success, 2 validation error (config or data), 3 numerical
-failure (message carries the failing step index). Wall-clock timing goes to
-stderr so output files stay byte-identical across identical runs.
+Every command runs a validation phase (config, data, seed), then creates
+``--out`` and runs its compute phase; :mod:`seqvol.io` writes every output
+file. Exit codes: 0 success, 2 validation error (config or data), 3
+numerical failure (message carries the failing step index). Wall-clock
+timing goes to stderr so output files stay byte-identical across identical
+runs.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, FilterNumericalError, NotPositiveDefinite, SeqvolError
+from .errors import DomainError, SeqvolError
 from .filtering import ModelConfig, filter_run
 from .io import (
     RunManifest,
-    fmt17,
     load_prices_csv,
     sha256_digest,
-    vech_lower,
     write_forecast_csv,
     write_json,
     write_returns_csv,
     write_search_trace_csv,
+    write_sim_truth_csv,
     write_volatility_csv,
 )
 from .likelihood import loglik_from_records, perf_metrics
@@ -44,9 +47,14 @@ VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+@contextmanager
+def _exit_on_error(code: int):
+    """Report a seqvol or LAPACK error as ``error: ...`` and exit with ``code``."""
+    try:
+        yield
+    except (SeqvolError, np.linalg.LinAlgError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(code)
 
 
 def _as_matrix(value, p_hint: int | None, name: str) -> np.ndarray:
@@ -101,8 +109,16 @@ def load_search_spec(raw: dict) -> SearchSpec:
     return SearchSpec(**kwargs)
 
 
-def _config_echo(raw: dict, config: ModelConfig) -> dict:
-    return {
+def _read_config(config_path: str) -> dict:
+    try:
+        return json.loads(Path(config_path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise DomainError(f"cannot read config {config_path}: {exc}") from exc
+
+
+def _manifest(raw: dict, config: ModelConfig, seed, input_path=None) -> dict:
+    """The run manifest: config echo, input digest, seed and version."""
+    echo = {
         "delta": config.delta,
         "phi": config.phi,
         "omega": config.omega.tolist(),
@@ -116,54 +132,39 @@ def _config_echo(raw: dict, config: ModelConfig) -> dict:
         "q": raw.get("q"),
         "delta_candidates": raw.get("delta_candidates"),
     }
+    digest = None if input_path is None else sha256_digest(input_path)
+    return asdict(RunManifest(config=echo, input_digest=digest, seed=seed,
+                              version=__version__))
 
 
-def _read_config(config_path: str) -> dict:
-    try:
-        return json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DomainError(f"cannot read config {config_path}: {exc}") from exc
+def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False):
+    """Validation phase of the data-driven commands; exits 2 on failure.
 
-
-def _prepare(config_path, input_path, seed, levels, scale):
-    """Validation phase shared by the data-driven commands."""
-    raw = _read_config(config_path)
-    config = load_model_config(raw)
-    table = load_prices_csv(input_path, levels=levels, scale=scale)
-    if table.values.shape[1] != config.p:
-        raise DomainError(
-            f"input has {table.values.shape[1]} series but omega is {config.p}x{config.p}"
-        )
-    if seed is None:
-        seed = raw.get("seed")
-    manifest = RunManifest(
-        config=_config_echo(raw, config),
-        input_digest=sha256_digest(input_path),
-        seed=seed,
-        version=__version__,
-    )
-    return raw, config, table, manifest
-
-
-def _perf_dict(report) -> dict:
-    return {
-        "mse": report.mse.tolist(),
-        "msse": report.msse.tolist(),
-        "mad": report.mad.tolist(),
-        "me": report.me.tolist(),
-        "n_obs": report.n_obs,
-    }
+    Checks the config (and, for ``search``, its search settings) and the
+    input, settles the seed and builds the manifest; only then is ``--out``
+    created. Returns ``(out, config, spec, ys, manifest)``, ``spec`` None
+    unless ``search``.
+    """
+    with _exit_on_error(VALIDATION_EXIT):
+        raw = _read_config(config_path)
+        config = load_model_config(raw)
+        table = load_prices_csv(input_path, levels=levels, scale=scale)
+        if table.values.shape[1] != config.p:
+            raise DomainError(
+                f"input has {table.values.shape[1]} series but omega is {config.p}x{config.p}"
+            )
+        spec = load_search_spec(raw) if search else None
+        manifest = _manifest(raw, config, raw.get("seed") if seed is None else seed,
+                             input_path)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, config, spec, table.values, manifest
 
 
 def _loglik_dict(breakdown) -> dict:
-    return {
-        "total": breakdown.total,
-        "constant_c": breakdown.constant_c,
-        "quad_term": breakdown.quad_term,
-        "chol_logdet_term": breakdown.chol_logdet_term,
-        "lt_term": breakdown.lt_term,
-        "sigma_logdet_term": breakdown.sigma_logdet_term,
-    }
+    # its fields without per_step: asdict would deep-copy every per-step value
+    return {f.name: getattr(breakdown, f.name) for f in fields(breakdown)
+            if f.name != "per_step"}
 
 
 common_options = [
@@ -199,42 +200,23 @@ def main():
     """Sequential multivariate volatility estimation pipeline."""
 
 
-def _filter_input(config_path, out_dir, seed, input_path, levels, scale,
-                  compute_loglik=True):
-    """Validate, make ``--out`` and filter once; exits 2 or 3 on failure.
-
-    Returns the output directory, the manifest, the records and, with
-    ``compute_loglik``, the likelihood breakdown summed from them.
-    """
-    try:
-        _, config, table, manifest = _prepare(config_path, input_path, seed,
-                                              levels, scale)
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        records, _ = filter_run(table.values, config, compute_loglik=compute_loglik)
-        breakdown = loglik_from_records(records, config) if compute_loglik else None
-    except (FilterNumericalError, DomainError, NotPositiveDefinite) as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
-    return out, manifest, records, breakdown
-
-
 @main.command("filter")
 @add_options(common_options)
 @add_options(input_options)
 def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Filter a series: volatility path, forecasts, metrics and likelihood."""
     started = time.perf_counter()
-    out, manifest, records, breakdown = _filter_input(
-        config_path, out_dir, seed, input_path, levels, scale)
+    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
+                                            levels, scale)
+    with _exit_on_error(NUMERICAL_EXIT):
+        records, _ = filter_run(ys, config)
+        breakdown = loglik_from_records(records, config)
     write_volatility_csv(out / "volatility.csv", records)
     write_forecast_csv(out / "forecast.csv", records)
     write_json(out / "report.json", {
-        "perf": _perf_dict(perf_metrics(records)),
+        "perf": asdict(perf_metrics(records)),
         "loglik": _loglik_dict(breakdown),
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     })
     click.echo(f"filter: {len(records)} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
@@ -246,38 +228,20 @@ def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
 def simulate_cmd(config_path, out_dir, seed, n_steps):
     """Simulate a path from the generative model and write it as CSV."""
     started = time.perf_counter()
-    try:
+    with _exit_on_error(VALIDATION_EXIT):
         raw = _read_config(config_path)
         config = load_model_config(raw)
-        if seed is None:
-            seed = raw.get("seed", 0)
         if n_steps < 1:
             raise DomainError("--n-steps must be >= 1")
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
+        seed = int(raw.get("seed", 0) if seed is None else seed)
+        manifest = _manifest(raw, config, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        path = simulate_path(int(seed), config, n_steps=n_steps)
-    except (SeqvolError, np.linalg.LinAlgError) as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
+    with _exit_on_error(NUMERICAL_EXIT):
+        path = simulate_path(seed, config, n_steps=n_steps)
     write_returns_csv(out / "returns.csv", path.ys)
-    with (out / "sim_truth.csv").open("w", newline="") as handle:
-        handle.write("# vech ordering: row-major lower triangle; "
-                     "sigma at t=0 is the prior seed matrix\n")
-        writer = csv.writer(handle)
-        p = config.p
-        writer.writerow(["t"]
-                        + [f"sigma_{i}_{j}" for i in range(p) for j in range(i + 1)]
-                        + [f"theta_{j}" for j in range(p)])
-        for t, sigma in enumerate(path.sigmas):
-            theta = ([""] * p if t == 0
-                     else [fmt17(v) for v in path.thetas[t - 1]])
-            writer.writerow([str(t)] + [fmt17(v) for v in vech_lower(sigma)] + theta)
-    manifest = RunManifest(config=_config_echo(raw, config), input_digest=None,
-                           seed=int(seed), version=__version__)
-    write_json(out / "report.json", {"n_steps": n_steps,
-                                     "manifest": manifest.to_dict()})
+    write_sim_truth_csv(out / "sim_truth.csv", path.sigmas, path.thetas)
+    write_json(out / "report.json", {"n_steps": n_steps, "manifest": manifest})
     click.echo(f"simulate: {n_steps} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
@@ -288,11 +252,14 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
 def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Evaluate the plug-in log-likelihood of a series."""
     started = time.perf_counter()
-    out, manifest, _, breakdown = _filter_input(
-        config_path, out_dir, seed, input_path, levels, scale)
+    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
+                                            levels, scale)
+    with _exit_on_error(NUMERICAL_EXIT):
+        records, _ = filter_run(ys, config)
+        breakdown = loglik_from_records(records, config)
     write_json(out / "report.json", {
         "loglik": _loglik_dict(breakdown),
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     })
     click.echo(f"loglik: total={breakdown.total:.6f} in "
                f"{time.perf_counter() - started:.3f}s", err=True)
@@ -304,20 +271,10 @@ def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
 def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Grid-search the diagonal innovation scale and the discount factor."""
     started = time.perf_counter()
-    try:
-        raw, config, table, manifest = _prepare(config_path, input_path, seed,
-                                                levels, scale)
-        spec = load_search_spec(raw)
-    except SeqvolError as exc:
-        _fail(VALIDATION_EXIT, str(exc))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        z, delta, trace = coordinate_search(table.values, config, spec)
-    except FilterNumericalError as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
-    except DomainError as exc:
-        _fail(NUMERICAL_EXIT, str(exc))
+    out, config, spec, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
+                                               levels, scale, search=True)
+    with _exit_on_error(NUMERICAL_EXIT):
+        z, delta, trace = coordinate_search(ys, config, spec)
     write_search_trace_csv(out / "search_trace.csv", trace)
     best = max(e.objective for e in trace if e.accepted and e.delta == delta)
     write_json(out / "report.json", {
@@ -327,7 +284,7 @@ def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
         "objective": spec.objective,
         "objective_value": best,
         "evaluations": len(trace),
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     })
     click.echo(f"search: best delta={delta} z={np.round(z, 4).tolist()} in "
                f"{time.perf_counter() - started:.3f}s", err=True)
@@ -339,13 +296,12 @@ def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
 def metrics_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Compute the forecast performance measures of a filter run."""
     started = time.perf_counter()
-    out, manifest, records, _ = _filter_input(
-        config_path, out_dir, seed, input_path, levels, scale, compute_loglik=False)
+    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
+                                            levels, scale)
+    with _exit_on_error(NUMERICAL_EXIT):
+        records, _ = filter_run(ys, config, compute_loglik=False)
     report = perf_metrics(records)
-    write_json(out / "report.json", {
-        "perf": _perf_dict(report),
-        "manifest": manifest.to_dict(),
-    })
+    write_json(out / "report.json", {"perf": asdict(report), "manifest": manifest})
     click.echo(f"metrics: {report.n_obs} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 

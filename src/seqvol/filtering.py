@@ -34,7 +34,7 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
-from .linalg import DEFAULT_REL_TOL, check_spd, positive_spectrum, spectral, sym
+from .linalg import check_spd, positive_spectrum, spectral, stacked_eigh, sym
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
@@ -89,13 +89,12 @@ class ModelConfig:
     m0: np.ndarray | None = None
     p0: float = 1000.0
     s0: np.ndarray | None = None
-    tol: float = DEFAULT_REL_TOL
     forecast_mean_mode: str = "plain"
     standardization_mode: str = "forecast_cov"
     p: int = field(init=False)
 
     def __post_init__(self):
-        omega = check_spd(self.omega, rel_tol=self.tol, name="omega")
+        omega = check_spd(self.omega, name="omega")
         p = omega.shape[0]
         if not 2.0 / 3.0 < self.delta < 1.0:
             raise DomainError(
@@ -106,7 +105,7 @@ class ModelConfig:
         m0 = np.zeros(p) if self.m0 is None else np.asarray(self.m0, dtype=float)
         if m0.shape != (p,):
             raise DimensionMismatch(f"m0 has shape {m0.shape}, expected ({p},)")
-        s0 = np.eye(p) if self.s0 is None else check_spd(self.s0, rel_tol=self.tol, name="s0")
+        s0 = np.eye(p) if self.s0 is None else check_spd(self.s0, name="s0")
         if s0.shape != (p, p):
             raise DimensionMismatch(f"s0 has shape {s0.shape}, expected {(p, p)}")
         if self.forecast_mean_mode not in FORECAST_MEAN_MODES:
@@ -279,7 +278,8 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     from ``base``. Yields one :class:`_Step` per observation. A candidate's
     values do not depend on the rest of its stack, bit for bit. Callers
     silence floating-point warnings: a failed candidate runs on with
-    non-finite values.
+    non-finite values, and :func:`stacked_eigh` gives its decompositions
+    NaN spectra, so it is flagged in ``failed`` without stopping the others.
     """
     p = base.p
     ys = np.asarray(ys, dtype=float)
@@ -299,7 +299,7 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     k3, denom3 = k[:, None, None], denom[:, None, None]
     phi = base.phi
     eye = np.eye(p)
-    wq, vq = np.linalg.eigh(q)
+    wq, vq = stacked_eigh(q)
     q_inv = spectral(vq, 1.0 / wq)
     q_inv_sqrt = spectral(vq, 1.0 / np.sqrt(wq))
 
@@ -308,8 +308,8 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
         return sym((s_sqrt @ q_inv @ s_sqrt + q_inv_sqrt @ s @ q_inv_sqrt) / denom3)
 
     m, p_mat, s = start
-    ws, vs = np.linalg.eigh(s)
-    w_star, v_star = np.linalg.eigh(estimate(s, ws, vs))
+    ws, vs = stacked_eigh(s)
+    w_star, v_star = stacked_eigh(estimate(s, ws, vs))
     failed = ~(positive_spectrum(ws) & positive_spectrum(w_star))
     for y in ys:
         f = m if base.forecast_mean_mode == "plain" else phi * m
@@ -319,10 +319,10 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
         p_mat = sym(np.linalg.solve(r + eye, r))
 
         w_base, v_base = ws, vs  # S_{t-1}, the forecast_cov standardizer
-        ws, vs = np.linalg.eigh(s)
+        ws, vs = stacked_eigh(s)
         s_star = estimate(s, ws, vs)
         w_prev, v_prev = w_star, v_star
-        w_star, v_star = np.linalg.eigh(s_star)
+        w_star, v_star = stacked_eigh(s_star)
         failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
         root = np.sqrt(w_star)
         gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)

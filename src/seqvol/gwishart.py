@@ -26,14 +26,13 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RankMis
 from .linalg import (
     check_spd,
     check_symmetric,
-    chol_upper,
     log_multigamma,
     positive_eigenvalues,
+    rank_cut,
     spd_inverse,
     spd_logdet,
     sym,
     sym_sqrt,
-    sym_sqrt_pair,
 )
 
 # Rank decisions on sampled matrices accumulate round-off; use a looser
@@ -282,8 +281,7 @@ def transformed_beta_logpdf(params: SingularBetaParams, a_t: np.ndarray,
     w_mat = np.eye(p) - a_t.T @ spd_inverse(x) @ a_t
     w_mat = 0.5 * (w_mat + w_mat.T)
     eigvals, eigvecs = np.linalg.eigh(w_mat)
-    threshold = RANK_REL_TOL * max(1.0, float(np.max(np.abs(eigvals))))
-    n_pos = int(np.sum(eigvals > threshold))
+    n_pos = int(np.sum(rank_cut(eigvals, RANK_REL_TOL)))
     if n_pos == 0:
         raise DomainError("no positive eigenvalue: x outside the support")
     if n_pos != 1:

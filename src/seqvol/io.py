@@ -43,14 +43,6 @@ class RunManifest:
     seed: int | None
     version: str
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "input_digest": self.input_digest,
-            "seed": self.seed,
-            "version": self.version,
-        }
-
 
 def sha256_digest(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -268,6 +260,23 @@ def write_returns_csv(path: str | Path, values: np.ndarray,
         writer.writerow(list(columns))
         for row in values:
             writer.writerow([fmt17(v) for v in row])
+
+
+def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
+                        thetas: np.ndarray) -> None:
+    """Simulated truth: vech of each ``Sigma_t`` plus the signal ``theta_t``.
+
+    Row ``t = 0`` holds the prior seed matrix and an empty signal.
+    """
+    p = thetas.shape[1]
+    with Path(path).open("w", newline="") as handle:
+        handle.write("# vech ordering: row-major lower triangle; "
+                     "sigma at t=0 is the prior seed matrix\n")
+        writer = csv.writer(handle)
+        writer.writerow(["t"] + _vech_labels("sigma", p) + [f"theta_{j}" for j in range(p)])
+        for t, sigma in enumerate(sigmas):
+            theta = [""] * p if t == 0 else [fmt17(v) for v in thetas[t - 1]]
+            writer.writerow([str(t)] + [fmt17(v) for v in vech_lower(sigma)] + theta)
 
 
 def write_search_trace_csv(path: str | Path, trace: Sequence) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyInput
 from .gwishart import RANK_REL_TOL
-from .linalg import log_multigamma, spd_eigh, spd_inverse, sym
+from .linalg import log_multigamma, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
 
 if TYPE_CHECKING:  # import would be circular at runtime
     from .filtering import ModelConfig, StepRecord
@@ -121,9 +121,8 @@ def terms_from_spectra(w_prev, v_prev, w, v, e, q_inv, k, delta):
     b = (vt @ v_prev) * (np.sqrt(w_prev)[..., None, :] / root[..., None])
     # eigvalsh reads one triangle of the symmetric matrix
     bbt = b @ b.swapaxes(-1, -2)
-    l_eigs = np.linalg.eigvalsh(np.eye(w.shape[-1]) - bbt / k[..., None, None])
-    threshold = RANK_REL_TOL * np.maximum(1.0, np.abs(l_eigs).max(axis=-1))
-    kept = l_eigs > threshold[..., None]  # ascending: the largest is kept if any is
+    l_eigs = stacked_eigh(np.eye(w.shape[-1]) - bbt / k[..., None, None], values_only=True)
+    kept = rank_cut(l_eigs, RANK_REL_TOL)  # ascending: the largest is kept if any is
     lt = -0.5 * w.shape[-1] * np.log(np.where(kept, l_eigs, 1.0)).sum(axis=-1)
     lt = np.where(kept[..., -1], lt, -np.inf)
 

@@ -86,6 +86,24 @@ def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
     return w[..., 0] > rel_tol * np.abs(w).max(axis=-1)
 
 
+def stacked_eigh(m: np.ndarray, values_only: bool = False):
+    """``np.linalg.eigh`` (``eigvalsh`` with ``values_only``) of a stack.
+
+    At ``p >= 3`` LAPACK raises for the whole stack when one member has
+    non-finite entries. Such a member gets a NaN spectrum here instead, which
+    :func:`positive_spectrum` rejects, and the others are decomposed as
+    usual. The common path makes one call and no check.
+    """
+    decompose = np.linalg.eigvalsh if values_only else np.linalg.eigh
+    try:
+        return decompose(m)
+    except np.linalg.LinAlgError:
+        bad = ~np.isfinite(m).all(axis=(-2, -1))
+        out = decompose(np.where(bad[..., None, None], np.eye(m.shape[-1]), m))
+        (out if values_only else out[0])[bad] = np.nan
+        return out
+
+
 def spd_eigh(m: np.ndarray, rel_tol: float | None = None
              ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, V)`` of an SPD matrix, ascending ``w``.
@@ -177,17 +195,22 @@ def spd_logdet(m: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(np.diag(lower))))
 
 
-def positive_eigenvalues(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix above the relative threshold.
+def rank_cut(w: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Mask of the eigenvalues ``lam > rel_tol * max(1, max |lam|)``.
 
-    Keeps eigenvalues ``lam > rel_tol * max(1, max |lam|)``, sorted
-    descending. An empty array is a valid result.
+    ``w`` holds one spectrum, or a stack of them along the last axis.
+    """
+    return w > rel_tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[..., None]
+
+
+def positive_eigenvalues(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix kept by :func:`rank_cut`.
+
+    Sorted descending. An empty array is a valid result.
     """
     m = check_symmetric(m, name="positive_eigenvalues input")
     w = np.linalg.eigvalsh(m)
-    threshold = rel_tol * max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    kept = w[w > threshold]
-    return np.sort(kept)[::-1]
+    return np.sort(w[rank_cut(w, rel_tol)])[::-1]
 
 
 def log_multigamma(p: int, a: float) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .filtering import ModelConfig
 from .gwishart import SingularBetaParams, sample_singular_beta
-from .linalg import check_spd, chol_upper, psd_sqrt, spd_inverse, sym_sqrt
+from .linalg import DEFAULT_REL_TOL, check_spd, chol_upper, psd_sqrt, spd_inverse, sym_sqrt
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
     sigma = np.eye(p) if sigma0 is None else check_spd(sigma0, name="sigma0")
     theta = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
     if omega is None:
-        omega_sqrt = sym_sqrt(config.omega, config.tol)
+        omega_sqrt = sym_sqrt(config.omega, DEFAULT_REL_TOL)
     else:
-        omega_sqrt = psd_sqrt(np.asarray(omega, dtype=float), config.tol)
+        omega_sqrt = psd_sqrt(np.asarray(omega, dtype=float))
 
     ys = np.empty((n_steps, p))
     thetas = np.empty((n_steps, p))

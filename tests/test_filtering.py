@@ -328,6 +328,17 @@ class TestFilterRun:
             filter_run(ys, config2)
         assert err.value.t == 6
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_numerical_failure_cause_at_any_p(self, p):
+        ys = 0.1 * np.ones((10, p))
+        ys[5] = 1e200
+        config = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
+        with pytest.raises(FilterNumericalError,
+                           match="t=6: S_t or S_t\\^\\* is not positive definite") as err:
+            filter_run(ys, config)
+        assert err.value.t == 6
+
     def test_loglik_sum_matches_breakdown(self, config2):
         from seqvol.likelihood import loglik_at_filter_path
         rng = np.random.default_rng(17)

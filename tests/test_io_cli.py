@@ -391,3 +391,55 @@ class TestCli:
         assert res.exit_code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["perf"]["n_obs"] == 79
+
+
+COMMANDS = ("filter", "simulate", "loglik", "search", "metrics")
+
+
+def _invoke(command, cfg, data, out):
+    args = ["--n-steps", "10"] if command == "simulate" else ["--input", str(data)]
+    return CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)]
+                              + args)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
+    cfg = tmp_path / "bad_config.json"
+    cfg.write_text(json.dumps({"delta": 0.5, "phi": 1.0, "omega_diag": [1.0, 1.0]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n0.01,0.02\n-0.01,0.01\n0.02,0.0\n")
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 2
+    assert "error: delta=0.5 violates the 2/3 < delta < 1 requirement" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "q": 0}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    res = _invoke("search", cfg, data, tmp_path / "out")
+    assert res.exit_code == 2
+    assert "error: grid resolution q=0 must be >= 1" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
+def test_numerical_exit_code_at_p3(command, tmp_path):
+    # at p >= 3 LAPACK raises on a non-finite matrix; every command must still
+    # report the cause and exit 3, without a traceback
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [0.5, 1.0, 1.5],
+                               "q": 1, "delta_candidates": [0.8]}))
+    ys = 0.3 * np.random.default_rng(3).standard_normal((40, 3))
+    ys[5] = 1e200
+    data = tmp_path / "overflow.csv"
+    write_returns_csv(data, ys)
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 3
+    message = ("error: every (z, delta) candidate failed numerically" if command == "search"
+               else "error: numerical failure at step t=6: S_t or S_t^* is not positive "
+                    "definite at machine precision")
+    assert message in res.output

@@ -11,10 +11,13 @@ from seqvol.linalg import (
     chol_upper,
     log_multigamma,
     positive_eigenvalues,
+    positive_spectrum,
     psd_sqrt,
+    rank_cut,
     spd_inverse,
     spd_logdet,
     sym_sqrt,
+    stacked_eigh,
     sym_sqrt_pair,
 )
 
@@ -127,6 +130,40 @@ class TestPositiveEigenvalues:
     def test_sorted_descending(self, rng):
         out = positive_eigenvalues(random_spd(rng, 5), 1e-12)
         assert np.all(np.diff(out) <= 0)
+
+
+class TestRankCut:
+    def test_stack_matches_each_spectrum(self, rng):
+        w = np.sort(rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-9, 3, (6, 1)))
+        for rel_tol in (1e-10, 1e-8):
+            for row, kept in zip(w, rank_cut(w, rel_tol)):
+                threshold = rel_tol * max(1.0, float(np.max(np.abs(row))))
+                np.testing.assert_array_equal(kept, row > threshold)
+
+    def test_empty_spectrum(self):
+        assert rank_cut(np.empty(0), 1e-8).shape == (0,)
+
+
+class TestStackedEigh:
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_non_finite_member_gets_nan_spectrum(self, rng, p):
+        good = random_spd(rng, p)
+        for bad in (np.full((p, p), np.nan), np.diag(np.full(p, np.inf))):
+            stack = np.array([good, bad, good])
+            w, v = stacked_eigh(stack)
+            w_only = stacked_eigh(stack, values_only=True)
+            ref_w, ref_v = np.linalg.eigh(good)
+            for i in (0, 2):
+                np.testing.assert_array_equal(w[i], ref_w)
+                np.testing.assert_array_equal(v[i], ref_v)
+                np.testing.assert_array_equal(w_only[i], np.linalg.eigvalsh(good))
+            assert np.isnan(w[1]).all() and np.isnan(w_only[1]).all()
+            np.testing.assert_array_equal(positive_spectrum(w), [True, False, True])
+
+    def test_common_path_is_numpy(self, rng):
+        stack = np.array([random_spd(rng, 3) for _ in range(4)])
+        for got, ref in zip(stacked_eigh(stack), np.linalg.eigh(stack)):
+            np.testing.assert_array_equal(got, ref)
 
 
 class TestLogMultigamma:

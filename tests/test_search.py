@@ -113,6 +113,20 @@ class TestFastpathEquivalence:
         assert out[0] == -np.inf
         assert np.isfinite(out[1])
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_failed_candidate_stays_in_its_candidate(self, p, objective):
+        # at p >= 3 LAPACK raises for a whole stack holding one non-finite
+        # matrix; the failure must stay with the candidate that caused it
+        ys = 0.1 * np.random.default_rng(p).standard_normal((50, p))
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
+        omegas = np.array([1e308 * np.eye(p), np.eye(p)])
+        out = evaluate_candidates(ys, base, 0.8, omegas, objective)
+        assert out[0] == -np.inf
+        assert out[1] == evaluate_candidates(ys, base, 0.8, omegas[1:], objective)[0]
+        assert np.isfinite(out[1])
+
 
 class TestSingleKernel:
     @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
