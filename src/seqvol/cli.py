@@ -5,8 +5,8 @@ Each reads a JSON config (keys: ``delta``, ``phi``, ``omega_diag`` or
 ``omega_matrix``, ``m0``, ``p0``, ``s0``, ``q``, ``delta_candidates``,
 ``seed``, ``modes``) and writes machine-readable outputs into ``--out``.
 
-Every command runs a validation phase (config, data, seed), then creates
-``--out`` and runs its compute phase; :mod:`seqvol.io` writes every output
+Every command runs a validation phase (config, data, seed, then creating
+``--out``) and then its compute phase; :mod:`seqvol.io` writes every output
 file. Exit codes: 0 success, 2 validation error (config or data), 3
 numerical failure (message carries the failing step index). Wall-clock
 timing goes to stderr so output files stay byte-identical across identical
@@ -57,6 +57,25 @@ def _exit_on_error(code: int):
         sys.exit(code)
 
 
+@contextmanager
+def _typed_config():
+    """Report a config value of the wrong type (``"delta": "abc"``) as a DomainError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid config value: {exc}") from exc
+
+
+def _make_out(out_dir) -> Path:
+    """Create ``--out``, the last step of a validation phase."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"cannot create --out directory: {exc}") from exc
+    return out
+
+
 def _as_matrix(value, p_hint: int | None, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -68,6 +87,7 @@ def _as_matrix(value, p_hint: int | None, name: str) -> np.ndarray:
     return arr
 
 
+@_typed_config()
 def load_model_config(raw: dict) -> ModelConfig:
     """Build a validated :class:`ModelConfig` from a raw config dict."""
     if "delta" not in raw or "phi" not in raw:
@@ -88,6 +108,8 @@ def load_model_config(raw: dict) -> ModelConfig:
     if s0 is not None:
         s0 = _as_matrix(s0, p, "s0")
     modes = raw.get("modes", {})
+    if not isinstance(modes, dict):
+        raise DomainError(f"config 'modes' must be an object, got {modes!r}")
     return ModelConfig(
         delta=float(raw["delta"]),
         phi=float(raw["phi"]),
@@ -100,6 +122,7 @@ def load_model_config(raw: dict) -> ModelConfig:
     )
 
 
+@_typed_config()
 def load_search_spec(raw: dict) -> SearchSpec:
     kwargs = {}
     if "q" in raw:
@@ -142,8 +165,8 @@ def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False
 
     Checks the config (and, for ``search``, its search settings) and the
     input, settles the seed and builds the manifest; only then is ``--out``
-    created. Returns ``(out, config, spec, ys, manifest)``, ``spec`` None
-    unless ``search``.
+    created, and a failure to create it exits 2 too. Returns
+    ``(out, config, spec, ys, manifest)``, ``spec`` None unless ``search``.
     """
     with _exit_on_error(VALIDATION_EXIT):
         raw = _read_config(config_path)
@@ -156,8 +179,7 @@ def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False
         spec = load_search_spec(raw) if search else None
         manifest = _manifest(raw, config, raw.get("seed") if seed is None else seed,
                              input_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        out = _make_out(out_dir)
     return out, config, spec, table.values, manifest
 
 
@@ -233,10 +255,10 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
         config = load_model_config(raw)
         if n_steps < 1:
             raise DomainError("--n-steps must be >= 1")
-        seed = int(raw.get("seed", 0) if seed is None else seed)
+        with _typed_config():
+            seed = int(raw.get("seed", 0) if seed is None else seed)
         manifest = _manifest(raw, config, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        out = _make_out(out_dir)
     with _exit_on_error(NUMERICAL_EXIT):
         path = simulate_path(seed, config, n_steps=n_steps)
     write_returns_csv(out / "returns.csv", path.ys)

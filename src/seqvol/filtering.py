@@ -12,18 +12,22 @@ the gain needs it.
 
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
-lockstep along a leading axis and evaluates each step's plug-in likelihood
-terms from the eigendecompositions of ``S_{t-1}^*`` and ``S_t^*`` it
-carries anyway (:func:`seqvol.likelihood.terms_from_spectra`).
-:func:`filter_run` is its ``B = 1`` case, :func:`filter_step` its
-one-observation case, and :func:`seqvol.search.evaluate_candidates` its
-many-candidate case.
+lockstep along a leading axis and yields each step's state and outputs
+with the eigendecomposition of ``S_t^*`` it carries anyway; it does not
+evaluate the likelihood. The plug-in likelihood terms come from
+consecutive ``S^*`` spectra (:func:`seqvol.likelihood.terms_from_spectra`):
+:func:`seqvol.search.evaluate_candidates`, the many-candidate case,
+evaluates them per step over its candidate stack. :func:`filter_run`, the
+``B = 1`` case, and :func:`filter_step`, its one-observation case, copy
+each step into arrays allocated once per run and evaluate the terms and
+the forecast scales over blocks of time steps, one stacked operation per
+block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,6 +43,11 @@ from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this n
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
 STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
+
+# steps per stacked evaluation of the likelihood terms and forecast scales in a
+# filter run: spreads the per-call cost of the kernels over many steps, and
+# bounds the memory for S and the S^* spectra, which the run keeps only per block
+_BLOCK = 256
 
 
 def discount_k(delta: float, p: int) -> float:
@@ -249,37 +258,54 @@ def filter_init(config: ModelConfig) -> FilterState:
     )
 
 
+class _Start(NamedTuple):
+    """Per-candidate constants of a stacked run, and the start spectrum."""
+
+    w_star: np.ndarray  # eigenvalues of the start state's S^*, (B, p)
+    v_star: np.ndarray  # its eigenvectors, (B, p, p)
+    q_inv: np.ndarray  # Q^{-1}, (B, p, p)
+    k: np.ndarray  # discount constant, (B,)
+    c1: np.ndarray  # per-step log-likelihood constant, (B,)
+
+
 class _Step(NamedTuple):
-    """One observation's results for every candidate of a stacked run."""
+    """One observation's recursion results for every candidate of a stacked run.
+
+    ``(w_star, v_star)`` is the spectrum of ``S_t^*``; with the previous
+    step's (or the start's) it is all :func:`terms_from_spectra` needs
+    besides ``e``, so the likelihood terms are left to the caller: per step
+    over candidates in the search, per time block in :func:`_filter`.
+    """
 
     f: np.ndarray  # forecast mean, (B, p)
     e: np.ndarray  # forecast error, (B, p)
     u: np.ndarray  # standardized forecast error, (B, p)
     s_star: np.ndarray  # point estimate S_t^*, (B, p, p)
+    w_star: np.ndarray  # eigenvalues of S_t^*, (B, p)
+    v_star: np.ndarray  # eigenvectors of S_t^*, (B, p, p)
     m: np.ndarray  # state after the step
     P: np.ndarray
     S: np.ndarray
-    c1: np.ndarray  # per-step log-likelihood constant, (B,)
-    # (quad, chol_logdet, lt, sigma_logdet), each (B,); lt is -inf when L_t
-    # has no positive eigenvalue. None when the likelihood is off.
-    terms: tuple | None
     # (B,): an S_t or S_t^* spectrum, at this step or before, was not
     # positive definite at machine level
     failed: np.ndarray
 
 
 def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
-               q: np.ndarray, start: tuple, loglik: bool):
+               q: np.ndarray, start: tuple) -> tuple[_Start, Iterator[_Step]]:
     """The filter recursion for ``B`` candidates in lockstep.
 
     Candidate ``b`` has discount factor ``deltas[b]``, innovation scale
     ``omegas[b]`` and forecast precision scale ``q[b]``, and starts from
     row ``b`` of the ``start = (m, P, S)`` stacks; every other setting comes
-    from ``base``. Yields one :class:`_Step` per observation. A candidate's
-    values do not depend on the rest of its stack, bit for bit. Callers
-    silence floating-point warnings: a failed candidate runs on with
-    non-finite values, and :func:`stacked_eigh` gives its decompositions
-    NaN spectra, so it is flagged in ``failed`` without stopping the others.
+    from ``base``. Checks the series and returns the :class:`_Start` and an
+    iterator of one :class:`_Step` per observation. A candidate's values do
+    not depend on the rest of its stack, bit for bit. Callers silence
+    floating-point warnings. A failed candidate is flagged in ``failed``
+    and restarts every step from its start state and spectra, so its values
+    are meaningless but finite and the stacked decompositions of the others
+    run once (:func:`stacked_eigh` retries a stack that holds a non-finite
+    member).
     """
     p = base.p
     ys = np.asarray(ys, dtype=float)
@@ -287,6 +313,10 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
         ys = ys[:, None]
     if ys.ndim != 2 or ys.shape[1] != p:
         raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {p})")
+    # a non-finite Q (an overflowing Omega) fails its candidate from the start;
+    # I stands in for it, so that its decompositions stay finite
+    bad_q = ~np.isfinite(q).all(axis=(-2, -1))
+    q = np.where(bad_q[:, None, None], np.eye(p), q)
     # each distinct discount factor's scalars, gathered per candidate
     distinct, index = np.unique(deltas, return_inverse=True)
     configs = [replace(base, delta=float(d)) for d in distinct]
@@ -307,73 +337,104 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
         s_sqrt = spectral(vs, np.sqrt(ws))
         return sym((s_sqrt @ q_inv @ s_sqrt + q_inv_sqrt @ s @ q_inv_sqrt) / denom3)
 
-    m, p_mat, s = start
-    ws, vs = stacked_eigh(s)
-    w_star, v_star = stacked_eigh(estimate(s, ws, vs))
-    failed = ~(positive_spectrum(ws) & positive_spectrum(w_star))
-    for y in ys:
-        f = m if base.forecast_mean_mode == "plain" else phi * m
-        e = y - f
-        s = s / k3 + e[:, :, None] * e[:, None, :]
-        r = phi * phi * p_mat + omegas
-        p_mat = sym(np.linalg.solve(r + eye, r))
+    initial = start + stacked_eigh(start[2])
+    initial += stacked_eigh(estimate(start[2], *initial[3:]))
 
-        w_base, v_base = ws, vs  # S_{t-1}, the forecast_cov standardizer
-        ws, vs = stacked_eigh(s)
-        s_star = estimate(s, ws, vs)
-        w_prev, v_prev = w_star, v_star
-        w_star, v_star = stacked_eigh(s_star)
-        failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-        root = np.sqrt(w_star)
-        gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
-        m = m + (gain @ e[:, :, None])[:, :, 0]
+    def steps():
+        m, p_mat, s, ws, vs, w_star, v_star = initial
+        failed = bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+        for y in ys:
+            f = m if base.forecast_mean_mode == "plain" else phi * m
+            e = y - f
+            s = s / k3 + e[:, :, None] * e[:, None, :]
+            r = phi * phi * p_mat + omegas
+            p_mat = sym(np.linalg.solve(r + eye, r))
 
-        if base.standardization_mode == "posterior_st":
-            w_base, v_base = ws, vs
-        vte = v_base.swapaxes(-1, -2) @ e[:, :, None]
-        u = (v_base @ (vte / np.sqrt(w_base)[:, :, None]))[:, :, 0] / root_cov
-        terms = (_likelihood.terms_from_spectra(w_prev, v_prev, w_star, v_star, e,
-                                                q_inv, k, deltas)
-                 if loglik else None)
-        yield _Step(f, e, u, s_star, m, p_mat, s, c1, terms, failed)
+            w_base, v_base = ws, vs  # S_{t-1}, the forecast_cov standardizer
+            ws, vs = stacked_eigh(s)
+            s_star = estimate(s, ws, vs)
+            w_star, v_star = stacked_eigh(s_star)
+            failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+            root = np.sqrt(w_star)
+            gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
+            m = m + (gain @ e[:, :, None])[:, :, 0]
+
+            if base.standardization_mode == "posterior_st":
+                w_base, v_base = ws, vs
+            vte = v_base.swapaxes(-1, -2) @ e[:, :, None]
+            u = (v_base @ (vte / np.sqrt(w_base)[:, :, None]))[:, :, 0] / root_cov
+            if failed.any():
+                m, p_mat, s, ws, vs, w_star, v_star = (
+                    np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
+                    for x, x0 in zip((m, p_mat, s, ws, vs, w_star, v_star), initial))
+            yield _Step(f, e, u, s_star, w_star, v_star, m, p_mat, s, failed)
+
+    return _Start(initial[5], initial[6], q_inv, k, c1), steps()
 
 
 def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
             compute_loglik: bool) -> tuple[list[StepRecord], FilterState]:
-    """Run :func:`_recursion` for one candidate from ``state``, as records."""
-    steps = _recursion(ys, config, np.array([config.delta]), config.omega[None],
-                       q[None], (state.m[None], state.P[None], state.S[None]),
-                       compute_loglik)
-    records: list[StepRecord] = []
-    t, s_prev = state.t, state.S
-    k, cov_factor, dof = config.k, config.forecast_cov_factor, config.forecast_dof
+    """Run :func:`_recursion` for one candidate from ``state``, as records.
+
+    The step loop copies each step into arrays allocated once per run. At
+    the end of each block of ``_BLOCK`` steps it evaluates the block's
+    forecast scales and likelihood terms, one stacked operation each, from
+    ``S`` and the ``S^*`` spectra, which it holds only for the open block.
+    Each record holds views into the run's arrays.
+    """
+    p, t, k = config.p, state.t, config.k
+    # steps done, and the open block's first step; a LinAlgError is reported
+    # at step t + i + 1, the step being run or the last step of a block
+    i = lo = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         try:
+            start, steps = _recursion(ys, config, np.array([config.delta]),
+                                      config.omega[None], q[None],
+                                      (state.m[None], state.P[None], state.S[None]))
+            n = len(ys)
+            f, e, u = np.empty((3, n, p))
+            s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))
+            terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
+            # S and the S^* spectrum of the step before the open block, then of its steps
+            S = np.empty((_BLOCK + 1, p, p))
+            w_star, v_star = np.empty((_BLOCK + 1, p)), np.empty((_BLOCK + 1, p, p))
+            S[0], w_star[0], v_star[0] = state.S, start.w_star[0], start.v_star[0]
             for step in steps:
-                t += 1
                 if step.failed[0]:
-                    raise FilterNumericalError(t, NotPositiveDefinite(
+                    raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
                         "S_t or S_t^* is not positive definite at machine precision"))
-                terms, loglik_t = None, float("nan")
-                if compute_loglik:
-                    terms = tuple(float(g[0]) for g in step.terms)
-                    # a zero-error step puts the plug-in path on the boundary
-                    # of the transition's support (L_t = 0): the state update
-                    # is still defined, so the step contributes -inf
-                    loglik_t = float(step.c1[0]) + sum(terms)
-                    if terms[2] == -np.inf:
-                        terms = None
-                forecast = ForecastDist(dof=dof, location=step.f[0], scale=s_prev / k,
-                                        covariance=cov_factor * s_prev)
-                s_prev = step.S[0]
-                records.append(StepRecord(t=t, forecast=forecast, e=step.e[0],
-                                          u=step.u[0], s_star=step.s_star[0],
-                                          loglik_t=loglik_t, terms=terms))
+                j = i + 1 - lo  # this step's row in the block's S and spectra
+                f[i], e[i], u[i], s_star[i] = step.f[0], step.e[0], step.u[0], step.s_star[0]
+                S[j], w_star[j], v_star[j] = step.S[0], step.w_star[0], step.v_star[0]
+                if j == _BLOCK or i + 1 == n:  # the block is full, or the series ends
+                    scale[lo:i + 1] = S[:j] / k
+                    covariance[lo:i + 1] = config.forecast_cov_factor * S[:j]
+                    if compute_loglik:
+                        terms[:, lo:i + 1] = _likelihood.terms_from_spectra(
+                            w_star[:j], v_star[:j], w_star[1:j + 1], v_star[1:j + 1],
+                            e[lo:i + 1], start.q_inv, start.k, config.delta)
+                    S[0], w_star[0], v_star[0] = S[j], w_star[j], v_star[j]
+                    lo = i + 1
+                i += 1
         except np.linalg.LinAlgError as exc:
-            raise FilterNumericalError(t + 1, exc) from exc
-    if not records:
-        return records, state
-    return records, FilterState(t=t, m=step.m[0], P=step.P[0], S=s_prev)
+            raise FilterNumericalError(t + i + 1, exc) from exc
+    if n == 0:
+        return [], state
+    if compute_loglik:
+        quad, chol, lt, sig = terms
+        logliks = (start.c1[0] + (quad + chol + lt + sig)).tolist()
+        # a zero-error step puts the plug-in path on the boundary of the
+        # transition's support (L_t = 0): the state update is still defined,
+        # so the step contributes -inf and carries no terms
+        groups = [None if g[2] == -np.inf else g for g in zip(*terms.tolist())]
+    else:
+        logliks, groups = [float("nan")] * n, [None] * n
+    forecasts = zip(f, scale, covariance)
+    dof = config.forecast_dof
+    records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
+                          s_star=s_star[r], loglik_t=loglik_t, terms=g)
+               for r, (fc, loglik_t, g) in enumerate(zip(forecasts, logliks, groups))]
+    return records, FilterState(t=t + n, m=step.m[0], P=step.P[0], S=S[0].copy())
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,

@@ -11,8 +11,9 @@ fixed time order, so results are deterministic and reproducible.
 
 :func:`terms_from_spectra` is the one place the term groups are computed,
 from the eigendecompositions of ``Sigma_{t-1}`` and ``Sigma_t``, for one
-transition or a stack. The filter's recursion calls it at every step, and
-:func:`loglik_from_records` sums what the filter recorded;
+transition or a stack. The filter calls it on blocks of time steps and the
+search on stacks of candidates, and :func:`loglik_from_records` sums what
+the filter recorded;
 :func:`loglik_path` and :func:`step_terms` call it on arbitrary paths.
 """
 

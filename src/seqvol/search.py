@@ -9,11 +9,13 @@ discount factor handled as an independent outer grid.
 
 Each objective value comes from :func:`evaluate_candidates`, which runs the
 filter's own stacked recursion (``filtering._recursion``) over a whole
-stack of ``(delta, Omega)`` candidates in one pass over the series. It is
-the code :func:`seqvol.filtering.filter_run` runs for one candidate, so a
-``"loglik"`` value equals :func:`seqvol.likelihood.loglik_at_filter_path`
-bit for bit. A candidate that fails numerically is masked as ``-inf``
-inside the pass.
+stack of ``(delta, Omega)`` candidates in one pass over the series, and
+evaluates the likelihood terms per step over the stack with
+:func:`seqvol.likelihood.terms_from_spectra`. That is the recursion and the
+term function :func:`seqvol.filtering.filter_run` runs for one candidate,
+so a ``"loglik"`` value equals
+:func:`seqvol.likelihood.loglik_at_filter_path` bit for bit. A candidate
+that fails numerically is masked as ``-inf`` inside the pass.
 
 All discount factors are searched in lockstep. Each (sweep, coordinate)
 step makes one batched call for the uncached points on the grid lines of
@@ -38,6 +40,7 @@ import numpy as np
 
 from .errors import DomainError
 from .filtering import ModelConfig, _recursion, limit_P
+from .likelihood import terms_from_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -107,23 +110,28 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     omegas = np.asarray(omegas, dtype=float)
     nb, p = omegas.shape[0], base_config.p
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (nb,))
-    start = tuple(np.broadcast_to(x, (nb,) + x.shape) for x in
+    prior = tuple(np.broadcast_to(x, (nb,) + x.shape) for x in
                   (base_config.m0, base_config.p0 * np.eye(p), base_config.s0))
     want_loglik = objective == "loglik"
     # sums of the term groups (quad, chol_logdet, lt, sigma_logdet), or of u^2
     sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
-    n_obs, c1, failed = 0, 0.0, np.zeros(nb, dtype=bool)
+    n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         q = limit_P(base_config.phi, omegas) + omegas + np.eye(p)  # steady_Q of each
-        for step in _recursion(ys, base_config, deltas, omegas, q, start, want_loglik):
-            n_obs, c1, failed = n_obs + 1, step.c1, step.failed
+        start, steps = _recursion(ys, base_config, deltas, omegas, q, prior)
+        w_prev, v_prev = start.w_star, start.v_star
+        for step in steps:
+            n_obs, failed = n_obs + 1, step.failed
             if want_loglik:
-                for acc, term in zip(sums, step.terms):
+                terms = terms_from_spectra(w_prev, v_prev, step.w_star, step.v_star,
+                                           step.e, start.q_inv, start.k, deltas)
+                for acc, term in zip(sums, terms):
                     acc += term
+                w_prev, v_prev = step.w_star, step.v_star
             else:
                 sums += step.u ** 2
         if want_loglik:
-            out = n_obs * c1 + sums[0] + sums[1] + sums[2] + sums[3]
+            out = n_obs * start.c1 + sums[0] + sums[1] + sums[2] + sums[3]
         else:
             out = -np.linalg.norm(sums / n_obs - 1.0, axis=-1)
     out[failed | ~np.isfinite(out)] = -np.inf

@@ -10,6 +10,7 @@ from seqvol.errors import (
     NotPositiveDefinite,
 )
 from seqvol.filtering import (
+    _BLOCK,
     ModelConfig,
     beta_dof_m,
     discount_k,
@@ -20,6 +21,7 @@ from seqvol.filtering import (
     limit_P,
     steady_Q,
 )
+from seqvol.likelihood import loglik_constant, loglik_from_records
 from seqvol.simulate import simulate_path
 
 from conftest import random_spd
@@ -347,6 +349,66 @@ class TestFilterRun:
         total = sum(r.loglik_t for r in records)
         breakdown = loglik_at_filter_path(ys, config2)
         assert total == pytest.approx(breakdown.total, abs=1e-9)
+
+
+class TestTimeBlocks:
+    """``filter_run`` evaluates the likelihood terms in blocks of ``_BLOCK``
+    steps; ``filter_step`` evaluates one step at a time."""
+
+    @pytest.fixture
+    def config3(self):
+        return ModelConfig(delta=0.85, phi=0.9, omega=np.diag([0.3, 0.6, 1.2]))
+
+    @pytest.fixture
+    def ys3(self):
+        return 0.3 * np.random.default_rng(8).standard_normal((2 * _BLOCK + 3, 3))
+
+    @staticmethod
+    def _chain(ys, config):
+        state, q, records = filter_init(config), steady_Q(config), []
+        for y in ys:
+            state, record = filter_step(state, y, config, q)
+            records.append(record)
+        return records, state
+
+    def test_run_equals_chain_of_steps_exactly(self, ys3, config3):
+        records, state = filter_run(ys3, config3)
+        chained, chained_state = self._chain(ys3, config3)
+        assert len(records) == len(chained) == 2 * _BLOCK + 3
+        c1 = loglik_constant(config3, steady_Q(config3), 1)
+        for rec, ref in zip(records, chained):
+            assert rec.t == ref.t
+            assert rec.loglik_t == ref.loglik_t == c1 + sum(rec.terms)
+            assert rec.terms == ref.terms
+            for name in ("e", "u", "s_star"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
+            for name in ("location", "scale", "covariance"):
+                np.testing.assert_array_equal(getattr(rec.forecast, name),
+                                              getattr(ref.forecast, name))
+        for name in ("t", "m", "P", "S"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
+
+    def test_no_likelihood_path_is_the_same_filter(self, ys3, config3):
+        with_ll, _ = filter_run(ys3, config3)
+        without, _ = filter_run(ys3, config3, compute_loglik=False)
+        for rec, ref in zip(without, with_ll):
+            for name in ("e", "u", "s_star"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
+            np.testing.assert_array_equal(rec.forecast.location, ref.forecast.location)
+            assert math.isnan(rec.loglik_t) and rec.terms is None
+
+    def test_zero_error_step_first_in_second_block(self, ys3, config3):
+        t_zero = _BLOCK + 1
+        _, state = filter_run(ys3[:t_zero - 1], config3)
+        ys = ys3.copy()
+        ys[t_zero - 1] = state.m  # plain mode: the forecast mean is m_{t-1}
+        records, _ = filter_run(ys, config3)
+        assert [r.t for r in records if r.loglik_t == -math.inf] == [t_zero]
+        assert records[t_zero - 1].terms is None
+        chained, _ = self._chain(ys, config3)
+        assert [r.loglik_t for r in records] == [r.loglik_t for r in chained]
+        with pytest.raises(DomainError, match=f"t={t_zero}: transition matrix L_t"):
+            loglik_from_records(records, config3)
 
 
 class TestSimulatedPathFilter:

@@ -412,6 +412,24 @@ def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
     assert res.exit_code == 2
     assert "error: delta=0.5 violates the 2/3 < delta < 1 requirement" in res.output
     assert not (tmp_path / "out").exists()
+    # a config value of the wrong type is a validation error too, not a traceback
+    wrong_types = [
+        ({"delta": "abc"}, "invalid config value: could not convert string to float: 'abc'"),
+        ({"modes": "x"}, "config 'modes' must be an object, got 'x'"),
+    ]
+    if command == "search":
+        wrong_types.append(({"q": "x"},
+                            "invalid config value: invalid literal for int() with base 10: 'x'"))
+    if command == "simulate":
+        wrong_types.append(({"seed": "x"},
+                            "invalid config value: invalid literal for int() with base 10: 'x'"))
+    for change, message in wrong_types:
+        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0, 1.0],
+                                   **change}))
+        res = _invoke(command, cfg, data, tmp_path / "out")
+        assert res.exit_code == 2, (change, res.output)
+        assert f"error: {message}" in res.output
+        assert not (tmp_path / "out").exists()
 
 
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
@@ -423,6 +441,40 @@ def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
     assert res.exit_code == 2
     assert "error: grid resolution q=0 must be >= 1" in res.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "simulate"])
+def test_out_naming_a_file_exits_2(command, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    res = _invoke(command, cfg, data, taken)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: cannot create --out directory: ")
+    assert len(res.output.splitlines()) == 1
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_zero_error_step_at_a_block_start(tmp_path):
+    # the filter evaluates the likelihood terms in blocks of _BLOCK steps; a
+    # zero-error step on the first step of the second block is reported as such
+    from seqvol.filtering import _BLOCK
+    config = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.5]))
+    ys = np.random.default_rng(21).standard_normal((_BLOCK + 10, 2))
+    _, state = filter_run(ys[:_BLOCK], config)
+    ys[_BLOCK] = state.m
+    data = tmp_path / "zero_error.csv"
+    write_returns_csv(data, ys)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [0.5, 1.5]}))
+    for command in ("filter", "loglik"):
+        res = _invoke(command, cfg, data, tmp_path / command)
+        assert res.exit_code == 3
+        assert (f"error: t={_BLOCK + 1}: transition matrix L_t has no positive "
+                "eigenvalues") in res.output
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -127,6 +127,64 @@ class TestFastpathEquivalence:
         assert out[1] == evaluate_candidates(ys, base, 0.8, omegas[1:], objective)[0]
         assert np.isfinite(out[1])
 
+    @staticmethod
+    def _count_decompositions(monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _decompose=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _decompose(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_failed_candidate_does_not_repeat_decompositions(self, monkeypatch, objective):
+        # at p >= 3 a non-finite member makes a stacked decomposition retry; a
+        # failed candidate must not carry non-finite values through the pass
+        p = 3
+        ys = 0.3 * np.random.default_rng(3).standard_normal((300, p))
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
+        omegas = np.array([np.diag(np.linspace(0.2, 2.0, p)) * (1.0 + 0.1 * i)
+                           for i in range(20)])
+        counts = self._count_decompositions(monkeypatch)
+        finite = evaluate_candidates(ys, base, 0.8, omegas, objective)
+        finite_counts = dict(counts)
+        bad = omegas.copy()
+        bad[7] = 1e308 * np.eye(p)
+        counts.update(eigh=0, eigvalsh=0)
+        out = evaluate_candidates(ys, base, 0.8, bad, objective)
+        assert counts == finite_counts
+        assert out[7] == -np.inf
+        np.testing.assert_array_equal(np.delete(out, 7), np.delete(finite, 7))
+        for i in np.flatnonzero(np.arange(20) != 7):
+            assert out[i] == evaluate_candidates(ys, base, 0.8, omegas[i:i + 1], objective)[0]
+
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_candidate_failing_mid_pass_does_not_repeat_decompositions(self, monkeypatch,
+                                                                       objective):
+        # a 4e7 shock at t = 151 leaves S_t^* numerically singular for the
+        # smaller discount factors only; their NaN gain must not reach the
+        # decompositions of the steps after it
+        p = 3
+        calm = 0.3 * np.random.default_rng(3).standard_normal((300, p))
+        ys = calm.copy()
+        ys[150] = 4e7 * np.array([0.6, 0.8, 0.0])
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
+        deltas = np.array([0.7, 0.8, 0.9, 0.95, 0.99])
+        omegas = np.broadcast_to(np.eye(p), (5, p, p))
+        counts = self._count_decompositions(monkeypatch)
+        assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
+        finite_counts = dict(counts)
+        counts.update(eigh=0, eigvalsh=0)
+        out = evaluate_candidates(ys, base, deltas, omegas, objective)
+        assert counts == finite_counts
+        assert np.all(out[:3] == -np.inf)
+        for i in (3, 4):
+            assert out[i] == evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1],
+                                                 objective)[0]
+        assert np.all(np.isfinite(out[3:]))
+
 
 class TestSingleKernel:
     @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
