@@ -7,10 +7,10 @@ Each reads a JSON config (keys: ``delta``, ``phi``, ``omega_diag`` or
 
 Every command runs a validation phase (config, data, seed, then creating
 ``--out``) and then its compute phase; :mod:`seqvol.io` writes every output
-file. Exit codes: 0 success, 2 validation error (config or data), 3
-numerical failure (message carries the failing step index). Wall-clock
-timing goes to stderr so output files stay byte-identical across identical
-runs.
+file. Exit codes: 0 success, 2 validation error (config or data) or an
+output that cannot be written, 3 numerical failure (message carries the
+failing step index). Wall-clock timing goes to stderr so output files stay
+byte-identical across identical runs.
 """
 
 from __future__ import annotations
@@ -66,13 +66,20 @@ def _typed_config():
         raise DomainError(f"invalid config value: {exc}") from exc
 
 
+@contextmanager
+def _os_errors(action: str):
+    """Report an ``OSError`` as a DomainError ``cannot <action>: ...``."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot {action}: {exc}") from exc
+
+
 def _make_out(out_dir) -> Path:
     """Create ``--out``, the last step of a validation phase."""
     out = Path(out_dir)
-    try:
+    with _os_errors("create --out directory"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DomainError(f"cannot create --out directory: {exc}") from exc
     return out
 
 
@@ -233,13 +240,12 @@ def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
     with _exit_on_error(NUMERICAL_EXIT):
         records, _ = filter_run(ys, config)
         breakdown = loglik_from_records(records, config)
-    write_volatility_csv(out / "volatility.csv", records)
-    write_forecast_csv(out / "forecast.csv", records)
-    write_json(out / "report.json", {
-        "perf": asdict(perf_metrics(records)),
-        "loglik": _loglik_dict(breakdown),
-        "manifest": manifest,
-    })
+    report = {"perf": asdict(perf_metrics(records)), "loglik": _loglik_dict(breakdown),
+              "manifest": manifest}
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        write_volatility_csv(out / "volatility.csv", records)
+        write_forecast_csv(out / "forecast.csv", records)
+        write_json(out / "report.json", report)
     click.echo(f"filter: {len(records)} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
@@ -261,9 +267,10 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
         out = _make_out(out_dir)
     with _exit_on_error(NUMERICAL_EXIT):
         path = simulate_path(seed, config, n_steps=n_steps)
-    write_returns_csv(out / "returns.csv", path.ys)
-    write_sim_truth_csv(out / "sim_truth.csv", path.sigmas, path.thetas)
-    write_json(out / "report.json", {"n_steps": n_steps, "manifest": manifest})
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        write_returns_csv(out / "returns.csv", path.ys)
+        write_sim_truth_csv(out / "sim_truth.csv", path.sigmas, path.thetas)
+        write_json(out / "report.json", {"n_steps": n_steps, "manifest": manifest})
     click.echo(f"simulate: {n_steps} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
@@ -279,10 +286,9 @@ def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
     with _exit_on_error(NUMERICAL_EXIT):
         records, _ = filter_run(ys, config)
         breakdown = loglik_from_records(records, config)
-    write_json(out / "report.json", {
-        "loglik": _loglik_dict(breakdown),
-        "manifest": manifest,
-    })
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        write_json(out / "report.json", {"loglik": _loglik_dict(breakdown),
+                                         "manifest": manifest})
     click.echo(f"loglik: total={breakdown.total:.6f} in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
@@ -297,17 +303,18 @@ def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
                                                levels, scale, search=True)
     with _exit_on_error(NUMERICAL_EXIT):
         z, delta, trace = coordinate_search(ys, config, spec)
-    write_search_trace_csv(out / "search_trace.csv", trace)
     best = max(e.objective for e in trace if e.accepted and e.delta == delta)
-    write_json(out / "report.json", {
-        "best_z": z.tolist(),
-        "best_omega_diag": (z / (1.0 - z)).tolist(),
-        "best_delta": delta,
-        "objective": spec.objective,
-        "objective_value": best,
-        "evaluations": len(trace),
-        "manifest": manifest,
-    })
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        write_search_trace_csv(out / "search_trace.csv", trace)
+        write_json(out / "report.json", {
+            "best_z": z.tolist(),
+            "best_omega_diag": (z / (1.0 - z)).tolist(),
+            "best_delta": delta,
+            "objective": spec.objective,
+            "objective_value": best,
+            "evaluations": len(trace),
+            "manifest": manifest,
+        })
     click.echo(f"search: best delta={delta} z={np.round(z, 4).tolist()} in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
@@ -323,7 +330,8 @@ def metrics_cmd(config_path, out_dir, seed, input_path, levels, scale):
     with _exit_on_error(NUMERICAL_EXIT):
         records, _ = filter_run(ys, config, compute_loglik=False)
     report = perf_metrics(records)
-    write_json(out / "report.json", {"perf": asdict(report), "manifest": manifest})
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        write_json(out / "report.json", {"perf": asdict(report), "manifest": manifest})
     click.echo(f"metrics: {report.n_obs} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 

@@ -240,8 +240,7 @@ def iterate_P_to_convergence(phi: float, omega: np.ndarray, p0: float,
     current = p0 * eye
     for _ in range(max_iter):
         r = phi2 * current + omega
-        nxt = np.linalg.solve(r + eye, r)
-        nxt = 0.5 * (nxt + nxt.T)
+        nxt = sym(np.linalg.solve(r + eye, r))
         if np.max(np.abs(nxt - current)) < tol:
             return nxt
         current = nxt

@@ -26,6 +26,7 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, RankMis
 from .linalg import (
     check_spd,
     check_symmetric,
+    chol_lower,
     log_multigamma,
     positive_eigenvalues,
     rank_cut,
@@ -209,8 +210,7 @@ def giw_estimator(a: np.ndarray, s: np.ndarray, n: float) -> np.ndarray:
         raise DomainError(f"estimator requires n > 2p+2, got n={n}, p={p}")
     a_sqrt = sym_sqrt(a)
     s_sqrt = sym_sqrt(s)
-    est = (s_sqrt @ a @ s_sqrt + a_sqrt @ s @ a_sqrt) / (2.0 * n - 4.0 * p - 4.0)
-    return 0.5 * (est + est.T)
+    return sym((s_sqrt @ a @ s_sqrt + a_sqrt @ s @ a_sqrt) / (2.0 * n - 4.0 * p - 4.0))
 
 
 def _singular_beta_log_const(params: SingularBetaParams) -> float:
@@ -278,9 +278,7 @@ def transformed_beta_logpdf(params: SingularBetaParams, a_t: np.ndarray,
     if x.shape != (p, p):
         raise DimensionMismatch(f"x has shape {x.shape}, expected {(p, p)}")
 
-    w_mat = np.eye(p) - a_t.T @ spd_inverse(x) @ a_t
-    w_mat = 0.5 * (w_mat + w_mat.T)
-    eigvals, eigvecs = np.linalg.eigh(w_mat)
+    eigvals, eigvecs = np.linalg.eigh(sym(np.eye(p) - a_t.T @ spd_inverse(x) @ a_t))
     n_pos = int(np.sum(rank_cut(eigvals, RANK_REL_TOL)))
     if n_pos == 0:
         raise DomainError("no positive eigenvalue: x outside the support")
@@ -338,10 +336,7 @@ def sample_singular_beta(rng: np.random.Generator, params: SingularBetaParams,
     a1 = sample_wishart(rng, params.m, p, size=n)
     z = rng.standard_normal((n, p, params.n_int))
     c = a1 + z @ np.swapaxes(z, -1, -2)
-    try:
-        low = np.linalg.cholesky(c)  # C = L L', so U(C) = L'
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky of C failed: {exc}") from exc
+    low = chol_lower(c)  # C = L L', so U(C) = L'
     # B = (U')^{-1} A1 U^{-1} = L^{-1} A1 L^{-T}
     half = np.linalg.solve(low, a1)
     b = sym(np.swapaxes(np.linalg.solve(low, np.swapaxes(half, -1, -2)),
@@ -354,6 +349,6 @@ def sample_wishart_scaled(rng: np.random.Generator, df: float,
                           size: int | None = None) -> np.ndarray:
     """Draw from ``W_p(df, scale)`` as ``L W L'`` with ``scale = L L'``."""
     scale = check_spd(scale, name="scale")
-    lower = np.linalg.cholesky(scale)
+    lower = chol_lower(scale)
     w = sample_wishart(rng, df, scale.shape[0], size=size)
     return sym(lower @ w @ lower.T)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
@@ -52,7 +51,7 @@ def check_symmetric(m: np.ndarray, rel_tol: float = SYMMETRY_REL_TOL,
     scale = max(1.0, float(np.max(np.abs(m))))
     if np.max(np.abs(m - m.T)) > rel_tol * scale:
         raise NotPositiveDefinite(f"{name} is not symmetric within {rel_tol:g}")
-    return 0.5 * (m + m.T)
+    return sym(m)
 
 
 def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
@@ -159,39 +158,34 @@ def psd_sqrt(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
         raise NotPositiveDefinite(
             f"psd_sqrt input has eigenvalue {w[0]:.3e} below -rel_tol"
         )
-    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (r + r.T)
+    return sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
+
+
+def chol_lower(m: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor ``L``, ``M = L L'``, of a matrix or a stack.
+
+    Raises :class:`NotPositiveDefinite` when LAPACK rejects the input.
+    """
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
 
 
 def chol_upper(m: np.ndarray) -> np.ndarray:
     """Upper triangular ``U`` with positive diagonal and ``U' U = M``."""
-    m = check_symmetric(m, name="chol_upper input")
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from exc
-    return lower.T.copy()
+    return chol_lower(check_symmetric(m, name="chol_upper input")).T.copy()
 
 
 def spd_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix via Cholesky; result is symmetrized."""
-    m = check_square(m, "spd_inverse input")
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix not positive definite: {exc}") from exc
-    inv_lower = np.linalg.inv(lower)
-    inv = inv_lower.T @ inv_lower
-    return 0.5 * (inv + inv.T)
+    inv_lower = np.linalg.inv(chol_lower(check_square(m, "spd_inverse input")))
+    return sym(inv_lower.T @ inv_lower)
 
 
 def spd_logdet(m: np.ndarray) -> float:
     """log det of an SPD matrix via Cholesky."""
-    m = check_square(m, "spd_logdet input")
-    try:
-        lower = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"matrix not positive definite: {exc}") from exc
+    lower = chol_lower(check_square(m, "spd_logdet input"))
     return float(2.0 * np.sum(np.log(np.diag(lower))))
 
 
@@ -217,12 +211,12 @@ def log_multigamma(p: int, a: float) -> float:
     """log of the multivariate gamma function ``Gamma_p(a)``.
 
     ``Gamma_p(a) = pi**(p(p-1)/4) * prod_{j=1..p} Gamma(a + (1-j)/2)``,
-    defined for ``a > (p-1)/2``.
+    defined for ``a > (p-1)/2``: the ``pi`` term and the ``math.lgamma``
+    terms, summed with one rounding by ``math.fsum``.
     """
     if p < 1:
         raise DomainError(f"dimension must be a positive integer, got {p}")
     if a <= 0.5 * (p - 1):
         raise DomainError(f"log_multigamma requires a > (p-1)/2, got a={a}, p={p}")
-    j = np.arange(1, p + 1)
-    return float(0.25 * p * (p - 1) * math.log(math.pi)
-                 + np.sum(gammaln(a + 0.5 * (1 - j))))
+    return math.fsum([0.25 * p * (p - 1) * math.log(math.pi)]
+                     + [math.lgamma(a - 0.5 * j) for j in range(p)])

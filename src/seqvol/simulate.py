@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError
 from .filtering import ModelConfig
 from .gwishart import SingularBetaParams, sample_singular_beta
-from .linalg import DEFAULT_REL_TOL, check_spd, chol_upper, psd_sqrt, spd_inverse, sym_sqrt
+from .linalg import DEFAULT_REL_TOL, check_spd, chol_upper, psd_sqrt, spd_inverse, sym, sym_sqrt
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def evolve_precision(rng: np.random.Generator, sigma_prev: np.ndarray,
     params = SingularBetaParams(m=config.beta_m, n_int=1, p=config.p)
     b = sample_singular_beta(rng, params)
     u = chol_upper(spd_inverse(sigma_prev))
-    precision = config.k * (u.T @ b @ u)
-    return spd_inverse(0.5 * (precision + precision.T))
+    return spd_inverse(sym(config.k * (u.T @ b @ u)))
 
 
 def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,

@@ -458,6 +458,23 @@ def test_out_naming_a_file_exits_2(command, tmp_path):
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, output", [("filter", "volatility.csv"),
+                                             ("simulate", "returns.csv")])
+def test_unwritable_output_file_exits_2(command, output, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)  # the output file's path is taken by a directory
+    res = _invoke(command, cfg, data, out)
+    assert res.exit_code == 2
+    assert res.output.startswith("error: cannot write output: ")
+    assert output in res.output
+    assert len(res.output.splitlines()) == 1
+    assert "Traceback" not in res.output
+
+
 def test_zero_error_step_at_a_block_start(tmp_path):
     # the filter evaluates the likelihood terms in blocks of _BLOCK steps; a
     # zero-error step on the first step of the second block is reported as such

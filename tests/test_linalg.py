@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from seqvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from seqvol.filtering import beta_dof_m
 from seqvol.linalg import (
     check_spd,
+    chol_lower,
     chol_upper,
     log_multigamma,
     positive_eigenvalues,
@@ -106,6 +108,16 @@ class TestCholUpper:
         with pytest.raises(NotPositiveDefinite):
             chol_upper(np.array([[1.0, 0.5], [0.1, 1.0]]))
 
+    def test_every_cholesky_fails_the_same_way(self):
+        # chol_upper, spd_inverse, spd_logdet and the samplers' stacked
+        # factorizations share one checked Cholesky, and so one error
+        not_pd = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for kernel in (chol_upper, spd_inverse, spd_logdet):
+            with pytest.raises(NotPositiveDefinite, match="^Cholesky factorization failed: "):
+                kernel(not_pd)
+        with pytest.raises(NotPositiveDefinite, match="^Cholesky factorization failed: "):
+            chol_lower(np.stack([np.eye(2), not_pd]))
+
 
 class TestPositiveEigenvalues:
     def test_zero_matrix(self):
@@ -195,6 +207,40 @@ class TestLogMultigamma:
             log_multigamma(3, 1.0)
         with pytest.raises(DomainError):
             log_multigamma(0, 1.0)
+
+
+def _log_multigamma_50_digits(p, a):
+    import mpmath
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)  # the float argument, exactly
+        return float(p * (p - 1) / 4 * mpmath.log(mpmath.pi)
+                     + mpmath.fsum(mpmath.loggamma(a - mpmath.mpf(j) / 2) for j in range(p)))
+
+
+class TestLogMultigammaExtendedPrecision:
+    # the sum of math.lgamma terms against 50-digit mpmath; measured worst
+    # error at the likelihood arguments is 1.3e-15 of max(1, |value|)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_loglik_constant_arguments(self, p):
+        # the two gamma arguments of likelihood.loglik_constant, 2/3 < delta < 1
+        for d in np.linspace(0.67, 0.999, 34):
+            for a in ((d * (1 - p) + p) / (2 * (1 - d)),
+                      (d * (2 - p) + p - 1) / (2 * (1 - d))):
+                exact = _log_multigamma_50_digits(p, a)
+                assert abs(log_multigamma(p, a) - exact) <= 1e-14 * max(1.0, abs(exact)), (p, d)
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 8))
+    def test_gwishart_arguments(self, p):
+        # singular beta B_p(m/2, 1/2) and its transformed density at the
+        # model's m, inverted Wishart degrees of freedom, and the edge of the domain
+        args = [0.5 * (p + 1), 0.5 * (p + 7.5), 0.5 * (p - 1) + 1e-3]
+        for delta in (0.7, 0.9, 0.99):
+            m = beta_dof_m(delta, p)
+            args += [0.5 * m, 0.5 * (m + 1)]
+        for a in args:
+            exact = _log_multigamma_50_digits(p, a)
+            assert abs(log_multigamma(p, a) - exact) <= 1e-14 * max(1.0, abs(exact)), (p, a)
 
 
 class TestValidationHelpers:
