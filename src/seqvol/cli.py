@@ -263,6 +263,8 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
             raise DomainError("--n-steps must be >= 1")
         with _typed_config():
             seed = int(raw.get("seed", 0) if seed is None else seed)
+        if seed < 0:
+            raise DomainError(f"seed={seed} must be non-negative")
         manifest = _manifest(raw, config, seed)
         out = _make_out(out_dir)
     with _exit_on_error(NUMERICAL_EXIT):

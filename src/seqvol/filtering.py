@@ -12,16 +12,14 @@ the gain needs it.
 
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
-lockstep along a leading axis and yields each step's state and outputs
-with the eigendecomposition of ``S_t^*`` it carries anyway; it does not
-evaluate the likelihood. The plug-in likelihood terms come from
-consecutive ``S^*`` spectra (:func:`seqvol.likelihood.terms_from_spectra`):
-:func:`seqvol.search.evaluate_candidates`, the many-candidate case,
-evaluates them per step over its candidate stack. :func:`filter_run`, the
+lockstep along a leading axis, and yields blocks of consecutive steps with
+time as the leading axis. Only the part of a step that depends on the step
+before runs in the step loop; each block evaluates the standardized errors
+and the likelihood terms (:func:`seqvol.likelihood.terms_from_spectra`)
+once over its steps. :func:`seqvol.search.evaluate_candidates`, the
+many-candidate case, adds up each block's terms; :func:`filter_run`, the
 ``B = 1`` case, and :func:`filter_step`, its one-observation case, copy
-each step into arrays allocated once per run and evaluate the terms and
-the forecast scales over blocks of time steps, one stacked operation per
-block.
+the blocks into arrays allocated once per run.
 """
 
 from __future__ import annotations
@@ -44,9 +42,8 @@ from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this n
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
 STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 
-# steps per stacked evaluation of the likelihood terms and forecast scales in a
-# filter run: spreads the per-call cost of the kernels over many steps, and
-# bounds the memory for S and the S^* spectra, which the run keeps only per block
+# candidate-steps per block of a stacked run: spreads the per-call cost of the
+# block's kernels over many steps, and bounds the memory of the block's arrays
 _BLOCK = 256
 
 
@@ -109,11 +106,15 @@ class ModelConfig:
             raise DomainError(
                 f"delta={self.delta} violates the 2/3 < delta < 1 requirement"
             )
-        if self.p0 <= 0:
-            raise DomainError(f"p0={self.p0} must be positive")
+        if not np.isfinite(self.phi):
+            raise DomainError(f"phi={self.phi} must be finite")
+        if not 0.0 < self.p0 < np.inf:
+            raise DomainError(f"p0={self.p0} must be positive and finite")
         m0 = np.zeros(p) if self.m0 is None else np.asarray(self.m0, dtype=float)
         if m0.shape != (p,):
             raise DimensionMismatch(f"m0 has shape {m0.shape}, expected ({p},)")
+        if not np.isfinite(m0).all():
+            raise DomainError(f"m0={m0.tolist()} must be finite")
         s0 = np.eye(p) if self.s0 is None else check_spd(self.s0, name="s0")
         if s0.shape != (p, p):
             raise DimensionMismatch(f"s0 has shape {s0.shape}, expected {(p, p)}")
@@ -257,54 +258,46 @@ def filter_init(config: ModelConfig) -> FilterState:
     )
 
 
-class _Start(NamedTuple):
-    """Per-candidate constants of a stacked run, and the start spectrum."""
+class _Block(NamedTuple):
+    """``T`` consecutive steps of a stacked run of ``B`` candidates, time first."""
 
-    w_star: np.ndarray  # eigenvalues of the start state's S^*, (B, p)
-    v_star: np.ndarray  # its eigenvectors, (B, p, p)
-    q_inv: np.ndarray  # Q^{-1}, (B, p, p)
-    k: np.ndarray  # discount constant, (B,)
-    c1: np.ndarray  # per-step log-likelihood constant, (B,)
-
-
-class _Step(NamedTuple):
-    """One observation's recursion results for every candidate of a stacked run.
-
-    ``(w_star, v_star)`` is the spectrum of ``S_t^*``; with the previous
-    step's (or the start's) it is all :func:`terms_from_spectra` needs
-    besides ``e``, so the likelihood terms are left to the caller: per step
-    over candidates in the search, per time block in :func:`_filter`.
-    """
-
-    f: np.ndarray  # forecast mean, (B, p)
-    e: np.ndarray  # forecast error, (B, p)
-    u: np.ndarray  # standardized forecast error, (B, p)
-    s_star: np.ndarray  # point estimate S_t^*, (B, p, p)
-    w_star: np.ndarray  # eigenvalues of S_t^*, (B, p)
-    v_star: np.ndarray  # eigenvectors of S_t^*, (B, p, p)
-    m: np.ndarray  # state after the step
-    P: np.ndarray
-    S: np.ndarray
-    # (B,): an S_t or S_t^* spectrum, at this step or before, was not
+    f: np.ndarray  # forecast mean, (T, B, p)
+    e: np.ndarray  # forecast error, (T, B, p)
+    u: np.ndarray  # standardized forecast error, (T, B, p)
+    s_star: np.ndarray  # point estimate S_t^*, (T, B, p, p)
+    s_prev: np.ndarray  # S_{t-1}, which scales the forecast, (T, B, p, p)
+    # (T, B): an S_t or S_t^* spectrum, at this step or before, was not
     # positive definite at machine level
     failed: np.ndarray
+    # (quad, chol_logdet, lt, sigma_logdet), each (T, B); None without loglik
+    terms: tuple[np.ndarray, ...] | None
+    m: np.ndarray  # state after the block's last step, (B, p)
+    P: np.ndarray
+    S: np.ndarray
 
 
 def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
-               q: np.ndarray, start: tuple) -> tuple[_Start, Iterator[_Step]]:
+               q: np.ndarray, start: tuple, loglik: bool
+               ) -> tuple[np.ndarray, Iterator[_Block]]:
     """The filter recursion for ``B`` candidates in lockstep.
 
     Candidate ``b`` has discount factor ``deltas[b]``, innovation scale
     ``omegas[b]`` and forecast precision scale ``q[b]``, and starts from
     row ``b`` of the ``start = (m, P, S)`` stacks; every other setting comes
-    from ``base``. Checks the series and returns the :class:`_Start` and an
-    iterator of one :class:`_Step` per observation. A candidate's values do
-    not depend on the rest of its stack, bit for bit. Callers silence
-    floating-point warnings. A failed candidate is flagged in ``failed``
-    and restarts every step from its start state and spectra, so its values
-    are meaningless but finite and the stacked decompositions of the others
-    run once (:func:`stacked_eigh` retries a stack that holds a non-finite
-    member).
+    from ``base``. Checks the series and returns the per-step
+    log-likelihood constant ``c1``, ``(B,)``, and an iterator of blocks
+    (:class:`_Block`) of at most ``_BLOCK`` candidate-steps each.
+
+    The step loop runs only what depends on the step before; each block
+    then evaluates ``u_t`` and, with ``loglik``, the likelihood terms
+    (:func:`seqvol.likelihood.terms_from_spectra`) once over its steps.
+
+    A candidate's values depend neither on the rest of its stack nor on the
+    block size, bit for bit. Callers silence floating-point warnings. A
+    failed candidate is flagged in ``failed`` and restarts every step from
+    its start state and spectra, so its values are meaningless but finite
+    and the stacked decompositions of the others run once
+    (:func:`stacked_eigh` retries a stack that holds a non-finite member).
     """
     p = base.p
     ys = np.asarray(ys, dtype=float)
@@ -331,6 +324,9 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     wq, vq = stacked_eigh(q)
     q_inv = spectral(vq, 1.0 / wq)
     q_inv_sqrt = spectral(vq, 1.0 / np.sqrt(wq))
+    size = max(1, _BLOCK // len(deltas))  # steps per block
+    # rows of a block's S spectra that whiten e_t into u_t: S_{t-1} or S_t
+    whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1} fixed
         s_sqrt = spectral(vs, np.sqrt(ws))
@@ -339,89 +335,87 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     initial = start + stacked_eigh(start[2])
     initial += stacked_eigh(estimate(start[2], *initial[3:]))
 
-    def steps():
+    def blocks():
         m, p_mat, s, ws, vs, w_star, v_star = initial
         failed = bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-        for y in ys:
-            f = m if base.forecast_mean_mode == "plain" else phi * m
-            e = y - f
-            s = s / k3 + e[:, :, None] * e[:, None, :]
-            r = phi * phi * p_mat + omegas
-            p_mat = sym(np.linalg.solve(r + eye, r))
+        # S and the spectra of S and S^*: of the step before the block, then of its steps
+        history = [(s, ws, vs, w_star, v_star)]
+        for lo in range(0, len(ys), size):
+            rows = []
+            for y in ys[lo:lo + size]:
+                f = m if base.forecast_mean_mode == "plain" else phi * m
+                e = y - f
+                s = s / k3 + e[:, :, None] * e[:, None, :]
+                r = phi * phi * p_mat + omegas
+                p_mat = sym(np.linalg.solve(r + eye, r))
+                ws, vs = stacked_eigh(s)
+                s_star = estimate(s, ws, vs)
+                w_star, v_star = stacked_eigh(s_star)
+                failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+                root = np.sqrt(w_star)
+                gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
+                m = m + (gain @ e[:, :, None])[:, :, 0]
+                if failed.any():
+                    m, p_mat, s, ws, vs, w_star, v_star = (
+                        np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
+                        for x, x0 in zip((m, p_mat, s, ws, vs, w_star, v_star), initial))
+                rows.append((f, e, s_star, failed))
+                history.append((s, ws, vs, w_star, v_star))
+            f, e, s_star, fails = map(np.array, zip(*rows))
+            s_all, ws_all, vs_all, w_all, v_all = map(np.array, zip(*history))
+            history = history[-1:]
+            w_base, v_base = ws_all[whiten], vs_all[whiten]
+            vte = v_base.swapaxes(-1, -2) @ e[..., None]
+            u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / root_cov
+            terms = (_likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
+                                                    v_all[1:], e, q_inv, k, deltas)
+                     if loglik else None)
+            yield _Block(f, e, u, s_star, s_all[:-1], fails, terms, m, p_mat, s)
 
-            w_base, v_base = ws, vs  # S_{t-1}, the forecast_cov standardizer
-            ws, vs = stacked_eigh(s)
-            s_star = estimate(s, ws, vs)
-            w_star, v_star = stacked_eigh(s_star)
-            failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-            root = np.sqrt(w_star)
-            gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
-            m = m + (gain @ e[:, :, None])[:, :, 0]
-
-            if base.standardization_mode == "posterior_st":
-                w_base, v_base = ws, vs
-            vte = v_base.swapaxes(-1, -2) @ e[:, :, None]
-            u = (v_base @ (vte / np.sqrt(w_base)[:, :, None]))[:, :, 0] / root_cov
-            if failed.any():
-                m, p_mat, s, ws, vs, w_star, v_star = (
-                    np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
-                    for x, x0 in zip((m, p_mat, s, ws, vs, w_star, v_star), initial))
-            yield _Step(f, e, u, s_star, w_star, v_star, m, p_mat, s, failed)
-
-    return _Start(initial[5], initial[6], q_inv, k, c1), steps()
+    return c1, blocks()
 
 
 def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
             compute_loglik: bool) -> tuple[list[StepRecord], FilterState]:
     """Run :func:`_recursion` for one candidate from ``state``, as records.
 
-    The step loop copies each step into arrays allocated once per run. At
-    the end of each block of ``_BLOCK`` steps it evaluates the block's
-    forecast scales and likelihood terms, one stacked operation each, from
-    ``S`` and the ``S^*`` spectra, which it holds only for the open block.
-    Each record holds views into the run's arrays.
+    Copies each block's slices into arrays allocated once per run, and
+    raises at the first failed step. Each record holds views into the run's
+    arrays.
     """
-    p, t, k = config.p, state.t, config.k
-    # steps done, and the open block's first step; a LinAlgError is reported
-    # at step t + i + 1, the step being run or the last step of a block
-    i = lo = 0
+    p, t = config.p, state.t
+    # steps copied; a LinAlgError is reported at the first step after them
+    done = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         try:
-            start, steps = _recursion(ys, config, np.array([config.delta]),
-                                      config.omega[None], q[None],
-                                      (state.m[None], state.P[None], state.S[None]))
+            c1, blocks = _recursion(ys, config, np.array([config.delta]),
+                                    config.omega[None], q[None],
+                                    (state.m[None], state.P[None], state.S[None]),
+                                    compute_loglik)
             n = len(ys)
             f, e, u = np.empty((3, n, p))
             s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))
             terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
-            # S and the S^* spectrum of the step before the open block, then of its steps
-            S = np.empty((_BLOCK + 1, p, p))
-            w_star, v_star = np.empty((_BLOCK + 1, p)), np.empty((_BLOCK + 1, p, p))
-            S[0], w_star[0], v_star[0] = state.S, start.w_star[0], start.v_star[0]
-            for step in steps:
-                if step.failed[0]:
+            for block in blocks:
+                if block.failed[-1, 0]:
+                    i = done + int(np.argmax(block.failed[:, 0]))
                     raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
                         "S_t or S_t^* is not positive definite at machine precision"))
-                j = i + 1 - lo  # this step's row in the block's S and spectra
-                f[i], e[i], u[i], s_star[i] = step.f[0], step.e[0], step.u[0], step.s_star[0]
-                S[j], w_star[j], v_star[j] = step.S[0], step.w_star[0], step.v_star[0]
-                if j == _BLOCK or i + 1 == n:  # the block is full, or the series ends
-                    scale[lo:i + 1] = S[:j] / k
-                    covariance[lo:i + 1] = config.forecast_cov_factor * S[:j]
-                    if compute_loglik:
-                        terms[:, lo:i + 1] = _likelihood.terms_from_spectra(
-                            w_star[:j], v_star[:j], w_star[1:j + 1], v_star[1:j + 1],
-                            e[lo:i + 1], start.q_inv, start.k, config.delta)
-                    S[0], w_star[0], v_star[0] = S[j], w_star[j], v_star[j]
-                    lo = i + 1
-                i += 1
+                rows = slice(done, done + len(block.e))
+                for out, x in zip((f, e, u, s_star), block):
+                    out[rows] = x[:, 0]
+                scale[rows] = block.s_prev[:, 0] / config.k
+                covariance[rows] = config.forecast_cov_factor * block.s_prev[:, 0]
+                if compute_loglik:
+                    terms[:, rows] = [g[:, 0] for g in block.terms]
+                done = rows.stop
         except np.linalg.LinAlgError as exc:
-            raise FilterNumericalError(t + i + 1, exc) from exc
+            raise FilterNumericalError(t + done + 1, exc) from exc
     if n == 0:
         return [], state
     if compute_loglik:
         quad, chol, lt, sig = terms
-        logliks = (start.c1[0] + (quad + chol + lt + sig)).tolist()
+        logliks = (c1[0] + (quad + chol + lt + sig)).tolist()
         # a zero-error step puts the plug-in path on the boundary of the
         # transition's support (L_t = 0): the state update is still defined,
         # so the step contributes -inf and carries no terms
@@ -433,7 +427,7 @@ def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
     records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
                           s_star=s_star[r], loglik_t=loglik_t, terms=g)
                for r, (fc, loglik_t, g) in enumerate(zip(forecasts, logliks, groups))]
-    return records, FilterState(t=t + n, m=step.m[0], P=step.P[0], S=S[0].copy())
+    return records, FilterState(t=t + n, m=block.m[0], P=block.P[0], S=block.S[0])
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,

@@ -144,24 +144,18 @@ def giw_logpdf(params: GIWParams, x: np.ndarray) -> float:
 def gw_logpdf(params: GWParams, y: np.ndarray) -> float:
     """Log density of the inverse-family variate ``Y = X^{-1}``.
 
-    Reduces to the Wishart ``W_p(nu, Sinv)`` log density when ``Ainv = I``.
+    ``X = Y^{-1} ~ GIW_p(nu + p + 1, Ainv^{-1}, Sinv^{-1})``, and the
+    inversion ``Y -> Y^{-1}`` has Jacobian ``|Y|^{-(p+1)}``. Reduces to the
+    Wishart ``W_p(nu, Sinv)`` log density when ``Ainv = I``.
     """
     p = params.p
     y = np.asarray(y, dtype=float)
     if y.shape != (p, p):
         raise DimensionMismatch(f"y has shape {y.shape}, expected {(p, p)}")
-    w, v = np.linalg.eigh(check_symmetric(y, name="y"))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite("y must be positive definite")
-    logdet_y = float(np.sum(np.log(w)))
-    y_sqrt = (v * np.sqrt(w)) @ v.T
-    a = spd_inverse(params.Ainv)
-    s = spd_inverse(params.Sinv)
-    trace_term = float(np.sum(a * (y_sqrt @ s @ y_sqrt)))
-    nu = params.nu
-    const = (0.5 * nu * (-spd_logdet(params.Ainv) - spd_logdet(params.Sinv))
-             - 0.5 * p * nu * LOG2 - log_multigamma(p, 0.5 * nu))
-    return const + 0.5 * (nu - p - 1) * logdet_y - 0.5 * trace_term
+    y = check_symmetric(y, name="y")
+    inverted = GIWParams(params.nu + p + 1, spd_inverse(params.Ainv),
+                         spd_inverse(params.Sinv))
+    return giw_logpdf(inverted, spd_inverse(y)) - (p + 1) * spd_logdet(y)
 
 
 def giw_mean_quadforms(params: GIWParams) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositivePrice, ParseError
+from .errors import DimensionMismatch, DomainError, NonPositivePrice, ParseError
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,10 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
     With ``levels`` the series is transformed to log-returns
     ``ln x_t - ln x_{t-1}`` (non-positive prices are rejected); otherwise
     values pass through. ``scale`` multiplies the returns (default 1, i.e.
-    natural-log differences without percent scaling).
+    natural-log differences without percent scaling) and must be finite.
     """
+    if not math.isfinite(scale):
+        raise DomainError(f"scale={scale} must be finite")
     path = Path(path)
     try:
         with path.open(newline="") as handle:

@@ -10,10 +10,9 @@ discount factor handled as an independent outer grid.
 Each objective value comes from :func:`evaluate_candidates`, which runs the
 filter's own stacked recursion (``filtering._recursion``) over a whole
 stack of ``(delta, Omega)`` candidates in one pass over the series, and
-evaluates the likelihood terms per step over the stack with
-:func:`seqvol.likelihood.terms_from_spectra`. That is the recursion and the
-term function :func:`seqvol.filtering.filter_run` runs for one candidate,
-so a ``"loglik"`` value equals
+adds up the likelihood terms of the time blocks it yields in time order.
+That is the recursion :func:`seqvol.filtering.filter_run` runs for one
+candidate, so a ``"loglik"`` value equals
 :func:`seqvol.likelihood.loglik_at_filter_path` bit for bit. A candidate
 that fails numerically is masked as ``-inf`` inside the pass.
 
@@ -40,7 +39,6 @@ import numpy as np
 
 from .errors import DomainError
 from .filtering import ModelConfig, _recursion, limit_P
-from .likelihood import terms_from_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -118,20 +116,18 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         q = limit_P(base_config.phi, omegas) + omegas + np.eye(p)  # steady_Q of each
-        start, steps = _recursion(ys, base_config, deltas, omegas, q, prior)
-        w_prev, v_prev = start.w_star, start.v_star
-        for step in steps:
-            n_obs, failed = n_obs + 1, step.failed
+        c1, blocks = _recursion(ys, base_config, deltas, omegas, q, prior, want_loglik)
+        for block in blocks:
+            n_obs, failed = n_obs + len(block.e), block.failed[-1]
             if want_loglik:
-                terms = terms_from_spectra(w_prev, v_prev, step.w_star, step.v_star,
-                                           step.e, start.q_inv, start.k, deltas)
-                for acc, term in zip(sums, terms):
-                    acc += term
-                w_prev, v_prev = step.w_star, step.v_star
+                for acc, term in zip(sums, block.terms):
+                    for row in term:  # in time order, as loglik_from_records sums
+                        acc += row
             else:
-                sums += step.u ** 2
+                for row in block.u ** 2:
+                    sums += row
         if want_loglik:
-            out = n_obs * start.c1 + sums[0] + sums[1] + sums[2] + sums[3]
+            out = n_obs * c1 + sums[0] + sums[1] + sums[2] + sums[3]
         else:
             out = -np.linalg.norm(sums / n_obs - 1.0, axis=-1)
     out[failed | ~np.isfinite(out)] = -np.inf

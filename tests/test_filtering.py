@@ -76,6 +76,19 @@ class TestModelConfig:
         with pytest.raises(DimensionMismatch):
             ModelConfig(delta=0.7, phi=1.0, omega=np.eye(2), m0=np.zeros(3))
 
+    @pytest.mark.parametrize("change, message", [
+        ({"phi": math.nan}, "phi=nan must be finite"),
+        ({"phi": math.inf}, "phi=inf must be finite"),
+        ({"p0": math.nan}, "p0=nan must be positive and finite"),
+        ({"p0": math.inf}, "p0=inf must be positive and finite"),
+        ({"m0": np.array([0.0, math.nan])}, r"m0=\[0.0, nan\] must be finite"),
+        ({"m0": np.array([-math.inf, 0.0])}, r"m0=\[-inf, 0.0\] must be finite"),
+    ], ids=["phi-nan", "phi-inf", "p0-nan", "p0-inf", "m0-nan", "m0-inf"])
+    def test_non_finite_values_rejected(self, change, message):
+        kwargs = {"delta": 0.7, "phi": 1.0, "omega": np.eye(2), **change}
+        with pytest.raises(DomainError, match=message):
+            ModelConfig(**kwargs)
+
     def test_defaults(self):
         config = ModelConfig(delta=0.7, phi=1.0, omega=np.eye(2))
         np.testing.assert_array_equal(config.m0, np.zeros(2))

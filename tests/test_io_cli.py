@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from seqvol.cli import main
-from seqvol.errors import NonPositivePrice, ParseError
+from seqvol.errors import DomainError, NonPositivePrice, ParseError
 from seqvol.filtering import ModelConfig, filter_run
 from seqvol.io import (
     correlation_from_cov,
@@ -76,6 +76,13 @@ class TestLoadPricesCsv:
         f.write_text("a\n0.01\n-0.02\n")
         table = load_prices_csv(f, scale=100.0)
         np.testing.assert_allclose(table.values[:, 0], [1.0, -2.0])
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, tmp_path, scale):
+        f = tmp_path / "r.csv"
+        f.write_text("a\n0.01\n-0.02\n")
+        with pytest.raises(DomainError, match=f"scale={scale} must be finite"):
+            load_prices_csv(f, scale=scale)
 
     def test_requires_two_observations(self, tmp_path):
         f = tmp_path / "short.csv"
@@ -423,6 +430,13 @@ def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
     if command == "simulate":
         wrong_types.append(({"seed": "x"},
                             "invalid config value: invalid literal for int() with base 10: 'x'"))
+        wrong_types.append(({"seed": -3}, "seed=-3 must be non-negative"))
+    # a non-finite value fails the config, not the run at step 1
+    wrong_types += [
+        ({"phi": "nan"}, "phi=nan must be finite"),
+        ({"p0": "inf"}, "p0=inf must be positive and finite"),
+        ({"m0": [0, "nan"]}, "m0=[0.0, nan] must be finite"),
+    ]
     for change, message in wrong_types:
         cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0, 1.0],
                                    **change}))
@@ -430,6 +444,20 @@ def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
         assert res.exit_code == 2, (change, res.output)
         assert f"error: {message}" in res.output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_scale_exits_2_before_out_dir(scale, tmp_path):
+    # every command with --input reads it through the same validation phase
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    res = CliRunner().invoke(main, ["filter", "--config", str(cfg), "--input", str(data),
+                                    "--scale", scale, "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert f"error: scale={scale} must be finite" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):

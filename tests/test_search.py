@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import seqvol.search
 from seqvol.search import evaluate_candidates
 from seqvol.errors import DimensionMismatch, DomainError, SeqvolError
-from seqvol.filtering import ModelConfig, filter_run
+from seqvol.filtering import _BLOCK, ModelConfig, filter_run
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
 from seqvol.simulate import simulate_path
 from seqvol.search import (
@@ -189,14 +189,20 @@ class TestFastpathEquivalence:
 class TestSingleKernel:
     @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
                                        ("phi_scaled", "posterior_st")])
-    @pytest.mark.parametrize("p", [1, 2, 3])
-    def test_one_candidate_equals_filter_path_exactly(self, p, modes):
+    @pytest.mark.parametrize("p, n_steps", [(p, 120) for p in (1, 2, 3)]
+                             + [(p, 2 * _BLOCK + 3) for p in (1, 2, 3)],
+                             ids=["1", "2", "3", "1-blocks", "2-blocks", "3-blocks"])
+    def test_one_candidate_equals_filter_path_exactly(self, p, n_steps, modes):
         # the search and the filter run the same recursion and sum the same
-        # terms in the same order, so the values agree bit for bit
+        # terms in the same order, so the values agree bit for bit, also
+        # across the recursion's time blocks
         config = ModelConfig(delta=0.85, phi=0.9,
                              omega=np.diag(np.linspace(0.5, 1.5, p)),
                              forecast_mean_mode=modes[0], standardization_mode=modes[1])
-        ys = simulate_path(np.random.default_rng(p), config, n_steps=120).ys
+        # simulated at delta = 0.95: a 515-step path at 0.85 leaves the
+        # numerically tame range of the generative model
+        ys = simulate_path(np.random.default_rng(p), replace(config, delta=0.95),
+                           n_steps=n_steps).ys
         out = evaluate_candidates(ys, config, config.delta, config.omega[None], "loglik")
         assert out[0] == loglik_at_filter_path(ys, config).total
 
