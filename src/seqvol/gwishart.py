@@ -28,6 +28,7 @@ from .linalg import (
     check_symmetric,
     chol_lower,
     log_multigamma,
+    log_multigamma_ratio,
     positive_eigenvalues,
     rank_cut,
     spd_inverse,
@@ -287,7 +288,7 @@ def transformed_beta_logpdf(params: SingularBetaParams, a_t: np.ndarray,
     u = eigvecs[:, -1]
     au_norm = float(np.linalg.norm(a_t @ u))
     m = params.m
-    return (log_multigamma(p, 0.5 * (m + 1)) - log_multigamma(p, 0.5 * m)
+    return (log_multigamma_ratio(p, 0.5 * m)
             - 0.5 * p * LOGPI
             - 0.5 * p * math.log(lam)
             + 0.5 * (m + p + 1) * math.log1p(-lam)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyInput
 from .gwishart import RANK_REL_TOL
-from .linalg import log_multigamma, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
+from .linalg import log_multigamma_ratio, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
 
 if TYPE_CHECKING:  # import would be circular at runtime
     from .filtering import ModelConfig, StepRecord
@@ -80,18 +80,18 @@ def loglik_constant(config: "ModelConfig", q: np.ndarray, n_obs: int) -> float:
     ``c = N [ -p log pi - (1/2) log|Q| - (p/2) log k
     + log{ Gamma_p((d(1-p)+p)/(2(1-d))) / Gamma_p((d(2-p)+p-1)/(2(1-d))) } ]``
 
-    ``q`` may be a stack of matrices; the result is then one constant each.
+    The two gamma arguments differ by exactly 1/2, so the ratio is taken by
+    :func:`~seqvol.linalg.log_multigamma_ratio`. ``q`` may be a stack of
+    matrices; the result is then one constant each.
     """
     if n_obs == 0:
         return 0.0
     p = config.p
     d = config.delta
-    gamma_hi = log_multigamma(p, (d * (1 - p) + p) / (2.0 * (1.0 - d)))
-    gamma_lo = log_multigamma(p, (d * (2 - p) + p - 1) / (2.0 * (1.0 - d)))
     per = (-p * math.log(math.pi)
            - 0.5 * np.linalg.slogdet(q)[1]
            - 0.5 * p * math.log(config.k)
-           + gamma_hi - gamma_lo)
+           + log_multigamma_ratio(p, (d * (2 - p) + p - 1) / (2.0 * (1.0 - d))))
     return n_obs * per
 
 

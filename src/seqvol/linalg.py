@@ -220,3 +220,39 @@ def log_multigamma(p: int, a: float) -> float:
         raise DomainError(f"log_multigamma requires a > (p-1)/2, got a={a}, p={p}")
     return math.fsum([0.25 * p * (p - 1) * math.log(math.pi)]
                      + [math.lgamma(a - 0.5 * j) for j in range(p)])
+
+
+def _log_gamma_half_step(x: float) -> float:
+    """``log Gamma(x + 1/2) - log Gamma(x)`` for ``x > 0``.
+
+    ``Gamma(y + 1) = y Gamma(y)`` shifts the argument to ``y >= 20``, where
+    the asymptotic series of the ratio (Abramowitz & Stegun 6.1.47) is exact
+    to about 2e-15; each unit of shift adds ``-log1p(1 / (2 (x + i)))``.
+    """
+    shift = max(0, math.ceil(20.0 - x))
+    y = x + shift
+    series = (0.5 * math.log(y) - 1.0 / (8.0 * y) + 1.0 / (192.0 * y ** 3)
+              - 1.0 / (640.0 * y ** 5) + 17.0 / (14336.0 * y ** 7))
+    return math.fsum([series] + [-math.log1p(0.5 / (x + i)) for i in range(shift)])
+
+
+def log_multigamma_ratio(p: int, a: float) -> float:
+    """``log Gamma_p(a + 1/2) - log Gamma_p(a)``, without cancellation.
+
+    The two products share all but one factor each, so the ratio telescopes
+    to ``Gamma(a + 1/2) / Gamma(x)`` with ``x = a - (p-1)/2``, a gap of
+    ``p/2``: the logs of ``x + i`` for even ``p``, and for odd ``p`` the
+    logs of ``x + 1/2 + i`` plus the half step ``Gamma(x + 1/2) / Gamma(x)``.
+    Differencing two :func:`log_multigamma` sums instead loses up to 6e-13
+    relative where each sum is near 1e3 (``a`` in the hundreds).
+    """
+    if p < 1:
+        raise DomainError(f"dimension must be a positive integer, got {p}")
+    x = a - 0.5 * (p - 1)
+    if x <= 0.0:
+        raise DomainError(f"log_multigamma_ratio requires a > (p-1)/2, got a={a}, p={p}")
+    odd = p % 2
+    terms = [math.log(x + 0.5 * odd + i) for i in range(p // 2)]
+    if odd:
+        terms.append(_log_gamma_half_step(x))
+    return math.fsum(terms)

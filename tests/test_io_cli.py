@@ -540,3 +540,19 @@ def test_numerical_exit_code_at_p3(command, tmp_path):
                else "error: numerical failure at step t=6: S_t or S_t^* is not positive "
                     "definite at machine precision")
     assert message in res.output
+
+
+def test_simulate_failure_names_its_step(tmp_path):
+    # at delta = 0.9, p = 8 the simulated volatility leaves double precision
+    # within 1500 steps; the error names the step, without a traceback
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.9, "phi": 1.0,
+                               "omega_diag": [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]}))
+    res = CliRunner().invoke(main, ["simulate", "--config", str(cfg), "--out",
+                                    str(tmp_path / "out"), "--seed", "19",
+                                    "--n-steps", "1500"])
+    assert res.exit_code == 3
+    assert res.output.startswith("error: numerical failure at step t=")
+    t = int(res.output.split("step t=")[1].split(":")[0])
+    assert 1 <= t <= 1500
+    assert "Traceback" not in res.output and "Warning" not in res.output

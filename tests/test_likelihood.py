@@ -54,6 +54,27 @@ class TestConstant:
         assert loglik_constant(config2, q, 8) == pytest.approx(
             2.0 * loglik_constant(config2, q, 4), rel=1e-14)
 
+    @pytest.mark.parametrize("p", (1, 2, 3, 5, 8))
+    def test_against_50_digits(self, p):
+        # the float inputs (log|Q|, k, the gamma argument) carried exactly
+        # into 50-digit arithmetic; the gamma ratio near delta = 1 is a
+        # difference of two sums near 1e3 unless it is telescoped
+        import mpmath
+        half = mpmath.mpf(1) / 2
+        with mpmath.workdps(50):
+            for d in np.linspace(0.67, 0.999, 119):
+                config = ModelConfig(delta=float(d), phi=1.0,
+                                     omega=np.diag(np.linspace(0.3, 2.0, p)))
+                q = steady_Q(config)
+                a = mpmath.mpf((d * (2 - p) + p - 1) / (2 * (1 - d)))
+                ratio = mpmath.fsum(mpmath.loggamma(a + half - half * j)
+                                    - mpmath.loggamma(a - half * j) for j in range(p))
+                exact = float(-p * mpmath.log(mpmath.pi)
+                              - half * mpmath.mpf(np.linalg.slogdet(q)[1])
+                              - p * half * mpmath.log(mpmath.mpf(config.k)) + ratio)
+                got = loglik_constant(config, q, 1)
+                assert abs(got - exact) <= 1e-14 * max(1.0, abs(exact)), (p, d)
+
 
 class TestLoglikPath:
     def _random_path(self, rng, config, n_obs):

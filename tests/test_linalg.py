@@ -12,6 +12,7 @@ from seqvol.linalg import (
     chol_lower,
     chol_upper,
     log_multigamma,
+    log_multigamma_ratio,
     positive_eigenvalues,
     positive_spectrum,
     psd_sqrt,
@@ -241,6 +242,44 @@ class TestLogMultigammaExtendedPrecision:
         for a in args:
             exact = _log_multigamma_50_digits(p, a)
             assert abs(log_multigamma(p, a) - exact) <= 1e-14 * max(1.0, abs(exact)), (p, a)
+
+
+class TestLogMultigammaRatio:
+    # log Gamma_p(a + 1/2) - log Gamma_p(a) against 50-digit mpmath, as error
+    # over max(1, |value|); differencing two log_multigamma sums misses this
+    # bound by up to 20x at the likelihood arguments
+
+    @staticmethod
+    def _exact(p, a):
+        import mpmath
+        with mpmath.workdps(50):
+            a = mpmath.mpf(a)  # the float argument, exactly
+            half = mpmath.mpf(1) / 2
+            return float(mpmath.fsum(mpmath.loggamma(a + half - half * j)
+                                     - mpmath.loggamma(a - half * j) for j in range(p)))
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 5, 8))
+    def test_loglik_constant_argument(self, p):
+        # the smaller gamma argument of likelihood.loglik_constant, 2/3 < delta < 1
+        for d in np.linspace(0.67, 0.999, 119):
+            a = (d * (2 - p) + p - 1) / (2 * (1 - d))
+            exact = self._exact(p, a)
+            assert abs(log_multigamma_ratio(p, a) - exact) <= 1e-14 * max(1.0, abs(exact)), (p, d)
+
+    @pytest.mark.parametrize("p", (1, 2, 3, 8))
+    def test_near_and_across_the_series_threshold(self, p):
+        # x = a - (p-1)/2 from the edge of the domain through the switch to
+        # the asymptotic series at 20
+        for x in (1e-3, 0.5, 1.0, 7.3, 19.5, 19.999, 20.0, 20.5, 1e4):
+            a = x + 0.5 * (p - 1)
+            exact = self._exact(p, a)
+            assert abs(log_multigamma_ratio(p, a) - exact) <= 1e-14 * max(1.0, abs(exact)), (p, x)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            log_multigamma_ratio(3, 1.0)
+        with pytest.raises(DomainError):
+            log_multigamma_ratio(0, 1.0)
 
 
 class TestValidationHelpers:

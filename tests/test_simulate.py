@@ -1,14 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
-from seqvol.errors import DomainError
+from seqvol.errors import DomainError, FilterNumericalError, NotPositiveDefinite
 from seqvol.filtering import ModelConfig, steady_Q
-from seqvol.gwishart import GWParams, gw_logpdf, sample_wishart_scaled
-from seqvol.linalg import positive_eigenvalues, sym_sqrt
+from seqvol.gwishart import (
+    GWParams,
+    SingularBetaParams,
+    gw_logpdf,
+    sample_singular_beta,
+    sample_wishart_scaled,
+)
+from seqvol.linalg import chol_upper, positive_eigenvalues, spd_inverse, sym, sym_sqrt
 from seqvol.simulate import SimPath, evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -174,3 +181,53 @@ class TestLongRunRobustness:
             w = np.linalg.eigvalsh(sigma)
             assert w[0] > 0
             sigma = sigma / w[-1]
+
+
+def _dense_sigmas(sigma0, bs, k):
+    """The dense precision step, ``Sigma_t = (k U' B_t U)^{-1}`` with ``U``
+    the upper Cholesky factor of ``Sigma_{t-1}^{-1}``, iterated over ``bs``."""
+    sigmas = [sigma0]
+    for b in bs:
+        u = chol_upper(spd_inverse(sigmas[-1]))
+        sigmas.append(spd_inverse(sym(k * (u.T @ b @ u))))
+    return sigmas
+
+
+class TestFactoredEvolution:
+    @pytest.mark.parametrize("delta,p,n_steps,seed", [(0.95, 3, 300, 41),
+                                                      (0.99, 2, 2000, 42)])
+    def test_matches_dense_recursion_on_the_same_shocks(self, delta, p, n_steps, seed):
+        # a path draws all B_t first, so a fresh generator on the same seed
+        # replays its shocks
+        config = ModelConfig(delta=delta, phi=1.0, omega=np.eye(p))
+        path = simulate_path(seed, config, n_steps=n_steps)
+        params = SingularBetaParams(m=config.beta_m, n_int=1, p=p)
+        bs = sample_singular_beta(np.random.default_rng(seed), params, size=n_steps)
+        for t, (got, ref) in enumerate(zip(path.sigmas, _dense_sigmas(np.eye(p), bs, config.k))):
+            assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), t
+
+    def test_decompositions_do_not_grow_with_the_path(self, config2, monkeypatch):
+        calls = {"n": 0}
+        for name in ("eigh", "eigvalsh", "cholesky", "inv", "solve"):
+            def counted(*args, _fn=getattr(np.linalg, name), **kwargs):
+                calls["n"] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = []
+        for n_steps in (50, 500):
+            calls["n"] = 0
+            simulate_path(3, config2, sigma0=np.eye(2), n_steps=n_steps)
+            counts.append(calls["n"])
+        assert counts[0] == counts[1] > 0
+
+    def test_degenerating_path_fails_at_a_step(self):
+        # at delta = 0.7, p = 2 the condition number of Sigma_t leaves double
+        # precision within a few hundred steps
+        config = ModelConfig(delta=0.7, phi=1.0, omega=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(FilterNumericalError) as info:
+                simulate_path(5, config, n_steps=2000)
+        assert 1 <= info.value.t <= 2000
+        assert isinstance(info.value.cause, NotPositiveDefinite)
+        assert f"step t={info.value.t}: " in str(info.value)
