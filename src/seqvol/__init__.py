@@ -30,7 +30,6 @@ from .filtering import (
     filter_init,
     filter_run,
     filter_step,
-    iterate_P_to_convergence,
     limit_P,
     steady_Q,
 )
@@ -85,7 +84,7 @@ __all__ = [
     # filter
     "ModelConfig", "FilterState", "ForecastDist", "StepRecord",
     "discount_k", "beta_dof_m", "limit_P", "steady_Q", "filter_init",
-    "filter_step", "filter_run", "iterate_P_to_convergence",
+    "filter_step", "filter_run",
     # likelihood and metrics
     "LikelihoodBreakdown", "PerfReport", "loglik_constant", "loglik_path",
     "loglik_at_filter_path", "loglik_from_records", "perf_metrics",

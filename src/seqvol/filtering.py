@@ -7,8 +7,9 @@ for ``P_t``, and a symmetric point estimate ``S_t^*`` of the posterior
 volatility matrix used both as output and to form the adaptive gain.
 
 The forecast-precision matrix ``Q`` is frozen at its limit ``P + Omega + I``
-for the whole run; ``P_t`` itself still follows its exact recursion because
-the gain needs it.
+for the whole run. The gain's ``P_t`` never reads the data: ``P_0 = p0 I``
+commutes with ``Omega = V diag(w) V'``, so ``P_t = V diag(lambda_t) V'``
+with ``lambda <- r / (r + 1)``, ``r = phi^2 lambda + w``, elementwise.
 
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
@@ -158,12 +159,13 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Sufficient statistics carried between steps."""
+    """Sufficient statistics carried between steps (``p_eigs``: see :func:`_p_eigs`)."""
 
     t: int
     m: np.ndarray
     P: np.ndarray
     S: np.ndarray
+    p_eigs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -224,38 +226,27 @@ def steady_Q(config: ModelConfig) -> np.ndarray:
     return limit_P(config.phi, config.omega) + config.omega + np.eye(config.p)
 
 
-def iterate_P_to_convergence(phi: float, omega: np.ndarray, p0: float,
-                             max_iter: int = 200_000,
-                             tol: float = 1e-13) -> np.ndarray:
-    """Iterate the ``P_t`` recursion from ``p0 I`` until it stabilizes.
-
-    Serves as the independent route to the limit: no spectral shortcut, just
-    the matrix recursion run to a fixed point.
-    """
-    omega = check_spd(omega, name="omega")
-    if p0 <= 0:
-        raise DomainError(f"p0={p0} must be positive")
-    p = omega.shape[0]
-    eye = np.eye(p)
-    phi2 = phi * phi
-    current = p0 * eye
-    for _ in range(max_iter):
-        r = phi2 * current + omega
-        nxt = sym(np.linalg.solve(r + eye, r))
-        if np.max(np.abs(nxt - current)) < tol:
-            return nxt
-        current = nxt
-    raise DomainError(f"P recursion did not converge within {max_iter} iterations")
-
-
 def filter_init(config: ModelConfig) -> FilterState:
     """Initial state ``(t=0, m0, p0 I, S0)``."""
-    return FilterState(
-        t=0,
-        m=config.m0.copy(),
-        P=config.p0 * np.eye(config.p),
-        S=config.s0.copy(),
-    )
+    return FilterState(t=0, m=config.m0.copy(), P=config.p0 * np.eye(config.p),
+                       S=config.s0.copy(), p_eigs=np.full(config.p, config.p0))
+
+
+def _p_eigs(state: FilterState, v: np.ndarray) -> np.ndarray:
+    """Eigenvalues of ``state.P`` in Omega's eigenbasis ``v``.
+
+    ``state.p_eigs`` if they rebuild ``P = V diag V'`` to 1e-12 of its largest
+    entry, else the diagonal of ``V' P V`` if that does; a ``P`` that does not
+    commute with Omega raises :class:`DomainError`.
+    """
+    p_mat = np.asarray(state.P, dtype=float)
+    if p_mat.shape != v.shape:
+        raise DimensionMismatch(f"state P has shape {p_mat.shape}, expected {v.shape}")
+    for lam in (state.p_eigs, np.diag(v.T @ p_mat @ v)):
+        if lam is not None and (np.abs((v * lam) @ v.T - p_mat).max()
+                                <= 1e-12 * np.abs(p_mat).max()):
+            return np.asarray(lam, dtype=float)
+    raise DomainError("state P does not commute with omega (it is not V diag V' over its V)")
 
 
 class _Block(NamedTuple):
@@ -271,33 +262,35 @@ class _Block(NamedTuple):
     failed: np.ndarray
     # (quad, chol_logdet, lt, sigma_logdet), each (T, B); None without loglik
     terms: tuple[np.ndarray, ...] | None
-    m: np.ndarray  # state after the block's last step, (B, p)
+    m: np.ndarray  # with P, S and p_eigs: FilterState after the last step, stacked
     P: np.ndarray
     S: np.ndarray
+    p_eigs: np.ndarray
 
 
-def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
+def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omega_eigh: tuple,
                q: np.ndarray, start: tuple, loglik: bool
                ) -> tuple[np.ndarray, Iterator[_Block]]:
     """The filter recursion for ``B`` candidates in lockstep.
 
-    Candidate ``b`` has discount factor ``deltas[b]``, innovation scale
-    ``omegas[b]`` and forecast precision scale ``q[b]``, and starts from
-    row ``b`` of the ``start = (m, P, S)`` stacks; every other setting comes
-    from ``base``. Checks the series and returns the per-step
+    Candidate ``b`` has discount factor ``deltas[b]``, forecast precision
+    scale ``q[b]`` and an innovation scale with eigendecomposition row ``b``
+    of ``omega_eigh = (w, V)``. It starts from row ``b`` of ``start = (m,
+    p_eigs, S)``, ``p_eigs`` being ``P``'s eigenvalues in the basis ``V``;
+    the rest comes from ``base``. Checks the series and returns the per-step
     log-likelihood constant ``c1``, ``(B,)``, and an iterator of blocks
-    (:class:`_Block`) of at most ``_BLOCK`` candidate-steps each.
-
-    The step loop runs only what depends on the step before; each block
-    then evaluates ``u_t`` and, with ``loglik``, the likelihood terms
-    (:func:`seqvol.likelihood.terms_from_spectra`) once over its steps.
+    (:class:`_Block`) of at most ``_BLOCK`` candidate-steps each. The step
+    loop runs only what the next step needs: ``S_t``, ``S_t^*`` and their
+    spectra, ``P_t`` from its ``p`` eigenvalues, the gain and ``m_t``. Each
+    block then evaluates ``u_t`` and, with ``loglik``, the likelihood terms
+    (:func:`seqvol.likelihood.terms_from_spectra`) over all its steps.
 
     A candidate's values depend neither on the rest of its stack nor on the
     block size, bit for bit. Callers silence floating-point warnings. A
     failed candidate is flagged in ``failed`` and restarts every step from
-    its start state and spectra, so its values are meaningless but finite
-    and the stacked decompositions of the others run once
-    (:func:`stacked_eigh` retries a stack that holds a non-finite member).
+    its start state and spectra (``P_t`` goes on), so its values are
+    meaningless but finite and the stacked decompositions of the others run
+    once (:func:`stacked_eigh` retries a stack with a non-finite member).
     """
     p = base.p
     ys = np.asarray(ys, dtype=float)
@@ -319,8 +312,9 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     for i, config in enumerate(configs):
         c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
     k3, denom3 = k[:, None, None], denom[:, None, None]
-    phi = base.phi
-    eye = np.eye(p)
+    phi, phi2 = base.phi, base.phi * base.phi
+    w_omega, v_omega = omega_eigh
+    vt_omega = v_omega.swapaxes(-1, -2)
     wq, vq = stacked_eigh(q)
     q_inv = spectral(vq, 1.0 / wq)
     q_inv_sqrt = spectral(vq, 1.0 / np.sqrt(wq))
@@ -329,14 +323,14 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
     whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1} fixed
-        s_sqrt = spectral(vs, np.sqrt(ws))
+        s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
         return sym((s_sqrt @ q_inv @ s_sqrt + q_inv_sqrt @ s @ q_inv_sqrt) / denom3)
 
-    initial = start + stacked_eigh(start[2])
-    initial += stacked_eigh(estimate(start[2], *initial[3:]))
+    initial = (start[0], start[2]) + stacked_eigh(start[2])
+    initial += stacked_eigh(estimate(start[2], *initial[2:]))
 
-    def blocks():
-        m, p_mat, s, ws, vs, w_star, v_star = initial
+    def blocks(p_eigs=start[1]):
+        m, s, ws, vs, w_star, v_star = initial
         failed = bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
         # S and the spectra of S and S^*: of the step before the block, then of its steps
         history = [(s, ws, vs, w_star, v_star)]
@@ -346,19 +340,21 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
                 f = m if base.forecast_mean_mode == "plain" else phi * m
                 e = y - f
                 s = s / k3 + e[:, :, None] * e[:, None, :]
-                r = phi * phi * p_mat + omegas
-                p_mat = sym(np.linalg.solve(r + eye, r))
+                r = phi2 * p_eigs + w_omega  # P_t's eigenvalues: never stop on convergence
+                p_eigs = r / (r + 1.0)
+                p_mat = (v_omega * p_eigs[:, None, :]) @ vt_omega
                 ws, vs = stacked_eigh(s)
                 s_star = estimate(s, ws, vs)
                 w_star, v_star = stacked_eigh(s_star)
                 failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-                root = np.sqrt(w_star)
-                gain = spectral(v_star, root) @ p_mat @ spectral(v_star, 1.0 / root)
+                root = np.sqrt(w_star)[:, None, :]
+                vt_star = v_star.swapaxes(-1, -2)
+                gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
                 m = m + (gain @ e[:, :, None])[:, :, 0]
                 if failed.any():
-                    m, p_mat, s, ws, vs, w_star, v_star = (
+                    m, s, ws, vs, w_star, v_star = (
                         np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
-                        for x, x0 in zip((m, p_mat, s, ws, vs, w_star, v_star), initial))
+                        for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
                 rows.append((f, e, s_star, failed))
                 history.append((s, ws, vs, w_star, v_star))
             f, e, s_star, fails = map(np.array, zip(*rows))
@@ -370,7 +366,7 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray,
             terms = (_likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
                                                     v_all[1:], e, q_inv, k, deltas)
                      if loglik else None)
-            yield _Block(f, e, u, s_star, s_all[:-1], fails, terms, m, p_mat, s)
+            yield _Block(f, e, u, s_star, s_all[:-1], fails, terms, m, p_mat, s, p_eigs)
 
     return c1, blocks()
 
@@ -388,10 +384,10 @@ def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
     done = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         try:
-            c1, blocks = _recursion(ys, config, np.array([config.delta]),
-                                    config.omega[None], q[None],
-                                    (state.m[None], state.P[None], state.S[None]),
-                                    compute_loglik)
+            w, v = stacked_eigh(config.omega[None])
+            c1, blocks = _recursion(ys, config, np.array([config.delta]), (w, v), q[None],
+                                    (state.m[None], _p_eigs(state, v[0])[None],
+                                     state.S[None]), compute_loglik)
             n = len(ys)
             f, e, u = np.empty((3, n, p))
             s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))
@@ -427,22 +423,25 @@ def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
     records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
                           s_star=s_star[r], loglik_t=loglik_t, terms=g)
                for r, (fc, loglik_t, g) in enumerate(zip(forecasts, logliks, groups))]
-    return records, FilterState(t=t + n, m=block.m[0], P=block.P[0], S=block.S[0])
+    return records, FilterState(t + n, *(x[0] for x in block[-4:]))
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
                 q: np.ndarray) -> tuple[FilterState, StepRecord]:
     """Advance the filter by one observation.
 
-    ``q`` is the steady forecast precision scale from :func:`steady_Q`.
-    Runs the filter's recursion on one observation, started from ``state``;
-    a numerical failure raises :class:`FilterNumericalError` with the step
-    index.
+    ``q`` is the steady forecast precision scale from :func:`steady_Q`,
+    checked for shape and definiteness. Runs the filter's recursion on one
+    observation from ``state`` (:func:`_p_eigs` reads its ``P``); a numerical
+    failure raises :class:`FilterNumericalError` with the step index.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (config.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({config.p},)")
-    records, new_state = _filter(y[None], config, np.asarray(q, dtype=float), state, True)
+    q = check_spd(q, name="q")
+    if q.shape != (config.p, config.p):
+        raise DimensionMismatch(f"q has shape {q.shape}, expected {(config.p, config.p)}")
+    records, new_state = _filter(y[None], config, q, state, True)
     return new_state, records[0]
 
 

@@ -72,17 +72,17 @@ def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
 def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
     """Whether ascending spectra (last axis) are positive definite.
 
-    The smallest eigenvalue must exceed ``rel_tol`` times the spectral
-    radius. ``rel_tol=None`` means machine level, ``p * eps``: only
-    numerically singular, negative or non-finite spectra are rejected.
-    Volatility paths are legitimately very ill-conditioned, so a fixed
+    The smallest eigenvalue must exceed ``rel_tol < 1`` times the largest (the
+    spectral radius, if one is positive). ``rel_tol=None`` means machine level,
+    ``p * eps``: only numerically singular, negative or non-finite spectra are
+    rejected. Volatility paths are legitimately very ill-conditioned, so a fixed
     relative tolerance here would reject valid states; fixed tolerances are
     for untrusted input (:func:`check_spd`) and rank decisions. Returns a
     bool, or a bool array over the leading axes of a stack.
     """
     if rel_tol is None:
         rel_tol = w.shape[-1] * EPS
-    return w[..., 0] > rel_tol * np.abs(w).max(axis=-1)
+    return w[..., 0] > rel_tol * w[..., -1]
 
 
 def stacked_eigh(m: np.ndarray, values_only: bool = False):

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import DomainError
 from .filtering import ModelConfig, _recursion, limit_P
+from .linalg import stacked_eigh
 
 logger = logging.getLogger(__name__)
 
@@ -109,14 +110,15 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     nb, p = omegas.shape[0], base_config.p
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (nb,))
     prior = tuple(np.broadcast_to(x, (nb,) + x.shape) for x in
-                  (base_config.m0, base_config.p0 * np.eye(p), base_config.s0))
+                  (base_config.m0, np.full(p, base_config.p0), base_config.s0))
     want_loglik = objective == "loglik"
     # sums of the term groups (quad, chol_logdet, lt, sigma_logdet), or of u^2
     sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
     n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         q = limit_P(base_config.phi, omegas) + omegas + np.eye(p)  # steady_Q of each
-        c1, blocks = _recursion(ys, base_config, deltas, omegas, q, prior, want_loglik)
+        c1, blocks = _recursion(ys, base_config, deltas, stacked_eigh(omegas), q, prior,
+                                want_loglik)
         for block in blocks:
             n_obs, failed = n_obs + len(block.e), block.failed[-1]
             if want_loglik:

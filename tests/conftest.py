@@ -13,3 +13,25 @@ def random_spd(rng, p, eig_low=0.1, eig_high=3.0):
     eigs = rng.uniform(eig_low, eig_high, size=p)
     m = (q * eigs) @ q.T
     return 0.5 * (m + m.T)
+
+
+def p_recursion_step(p_mat, phi, omega):
+    """One step of the matrix recursion ``P <- R (R + I)^{-1}``, ``R = phi^2 P + omega``."""
+    r = phi * phi * p_mat + omega
+    out = np.linalg.solve(r + np.eye(len(omega)), r)
+    return 0.5 * (out + out.T)
+
+
+def iterate_P_to_convergence(phi, omega, p0, max_iter=200_000, tol=1e-13):
+    """Iterate the ``P_t`` recursion from ``p0 I`` until it stabilizes.
+
+    The independent route to the limit of ``P_t``: no spectral shortcut,
+    just the matrix recursion run to a fixed point.
+    """
+    current = p0 * np.eye(len(omega))
+    for _ in range(max_iter):
+        nxt = p_recursion_step(current, phi, omega)
+        if np.max(np.abs(nxt - current)) < tol:
+            return nxt
+        current = nxt
+    raise AssertionError(f"P recursion did not converge within {max_iter} iterations")

@@ -163,7 +163,7 @@ def test_criterion_04_convolution(rng):
 
 
 def test_criterion_05_limit_theorem(rng):
-    from seqvol.filtering import iterate_P_to_convergence
+    from conftest import iterate_P_to_convergence
     started = time.perf_counter()
     worst_iter = worst_comm = 0.0
     for i in range(100):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,20 +12,20 @@ from seqvol.errors import (
 )
 from seqvol.filtering import (
     _BLOCK,
+    FilterState,
     ModelConfig,
     beta_dof_m,
     discount_k,
     filter_init,
     filter_run,
     filter_step,
-    iterate_P_to_convergence,
     limit_P,
     steady_Q,
 )
 from seqvol.likelihood import loglik_constant, loglik_from_records
 from seqvol.simulate import simulate_path
 
-from conftest import random_spd
+from conftest import iterate_P_to_convergence, p_recursion_step, random_spd
 from scalar_oracle import run_scalar_pipeline
 
 
@@ -257,6 +258,94 @@ class TestFilterStep:
         with pytest.raises(DimensionMismatch):
             filter_step(state, np.zeros(3), config2, steady_Q(config2))
 
+    @pytest.mark.parametrize("q, error, message", [
+        (np.eye(3), DimensionMismatch, "q has shape \\(3, 3\\), expected \\(2, 2\\)"),
+        (np.ones(2), DimensionMismatch, "q must be square"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NotPositiveDefinite,
+         "q has non-finite entries"),
+        (-np.eye(2), NotPositiveDefinite, "q is not positive definite"),
+    ], ids=["wrong-size", "not-square", "nan", "negative-definite"])
+    def test_q_validated(self, config2, q, error, message):
+        with pytest.raises(error, match=message):
+            filter_step(filter_init(config2), np.zeros(2), config2, q)
+
+
+class TestStateP:
+    """A state's ``P`` in the eigenbasis of ``omega``: carried eigenvalues,
+    a projected hand-built ``P``, or a rejected one."""
+
+    @pytest.fixture
+    def config(self):
+        return ModelConfig(delta=0.8, phi=0.9, omega=np.diag([0.5, 1.5]))
+
+    def test_hand_built_commuting_P_is_projected(self, config):
+        ys = 0.3 * np.random.default_rng(4).standard_normal((5, 2))
+        state = filter_init(config)
+        bare = FilterState(t=0, m=state.m, P=state.P, S=state.S)
+        q = steady_Q(config)
+        for y in ys:
+            state, _ = filter_step(state, y, config, q)
+            bare, _ = filter_step(bare, y, config, q)
+        np.testing.assert_allclose(bare.P, state.P, rtol=1e-14)
+        np.testing.assert_allclose(bare.S, state.S, rtol=1e-12)
+
+    def test_state_from_a_reordered_omega_is_projected(self, config):
+        # omega's eigenbasis lists the axes the other way round, so the
+        # carried eigenvalues do not rebuild P; projecting P does
+        y = np.array([0.2, -0.1])
+        _, state = filter_run(np.tile(y, (3, 1)), config)
+        swapped = dataclasses.replace(config, omega=np.diag([1.5, 0.5]))
+        new_state, _ = filter_step(state, y, swapped, steady_Q(swapped))
+        expected = p_recursion_step(state.P, swapped.phi, swapped.omega)
+        np.testing.assert_allclose(new_state.P, expected, atol=1e-15)
+
+    def test_non_commuting_P_rejected(self, config):
+        state = dataclasses.replace(filter_init(config), P=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                    p_eigs=None)
+        with pytest.raises(DomainError, match="state P does not commute with omega"):
+            filter_step(state, np.zeros(2), config, steady_Q(config))
+
+    def test_P_of_wrong_shape_rejected(self, config):
+        state = dataclasses.replace(filter_init(config), P=np.eye(3), p_eigs=None)
+        with pytest.raises(DimensionMismatch, match="state P has shape"):
+            filter_step(state, np.zeros(2), config, steady_Q(config))
+
+
+class TestPEigenvaluePath:
+    """``P_t`` comes from ``omega``'s spectrum: the eigenvalues follow the
+    scalar map, which need not reach a fixed point in float64."""
+
+    @pytest.mark.parametrize("n", [1, 10, 2000])
+    @pytest.mark.parametrize("phi, omega", [
+        (0.9, 0.01 * np.eye(2)),  # the scalar map alternates in the last bit
+        (1.0, 1e-4 * np.eye(2)),
+        (0.9, random_spd(np.random.default_rng(31), 3)),
+    ], ids=["two-cycle", "slow", "dense"])
+    def test_run_P_matches_matrix_recursion(self, phi, omega, n):
+        config = ModelConfig(delta=0.95, phi=phi, omega=omega)
+        ys = 0.3 * np.random.default_rng(n).standard_normal((n, config.p))
+        _, state = filter_run(ys, config, compute_loglik=False)
+        expected = config.p0 * np.eye(config.p)
+        for _ in range(n):
+            expected = p_recursion_step(expected, phi, omega)
+        assert np.max(np.abs(state.P - expected)) <= 1e-14
+
+    def test_two_cycle_carried_exactly(self):
+        # at phi = 0.9, w = 0.01 the eigenvalue map alternates in the last bit
+        # for ever, so the filter steps it at every step and never stops on
+        # convergence; float arithmetic gives the same correctly rounded steps
+        config = ModelConfig(delta=0.95, phi=0.9, omega=np.array([[0.01]]))
+        ys = 0.3 * np.random.default_rng(6).standard_normal((2002, 1))
+        states = [filter_run(ys[:n], config, compute_loglik=False)[1]
+                  for n in (2000, 2001, 2002)]
+        lam, scalar = 1000.0, []
+        for _ in range(2002):
+            r = 0.9 * 0.9 * lam + 0.01
+            lam = r / (r + 1.0)
+            scalar.append(lam)
+        assert [float(state.p_eigs[0]) for state in states] == scalar[-3:]
+        assert scalar[-1] == scalar[-3] != scalar[-2]
+
 
 class TestFilterRun:
     def test_empty_series(self, config2):
@@ -400,6 +489,28 @@ class TestTimeBlocks:
                                               getattr(ref.forecast, name))
         for name in ("t", "m", "P", "S"):
             np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
+
+    @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
+                                       ("phi_scaled", "posterior_st")])
+    def test_run_equals_chain_for_dense_omega(self, ys3, modes):
+        # P's eigenvalues are carried from step to step; rebuilding them from
+        # P would move a dense omega's run by a few ulps
+        config = ModelConfig(delta=0.85, phi=0.9,
+                             omega=random_spd(np.random.default_rng(12), 3),
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        records, state = filter_run(ys3, config)
+        chained, chained_state = self._chain(ys3, config)
+        assert len(records) == len(chained) == 2 * _BLOCK + 3
+        for rec, ref in zip(records, chained):
+            assert (rec.t, rec.loglik_t, rec.terms) == (ref.t, ref.loglik_t, ref.terms)
+            for name in ("e", "u", "s_star"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
+            for name in ("location", "scale", "covariance"):
+                np.testing.assert_array_equal(getattr(rec.forecast, name),
+                                              getattr(ref.forecast, name))
+        for field in dataclasses.fields(state):
+            np.testing.assert_array_equal(getattr(state, field.name),
+                                          getattr(chained_state, field.name))
 
     def test_no_likelihood_path_is_the_same_filter(self, ys3, config3):
         with_ll, _ = filter_run(ys3, config3)

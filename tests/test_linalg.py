@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import gammaln
 
 from seqvol.errors import DimensionMismatch, DomainError, NotPositiveDefinite
@@ -177,6 +178,25 @@ class TestStackedEigh:
         stack = np.array([random_spd(rng, 3) for _ in range(4)])
         for got, ref in zip(stacked_eigh(stack), np.linalg.eigh(stack)):
             np.testing.assert_array_equal(got, ref)
+
+
+class TestPositiveSpectrum:
+    """``positive_spectrum`` reads the ends of an ascending spectrum; on
+    sorted input it equals the test against the spectral radius."""
+
+    _values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+
+    @settings(max_examples=400, deadline=None)
+    @given(w=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                        elements=_values),
+           rel_tol=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+    def test_equals_spectral_radius_formula(self, w, rel_tol):
+        w = np.sort(w, axis=-1)  # NaN sorts last
+        tol = w.shape[-1] * np.finfo(float).eps if rel_tol is None else rel_tol
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = w[..., 0] > tol * np.abs(w).max(axis=-1)
+            np.testing.assert_array_equal(positive_spectrum(w, rel_tol), expected)
 
 
 class TestLogMultigamma:
