@@ -209,7 +209,7 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     ``phi = 0``). The spectrum of the result lies in ``(0, 1)``. ``omega``
     may be one matrix or a stack of them.
     """
-    w, v = np.linalg.eigh(sym(np.asarray(omega, dtype=float)))
+    w, v = stacked_eigh(sym(np.asarray(omega, dtype=float)))
     if np.any(w[..., 0] <= 0.0):
         raise NotPositiveDefinite("omega must be positive definite")
     phi2 = phi * phi

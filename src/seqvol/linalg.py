@@ -12,11 +12,16 @@ Conventions fixed across the package:
   with positive diagonal such that ``M = U' U``.
 * the "symmetric square root" of ``M`` is the unique symmetric positive
   definite ``R`` with ``R R = M``, computed by spectral mapping.
+* the package's symmetric eigendecompositions go through
+  :func:`stacked_eigh`: LAPACK at ``p >= 3``, and at ``p = 2`` a closed
+  form whose two evaluators (numpy arrays for a stack, Python floats for
+  one matrix) give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,7 +63,7 @@ def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
               name: str = "matrix") -> np.ndarray:
     """Validate a symmetric positive definite matrix from untrusted input."""
     m = check_symmetric(m, name=name)
-    eigvals = np.linalg.eigvalsh(m)
+    eigvals = stacked_eigh(m, values_only=True)
     if not np.isfinite(eigvals).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries")
     scale = float(np.max(np.abs(eigvals))) if m.size else 0.0
@@ -85,14 +90,64 @@ def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
     return w[..., 0] > rel_tol * w[..., -1]
 
 
+def _eigh2(a, b, c, ops, values_only: bool):
+    """Ascending spectrum of ``[[a, b], [b, c]]``, and ``V = [[v, u], [-u, v]]``.
+
+    Golub & Van Loan 8.5 with LAPACK's ``dlaev2``: ``big = mid + sign(mid) r``
+    (``mid = (a+c)/2``, ``r = hypot(h, b)``, ``h = (a-c)/2``) and ``det / big
+    = (a/big) c - (b/big) b``, not the cancelling ``mid - sign(mid) r``;
+    ``(h + sign(h) r, b)`` belongs to ``mid + sign(h) r``. Only IEEE ``+ -
+    * /``, comparisons and ``ops`` are used, so numpy arrays and Python
+    floats give the same bits. A non-finite entry gives NaN eigenvalues.
+    """
+    h, mid = (a - c) / 2, (a + c) / 2
+    r = ops.hypot(h, b)
+    big = mid + ops.copysign(r, mid)
+    safe = ops.where(big == 0, 1.0, big)  # big == 0: a zero (or subnormal) matrix
+    small = (a / safe) * c - (b / safe) * b
+    w = ops.pack(ops.where(big < small, big, small), ops.where(big >= small, big, small))
+    if values_only:
+        return w
+    sr = ops.copysign(r, h)
+    t = h + sr
+    up = sr > 0  # (t, b) belongs to the larger eigenvalue
+    u, v, n = ops.where(up, t, b), ops.where(up, b, -t), ops.hypot(t, b)
+    zero = n == 0  # a multiple of I: V = I
+    v, n = ops.where(zero, 1.0, v), ops.where(zero, 1.0, n)
+    u, v = u / n, v / n
+    return w, ops.pack(v, u, -u, v)
+
+
+# the two evaluators of _eigh2; float(np.hypot), because math.hypot differs
+# from it in the last bit
+_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
+                             pack=lambda *xs: np.stack(xs, axis=-1))
+_FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
+                             copysign=math.copysign,
+                             hypot=lambda x, y: float(np.hypot(x, y)),
+                             pack=lambda *xs: np.array(xs))
+
+
 def stacked_eigh(m: np.ndarray, values_only: bool = False):
     """``np.linalg.eigh`` (``eigvalsh`` with ``values_only``) of a stack.
 
-    At ``p >= 3`` LAPACK raises for the whole stack when one member has
-    non-finite entries. Such a member gets a NaN spectrum here instead, which
+    Reads the lower triangle. At ``p = 2`` a closed form (:func:`_eigh2`)
+    replaces LAPACK, over numpy arrays for a stack and over Python floats
+    for one matrix (where numpy costs more per call than LAPACK), with the
+    same bits: a member's result never depends on its stack. At ``p >= 3``
+    LAPACK raises for the whole stack when one member has non-finite
+    entries. At every ``p`` such a member gets a NaN spectrum, which
     :func:`positive_spectrum` rejects, and the others are decomposed as
     usual. The common path makes one call and no check.
     """
+    if m.shape[-1] == 2:
+        if m.size == 4:
+            a, _, b, c = m.ravel().tolist()
+            out = _eigh2(a, b, c, _FLOAT_OPS, values_only)
+        else:
+            out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
+        return (out.reshape(m.shape[:-1]) if values_only
+                else (out[0].reshape(m.shape[:-1]), out[1].reshape(m.shape)))
     decompose = np.linalg.eigvalsh if values_only else np.linalg.eigh
     try:
         return decompose(m)
@@ -111,7 +166,7 @@ def spd_eigh(m: np.ndarray, rel_tol: float | None = None
     falls at or below the positivity threshold (machine level by default).
     """
     m = check_square(m, "spd_eigh input")
-    w, v = np.linalg.eigh(m)
+    w, v = stacked_eigh(m)
     if not np.isfinite(w).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
     if w.size == 0 or not positive_spectrum(w, rel_tol):

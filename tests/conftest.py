@@ -1,5 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# every run draws the same examples, and no property fails on a timing deadline
+settings.register_profile("seqvol", derandomize=True, deadline=None)
+settings.load_profile("seqvol")
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from seqvol.linalg import (
     positive_spectrum,
     psd_sqrt,
     rank_cut,
+    spd_eigh,
     spd_inverse,
     spd_logdet,
     sym_sqrt,
@@ -57,6 +58,16 @@ class TestSymSqrt:
             sym_sqrt(np.diag([1.0, -1.0]))
         with pytest.raises(NotPositiveDefinite):
             sym_sqrt(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_rejects_non_finite(self, p):
+        # on such input LAPACK alone raises a bare LinAlgError at p >= 3
+        for bad in (np.full((p, p), np.nan), np.diag(np.full(p, np.inf)),
+                    np.diag([np.inf] + [1.0] * (p - 1))):
+            with np.errstate(invalid="ignore"):
+                for decompose in (spd_eigh, sym_sqrt):
+                    with pytest.raises(NotPositiveDefinite, match="non-finite"):
+                        decompose(bad)
 
     def test_tolerates_extreme_conditioning(self):
         m = np.diag([1e-14, 1.0])
@@ -162,17 +173,85 @@ class TestStackedEigh:
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_non_finite_member_gets_nan_spectrum(self, rng, p):
         good = random_spd(rng, p)
-        for bad in (np.full((p, p), np.nan), np.diag(np.full(p, np.inf))):
+        off_diagonal = np.eye(p, k=1) + np.eye(p, k=-1) > 0
+        for bad in (np.full((p, p), np.nan), np.diag(np.full(p, np.inf)),
+                    np.diag([-np.inf] + [1.0] * (p - 1)),
+                    np.where(off_diagonal, np.inf, np.eye(p))):
             stack = np.array([good, bad, good])
-            w, v = stacked_eigh(stack)
-            w_only = stacked_eigh(stack, values_only=True)
-            ref_w, ref_v = np.linalg.eigh(good)
+            with np.errstate(invalid="ignore"):
+                w, v = stacked_eigh(stack)
+                w_only = stacked_eigh(stack, values_only=True)
+            ref_w, ref_v = stacked_eigh(good[None])
             for i in (0, 2):
-                np.testing.assert_array_equal(w[i], ref_w)
-                np.testing.assert_array_equal(v[i], ref_v)
-                np.testing.assert_array_equal(w_only[i], np.linalg.eigvalsh(good))
+                np.testing.assert_array_equal(w[i], ref_w[0])
+                np.testing.assert_array_equal(v[i], ref_v[0])
+                np.testing.assert_array_equal(w_only[i], stacked_eigh(good[None], True)[0])
             assert np.isnan(w[1]).all() and np.isnan(w_only[1]).all()
+            with np.errstate(invalid="ignore"):
+                assert np.isnan(stacked_eigh(bad, values_only=True)).all()
             np.testing.assert_array_equal(positive_spectrum(w), [True, False, True])
+
+    @staticmethod
+    def _classes_2x2(rng):
+        """The input classes of the closed form, 40 matrices each."""
+        rot = [np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(40)]
+        spd = np.array([random_spd(rng, 2) for _ in range(40)])
+        b = rng.standard_normal((40, 2, 2))
+        return {
+            "spd": spd,
+            "negated": -spd,
+            "indefinite": np.eye(2) - b @ b.swapaxes(-1, -2) / 1.3,  # like L_t
+            "diagonal": np.array([np.diag(d) for d in rng.uniform(-3, 3, (40, 2))]),
+            "graded_diagonal": np.array([np.diag(d) for d in rng.choice([-1.0, 1.0], (40, 2))
+                                         * 10.0 ** rng.uniform(-14, 0, (40, 2))]),
+            "multiple_of_identity": rng.uniform(-3, 3, (40, 1, 1)) * np.eye(2),
+            "zero": np.zeros((40, 2, 2)),
+            "condition_1e14": np.array([(r * [1.0, 1e-14]) @ r.T for r in rot]),
+            "scaled_1e200": 1e200 * spd,
+            "scaled_1e-200": 1e-200 * spd,
+        }
+
+    def test_closed_form_2x2_against_lapack(self, rng):
+        # bounds fixed before the first run: 4 eps, relative to max |lambda|
+        bound = 4 * np.finfo(float).eps
+        for name, m in self._classes_2x2(rng).items():
+            m = 0.5 * (m + m.swapaxes(-1, -2))
+            w, v = stacked_eigh(m)
+            ref = np.linalg.eigvalsh(m)
+            scale = np.abs(ref).max(axis=-1)[:, None, None]
+            scale[scale == 0.0] = 1.0
+            assert np.all(np.diff(w, axis=-1) >= 0.0), name
+            np.testing.assert_array_equal(stacked_eigh(m, values_only=True), w)
+            assert np.all(np.abs(w - ref) <= bound * scale[..., 0]), name
+            assert np.all(np.abs(v.swapaxes(-1, -2) @ v - np.eye(2)) <= bound), name
+            rebuilt = (v * w[:, None, :]) @ v.swapaxes(-1, -2)
+            assert np.all(np.abs(rebuilt - m) <= bound * scale), name
+            if name.endswith("diagonal"):  # no cancellation: each eigenvalue to itself
+                diag = np.sort(np.diagonal(m, axis1=-2, axis2=-1), axis=-1)
+                assert np.all(np.abs(w - diag) <= bound * np.abs(diag)), name
+
+    _entries = (st.floats(allow_nan=True, allow_infinity=True)
+                | st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0, 1e-200, 1e200]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(abc=hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.just(3)),
+                          elements=_entries),
+           values_only=st.booleans())
+    def test_member_equals_itself_alone(self, abc, values_only):
+        # one matrix runs the Python-float evaluator, a stack the numpy one
+        m = np.empty((len(abc), 2, 2))
+        m[:, 0, 0], m[:, 1, 0], m[:, 1, 1] = abc.T
+        m[:, 0, 1] = m[:, 1, 0]
+        def decompose(x):
+            out = stacked_eigh(x, values_only)
+            return (out,) if values_only else out
+
+        with np.errstate(all="ignore"):
+            stacked = decompose(m)
+            for i in range(len(m)):
+                for alone in (decompose(m[i:i + 1]), decompose(m[i])):
+                    for got, ref in zip(alone, stacked):
+                        np.testing.assert_array_equal(got.reshape(ref[i].shape), ref[i])
 
     def test_common_path_is_numpy(self, rng):
         stack = np.array([random_spd(rng, 3) for _ in range(4)])

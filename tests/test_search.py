@@ -114,11 +114,12 @@ class TestFastpathEquivalence:
         assert np.isfinite(out[1])
 
     @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.parametrize("p", [3, 8])
+    @pytest.mark.parametrize("p", [2, 3, 8])
     @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
     def test_failed_candidate_stays_in_its_candidate(self, p, objective):
         # at p >= 3 LAPACK raises for a whole stack holding one non-finite
-        # matrix; the failure must stay with the candidate that caused it
+        # matrix, and p = 2 runs a closed form; either way the failure must
+        # stay with the candidate that caused it
         ys = 0.1 * np.random.default_rng(p).standard_normal((50, p))
         base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
         omegas = np.array([1e308 * np.eye(p), np.eye(p)])
@@ -184,6 +185,16 @@ class TestFastpathEquivalence:
             assert out[i] == evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1],
                                                  objective)[0]
         assert np.all(np.isfinite(out[3:]))
+
+    def test_p2_makes_no_lapack_eigen_call(self, monkeypatch, stationary_ys2):
+        # at p = 2 every eigendecomposition, of a stack or of one matrix, is
+        # stacked_eigh's closed form
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.5]))
+        omegas = np.array([np.diag([0.5, 1.5]) * (1.0 + 0.1 * i) for i in range(5)])
+        counts = self._count_decompositions(monkeypatch)
+        filter_run(stationary_ys2, base)
+        evaluate_candidates(stationary_ys2, base, 0.8, omegas, "loglik")
+        assert counts == {"eigh": 0, "eigvalsh": 0}
 
 
 class TestSingleKernel:
