@@ -6,10 +6,10 @@ update of the scale matrix ``S_t``, the deterministic Riccati-type recursion
 for ``P_t``, and a symmetric point estimate ``S_t^*`` of the posterior
 volatility matrix used both as output and to form the adaptive gain.
 
-The forecast-precision matrix ``Q`` is frozen at its limit ``P + Omega + I``
-for the whole run. The gain's ``P_t`` never reads the data: ``P_0 = p0 I``
-commutes with ``Omega = V diag(w) V'``, so ``P_t = V diag(lambda_t) V'``
-with ``lambda <- r / (r + 1)``, ``r = phi^2 lambda + w``, elementwise.
+The gain's ``P_t = V diag(lambda_t) V'`` never reads the data: ``P_0 = p0 I``
+commutes with ``Omega = V diag(w) V'``, and ``lambda <- r / (r + 1)``, ``r =
+phi^2 lambda + w``. The forecast precision ``Q`` is frozen at the limit
+``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit.
 
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
@@ -37,7 +37,7 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
-from .linalg import check_spd, positive_spectrum, spectral, stacked_eigh, sym
+from .linalg import check_spd, positive_spectrum, spd_eigh, spectral, stacked_eigh, sym
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
@@ -197,6 +197,15 @@ class StepRecord:
     terms: tuple[float, float, float, float] | None = None
 
 
+def _limit_eigs(phi: float, w: np.ndarray) -> np.ndarray:
+    """Eigenvalues ``lam(w)`` of :func:`limit_P` from those ``w`` of ``omega``."""
+    phi2 = phi * phi
+    if phi2 == 0.0:
+        return w / (1.0 + w)
+    shift = w + 1.0 - phi2
+    return (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2)
+
+
 def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     """Limit of the ``P_t`` recursion as a function of ``phi`` and ``omega``.
 
@@ -206,19 +215,10 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     ``lam(w) = (sqrt((w + 1 - phi^2)^2 + 4 phi^2 w) - w - (1 - phi^2)) / (2 phi^2)``
 
     to each eigenvalue ``w`` of ``omega`` (``lam(w) = w/(1+w)`` for
-    ``phi = 0``). The spectrum of the result lies in ``(0, 1)``. ``omega``
-    may be one matrix or a stack of them.
+    ``phi = 0``). The spectrum of the result lies in ``(0, 1)``.
     """
-    w, v = stacked_eigh(sym(np.asarray(omega, dtype=float)))
-    if np.any(w[..., 0] <= 0.0):
-        raise NotPositiveDefinite("omega must be positive definite")
-    phi2 = phi * phi
-    if phi2 == 0.0:
-        lam = w / (1.0 + w)
-    else:
-        shift = w + 1.0 - phi2
-        lam = (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2)
-    return spectral(v, lam)
+    w, v = spd_eigh(sym(np.asarray(omega, dtype=float)))
+    return spectral(v, _limit_eigs(phi, w))
 
 
 def steady_Q(config: ModelConfig) -> np.ndarray:
@@ -268,14 +268,13 @@ class _Block(NamedTuple):
     p_eigs: np.ndarray
 
 
-def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omega_eigh: tuple,
-               q: np.ndarray, start: tuple, loglik: bool
-               ) -> tuple[np.ndarray, Iterator[_Block]]:
+def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, omega_eigh: tuple,
+               start: tuple, loglik: bool) -> tuple[np.ndarray, Iterator[_Block]]:
     """The filter recursion for ``B`` candidates in lockstep.
 
-    Candidate ``b`` has discount factor ``deltas[b]``, forecast precision
-    scale ``q[b]`` and an innovation scale with eigendecomposition row ``b``
-    of ``omega_eigh = (w, V)``. It starts from row ``b`` of ``start = (m,
+    Candidate ``b`` has discount factor ``deltas[b]`` and innovation scale
+    ``omegas[b]``, with eigendecomposition row ``b`` of ``omega_eigh = (w,
+    V)``, which gives its ``Q``. It starts from row ``b`` of ``start = (m,
     p_eigs, S)``, ``p_eigs`` being ``P``'s eigenvalues in the basis ``V``;
     the rest comes from ``base``. Checks the series and returns the per-step
     log-likelihood constant ``c1``, ``(B,)``, and an iterator of blocks
@@ -292,16 +291,18 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omega_eigh: tuple,
     meaningless but finite and the stacked decompositions of the others run
     once (:func:`stacked_eigh` retries a stack with a non-finite member).
     """
-    p = base.p
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    if ys.ndim != 2 or ys.shape[1] != p:
-        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {p})")
-    # a non-finite Q (an overflowing Omega) fails its candidate from the start;
-    # I stands in for it, so that its decompositions stay finite
-    bad_q = ~np.isfinite(q).all(axis=(-2, -1))
-    q = np.where(bad_q[:, None, None], np.eye(p), q)
+    if ys.ndim != 2 or ys.shape[1] != base.p:
+        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {base.p})")
+    w_omega, v_omega = omega_eigh
+    lam = _limit_eigs(base.phi, w_omega)
+    q = spectral(v_omega, lam) + omegas + np.eye(base.p)  # steady_Q of each
+    # a non-PD Omega or a non-finite Q fails its candidate; I stands in for that Q
+    bad_q = ~(np.isfinite(q).all(axis=(-2, -1)) & (w_omega[:, 0] > 0.0))
+    q = np.where(bad_q[:, None, None], np.eye(base.p), q)
+    wq = np.where(bad_q[:, None], 1.0, lam + w_omega + 1.0)  # Q's spectrum over V
     # each distinct discount factor's scalars, gathered per candidate
     distinct, index = np.unique(deltas, return_inverse=True)
     configs = [replace(base, delta=float(d)) for d in distinct]
@@ -313,11 +314,9 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omega_eigh: tuple,
         c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
     k3, denom3 = k[:, None, None], denom[:, None, None]
     phi, phi2 = base.phi, base.phi * base.phi
-    w_omega, v_omega = omega_eigh
     vt_omega = v_omega.swapaxes(-1, -2)
-    wq, vq = stacked_eigh(q)
-    q_inv = spectral(vq, 1.0 / wq)
-    q_inv_sqrt = spectral(vq, 1.0 / np.sqrt(wq))
+    q_inv = spectral(v_omega, 1.0 / wq)
+    q_inv_sqrt = spectral(v_omega, 1.0 / np.sqrt(wq))
     size = max(1, _BLOCK // len(deltas))  # steps per block
     # rows of a block's S spectra that whiten e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
@@ -371,8 +370,8 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omega_eigh: tuple,
     return c1, blocks()
 
 
-def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
-            compute_loglik: bool) -> tuple[list[StepRecord], FilterState]:
+def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
+            ) -> tuple[list[StepRecord], FilterState]:
     """Run :func:`_recursion` for one candidate from ``state``, as records.
 
     Copies each block's slices into arrays allocated once per run, and
@@ -385,9 +384,9 @@ def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         try:
             w, v = stacked_eigh(config.omega[None])
-            c1, blocks = _recursion(ys, config, np.array([config.delta]), (w, v), q[None],
-                                    (state.m[None], _p_eigs(state, v[0])[None],
-                                     state.S[None]), compute_loglik)
+            c1, blocks = _recursion(ys, config, np.array([config.delta]), config.omega[None],
+                                    (w, v), (state.m[None], _p_eigs(state, v[0])[None],
+                                             state.S[None]), compute_loglik)
             n = len(ys)
             f, e, u = np.empty((3, n, p))
             s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))
@@ -426,22 +425,17 @@ def _filter(ys, config: ModelConfig, q: np.ndarray, state: FilterState,
     return records, FilterState(t + n, *(x[0] for x in block[-4:]))
 
 
-def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig,
-                q: np.ndarray) -> tuple[FilterState, StepRecord]:
+def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig
+                ) -> tuple[FilterState, StepRecord]:
     """Advance the filter by one observation.
 
-    ``q`` is the steady forecast precision scale from :func:`steady_Q`,
-    checked for shape and definiteness. Runs the filter's recursion on one
-    observation from ``state`` (:func:`_p_eigs` reads its ``P``); a numerical
-    failure raises :class:`FilterNumericalError` with the step index.
+    Runs the recursion on ``y`` from ``state`` (:func:`_p_eigs` reads its ``P``);
+    a numerical failure raises :class:`FilterNumericalError` with the step index.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (config.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({config.p},)")
-    q = check_spd(q, name="q")
-    if q.shape != (config.p, config.p):
-        raise DimensionMismatch(f"q has shape {q.shape}, expected {(config.p, config.p)}")
-    records, new_state = _filter(y[None], config, q, state, True)
+    records, new_state = _filter(y[None], config, state, True)
     return new_state, records[0]
 
 
@@ -456,4 +450,4 @@ def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
     ``L_t`` has no positive eigenvalue contributes ``-inf`` and does not
     stop the run.
     """
-    return _filter(ys, config, steady_Q(config), filter_init(config), compute_loglik)
+    return _filter(ys, config, filter_init(config), compute_loglik)

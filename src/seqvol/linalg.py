@@ -12,10 +12,10 @@ Conventions fixed across the package:
   with positive diagonal such that ``M = U' U``.
 * the "symmetric square root" of ``M`` is the unique symmetric positive
   definite ``R`` with ``R R = M``, computed by spectral mapping.
-* the package's symmetric eigendecompositions go through
-  :func:`stacked_eigh`: LAPACK at ``p >= 3``, and at ``p = 2`` a closed
-  form whose two evaluators (numpy arrays for a stack, Python floats for
-  one matrix) give the same bits.
+* the filter, the search, the simulator and the likelihood decompose
+  through :func:`stacked_eigh`: LAPACK at ``p >= 3``, and at ``p = 2`` a
+  closed form whose two evaluators (numpy arrays for a stack, Python
+  floats for one matrix) give the same bits.
 """
 
 from __future__ import annotations
@@ -118,10 +118,16 @@ def _eigh2(a, b, c, ops, values_only: bool):
     return w, ops.pack(v, u, -u, v)
 
 
+def _pack(*xs):  # np.stack(xs, axis=-1) of same-shape float arrays, without its checks
+    out = np.empty(xs[0].shape + (len(xs),))
+    for i, x in enumerate(xs):
+        out[..., i] = x
+    return out
+
+
 # the two evaluators of _eigh2; float(np.hypot), because math.hypot differs
 # from it in the last bit
-_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
-                             pack=lambda *xs: np.stack(xs, axis=-1))
+_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot, pack=_pack)
 _FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
                              copysign=math.copysign,
                              hypot=lambda x, y: float(np.hypot(x, y)),

@@ -10,11 +10,11 @@ discount factor handled as an independent outer grid.
 Each objective value comes from :func:`evaluate_candidates`, which runs the
 filter's own stacked recursion (``filtering._recursion``) over a whole
 stack of ``(delta, Omega)`` candidates in one pass over the series, and
-adds up the likelihood terms of the time blocks it yields in time order.
-That is the recursion :func:`seqvol.filtering.filter_run` runs for one
-candidate, so a ``"loglik"`` value equals
-:func:`seqvol.likelihood.loglik_at_filter_path` bit for bit. A candidate
-that fails numerically is masked as ``-inf`` inside the pass.
+adds up the likelihood terms of the time blocks it yields in time order,
+deriving each ``Q`` from one decomposition of the ``Omega`` stack. That is
+the recursion :func:`seqvol.filtering.filter_run` runs for one candidate, so
+a ``"loglik"`` value equals :func:`seqvol.likelihood.loglik_at_filter_path`
+bit for bit. A numerically failed candidate is masked as ``-inf`` in the pass.
 
 All discount factors are searched in lockstep. Each (sweep, coordinate)
 step makes one batched call for the uncached points on the grid lines of
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .filtering import ModelConfig, _recursion, limit_P
+from .filtering import ModelConfig, _recursion
 from .linalg import stacked_eigh
 
 logger = logging.getLogger(__name__)
@@ -116,8 +116,7 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
     n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        q = limit_P(base_config.phi, omegas) + omegas + np.eye(p)  # steady_Q of each
-        c1, blocks = _recursion(ys, base_config, deltas, stacked_eigh(omegas), q, prior,
+        c1, blocks = _recursion(ys, base_config, deltas, omegas, stacked_eigh(omegas), prior,
                                 want_loglik)
         for block in blocks:
             n_obs, failed = n_obs + len(block.e), block.failed[-1]

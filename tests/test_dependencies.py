@@ -1,4 +1,5 @@
-"""The runtime needs numpy and click only; scipy is a test oracle."""
+"""The runtime needs numpy and click only; scipy is a test oracle. The README's
+library quick start runs as written."""
 
 import ast
 import os
@@ -43,3 +44,11 @@ def test_declared_dependencies():
     local = {"seqvol"} | {path.stem for path in (ROOT / "tests").glob("*.py")}
     assert imported - set(sys.stdlib_module_names) - local <= runtime | test
     assert "scipy" in test
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), namespace)
+    assert namespace["record"].t == 1 and len(namespace["records"]) == 300

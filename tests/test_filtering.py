@@ -144,6 +144,16 @@ class TestSteadyQ:
         eigs = np.linalg.eigvalsh(p_part)
         assert np.all(eigs > 0) and np.all(eigs < 1)
 
+    @pytest.mark.parametrize("phi", [0.0, 0.9, 1.0])
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_spectral_form_equals_matrix_sum(self, p, phi):
+        # a Q rebuilt from its spectrum, V diag(lam(w) + w + 1) V', misses this
+        # bound at p = 8 (7.1 eps of max|Q| here); the matrix sum is closer to Q
+        omega = random_spd(np.random.default_rng(p), p)
+        q = steady_Q(ModelConfig(delta=0.8, phi=phi, omega=omega))
+        direct = limit_P(phi, omega) + omega + np.eye(p)
+        assert np.abs(q - direct).max() <= 4 * np.finfo(float).eps * np.abs(q).max()
+
 
 class TestIterateP:
     def test_agrees_with_closed_form(self, rng):
@@ -196,8 +206,7 @@ class TestFilterInit:
 class TestFilterStep:
     def test_zero_error_step(self, config2):
         state = filter_init(config2)
-        q = steady_Q(config2)
-        new_state, record = filter_step(state, state.m.copy(), config2, q)
+        new_state, record = filter_step(state, state.m.copy(), config2)
         np.testing.assert_array_equal(record.e, np.zeros(2))
         np.testing.assert_allclose(new_state.m, state.m, atol=1e-14)
         np.testing.assert_allclose(new_state.S, state.S / config2.k, rtol=1e-14)
@@ -225,25 +234,22 @@ class TestFilterStep:
     def test_phi_scaled_mode(self):
         config = ModelConfig(delta=0.8, phi=0.5, omega=np.eye(1),
                              forecast_mean_mode="phi_scaled", m0=np.array([2.0]))
-        q = steady_Q(config)
         state = filter_init(config)
-        _, record = filter_step(state, np.array([3.0]), config, q)
+        _, record = filter_step(state, np.array([3.0]), config)
         assert record.e[0] == pytest.approx(3.0 - 0.5 * 2.0)
 
     def test_posterior_st_mode(self):
         config = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(1),
                              standardization_mode="posterior_st")
-        q = steady_Q(config)
         state = filter_init(config)
         y = np.array([1.3])
-        new_state, record = filter_step(state, y, config, q)
+        new_state, record = filter_step(state, y, config)
         expected = 1.3 / math.sqrt(config.forecast_cov_factor * new_state.S[0, 0])
         assert record.u[0] == pytest.approx(expected, rel=1e-12)
 
     def test_forecast_distribution_fields(self, config2):
         state = filter_init(config2)
-        q = steady_Q(config2)
-        _, record = filter_step(state, np.array([0.4, -0.2]), config2, q)
+        _, record = filter_step(state, np.array([0.4, -0.2]), config2)
         fc = record.forecast
         assert fc.dof == pytest.approx(config2.forecast_dof)
         np.testing.assert_allclose(fc.scale, state.S / config2.k, rtol=1e-14)
@@ -256,18 +262,7 @@ class TestFilterStep:
     def test_dimension_mismatch(self, config2):
         state = filter_init(config2)
         with pytest.raises(DimensionMismatch):
-            filter_step(state, np.zeros(3), config2, steady_Q(config2))
-
-    @pytest.mark.parametrize("q, error, message", [
-        (np.eye(3), DimensionMismatch, "q has shape \\(3, 3\\), expected \\(2, 2\\)"),
-        (np.ones(2), DimensionMismatch, "q must be square"),
-        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NotPositiveDefinite,
-         "q has non-finite entries"),
-        (-np.eye(2), NotPositiveDefinite, "q is not positive definite"),
-    ], ids=["wrong-size", "not-square", "nan", "negative-definite"])
-    def test_q_validated(self, config2, q, error, message):
-        with pytest.raises(error, match=message):
-            filter_step(filter_init(config2), np.zeros(2), config2, q)
+            filter_step(state, np.zeros(3), config2)
 
 
 class TestStateP:
@@ -282,10 +277,9 @@ class TestStateP:
         ys = 0.3 * np.random.default_rng(4).standard_normal((5, 2))
         state = filter_init(config)
         bare = FilterState(t=0, m=state.m, P=state.P, S=state.S)
-        q = steady_Q(config)
         for y in ys:
-            state, _ = filter_step(state, y, config, q)
-            bare, _ = filter_step(bare, y, config, q)
+            state, _ = filter_step(state, y, config)
+            bare, _ = filter_step(bare, y, config)
         np.testing.assert_allclose(bare.P, state.P, rtol=1e-14)
         np.testing.assert_allclose(bare.S, state.S, rtol=1e-12)
 
@@ -295,7 +289,7 @@ class TestStateP:
         y = np.array([0.2, -0.1])
         _, state = filter_run(np.tile(y, (3, 1)), config)
         swapped = dataclasses.replace(config, omega=np.diag([1.5, 0.5]))
-        new_state, _ = filter_step(state, y, swapped, steady_Q(swapped))
+        new_state, _ = filter_step(state, y, swapped)
         expected = p_recursion_step(state.P, swapped.phi, swapped.omega)
         np.testing.assert_allclose(new_state.P, expected, atol=1e-15)
 
@@ -303,12 +297,12 @@ class TestStateP:
         state = dataclasses.replace(filter_init(config), P=np.array([[1.0, 0.5], [0.5, 1.0]]),
                                     p_eigs=None)
         with pytest.raises(DomainError, match="state P does not commute with omega"):
-            filter_step(state, np.zeros(2), config, steady_Q(config))
+            filter_step(state, np.zeros(2), config)
 
     def test_P_of_wrong_shape_rejected(self, config):
         state = dataclasses.replace(filter_init(config), P=np.eye(3), p_eigs=None)
         with pytest.raises(DimensionMismatch, match="state P has shape"):
-            filter_step(state, np.zeros(2), config, steady_Q(config))
+            filter_step(state, np.zeros(2), config)
 
 
 class TestPEigenvaluePath:
@@ -357,10 +351,9 @@ class TestFilterRun:
         rng = np.random.default_rng(3)
         ys = 0.3 * rng.standard_normal((15, 2))
         records, state = filter_run(ys, config2, compute_loglik=False)
-        q = steady_Q(config2)
         manual = filter_init(config2)
         for t, y in enumerate(ys):
-            manual, rec = filter_step(manual, y, config2, q)
+            manual, rec = filter_step(manual, y, config2)
             np.testing.assert_allclose(rec.e, records[t].e, rtol=1e-13, atol=1e-15)
             np.testing.assert_allclose(rec.s_star, records[t].s_star, rtol=1e-13)
         np.testing.assert_allclose(manual.S, state.S, rtol=1e-13)
@@ -383,10 +376,9 @@ class TestFilterRun:
     def test_states_stay_valid(self, config2):
         rng = np.random.default_rng(11)
         ys = 0.2 * rng.standard_normal((200, 2))
-        q = steady_Q(config2)
         state = filter_init(config2)
         for t, y in enumerate(ys, 1):
-            state, _ = filter_step(state, y, config2, q)
+            state, _ = filter_step(state, y, config2)
             s_eigs = np.linalg.eigvalsh(state.S)
             p_eigs = np.linalg.eigvalsh(state.P)
             assert np.all(s_eigs > 0)
@@ -467,9 +459,9 @@ class TestTimeBlocks:
 
     @staticmethod
     def _chain(ys, config):
-        state, q, records = filter_init(config), steady_Q(config), []
+        state, records = filter_init(config), []
         for y in ys:
-            state, record = filter_step(state, y, config, q)
+            state, record = filter_step(state, y, config)
             records.append(record)
         return records, state
 

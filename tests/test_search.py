@@ -22,6 +22,8 @@ from seqvol.search import (
     z_to_omega,
 )
 
+from conftest import random_spd
+
 
 @pytest.fixture
 def stationary_ys():
@@ -200,15 +202,18 @@ class TestFastpathEquivalence:
 class TestSingleKernel:
     @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
                                        ("phi_scaled", "posterior_st")])
-    @pytest.mark.parametrize("p, n_steps", [(p, 120) for p in (1, 2, 3)]
-                             + [(p, 2 * _BLOCK + 3) for p in (1, 2, 3)],
-                             ids=["1", "2", "3", "1-blocks", "2-blocks", "3-blocks"])
-    def test_one_candidate_equals_filter_path_exactly(self, p, n_steps, modes):
+    @pytest.mark.parametrize("p, n_steps, dense", [(p, 120, False) for p in (1, 2, 3)]
+                             + [(p, 2 * _BLOCK + 3, False) for p in (1, 2, 3)]
+                             + [(3, 120, True)],
+                             ids=["1", "2", "3", "1-blocks", "2-blocks", "3-blocks", "3-dense"])
+    def test_one_candidate_equals_filter_path_exactly(self, p, n_steps, dense, modes):
         # the search and the filter run the same recursion and sum the same
         # terms in the same order, so the values agree bit for bit, also
-        # across the recursion's time blocks
-        config = ModelConfig(delta=0.85, phi=0.9,
-                             omega=np.diag(np.linspace(0.5, 1.5, p)),
+        # across the recursion's time blocks and for an Omega whose
+        # eigenvectors (which also give Q) are not the axes
+        omega = (random_spd(np.random.default_rng(12), p) if dense
+                 else np.diag(np.linspace(0.5, 1.5, p)))
+        config = ModelConfig(delta=0.85, phi=0.9, omega=omega,
                              forecast_mean_mode=modes[0], standardization_mode=modes[1])
         # simulated at delta = 0.95: a 515-step path at 0.85 leaves the
         # numerically tame range of the generative model
