@@ -14,13 +14,14 @@ phi^2 lambda + w``. The forecast precision ``Q`` is frozen at the limit
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
 lockstep along a leading axis, and yields blocks of consecutive steps with
-time as the leading axis. Only the part of a step that depends on the step
-before runs in the step loop; each block evaluates the standardized errors
-and the likelihood terms (:func:`seqvol.likelihood.terms_from_spectra`)
-once over its steps. :func:`seqvol.search.evaluate_candidates`, the
-many-candidate case, adds up each block's terms; :func:`filter_run`, the
-``B = 1`` case, and :func:`filter_step`, its one-observation case, copy
-the blocks into arrays allocated once per run.
+time as the leading axis: 256 steps at ``B = 1``, at least 8 for any stack.
+Only the part of a step that depends on the step before runs in the step
+loop; each block stacks only the fields its caller names, evaluating the
+standardized errors or the likelihood terms
+(:func:`seqvol.likelihood.terms_from_spectra`) over its steps if named.
+:func:`seqvol.search.evaluate_candidates` adds up each block's terms or
+squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
+observation) copy the blocks into arrays allocated once per run.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 # candidate-steps per block of a stacked run: spreads the per-call cost of the
 # block's kernels over many steps, and bounds the memory of the block's arrays
 _BLOCK = 256
+_MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
+# what the step loop keeps of each step of a block, in order
+_STEP = ("s", "ws", "vs", "w_star", "v_star", "f", "e", "s_star", "failed")
 
 
 def discount_k(delta: float, p: int) -> float:
@@ -250,7 +254,7 @@ def _p_eigs(state: FilterState, v: np.ndarray) -> np.ndarray:
 
 
 class _Block(NamedTuple):
-    """``T`` consecutive steps of a stacked run of ``B`` candidates, time first."""
+    """``T`` steps of ``B`` stacked candidates, time first; unread fields are ``None``."""
 
     f: np.ndarray  # forecast mean, (T, B, p)
     e: np.ndarray  # forecast error, (T, B, p)
@@ -260,7 +264,7 @@ class _Block(NamedTuple):
     # (T, B): an S_t or S_t^* spectrum, at this step or before, was not
     # positive definite at machine level
     failed: np.ndarray
-    # (quad, chol_logdet, lt, sigma_logdet), each (T, B); None without loglik
+    # (quad, chol_logdet, lt, sigma_logdet), each (T, B)
     terms: tuple[np.ndarray, ...] | None
     m: np.ndarray  # with P, S and p_eigs: FilterState after the last step, stacked
     P: np.ndarray
@@ -269,7 +273,7 @@ class _Block(NamedTuple):
 
 
 def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, omega_eigh: tuple,
-               start: tuple, loglik: bool) -> tuple[np.ndarray, Iterator[_Block]]:
+               start: tuple, reads: set[str]) -> tuple[np.ndarray, Iterator[_Block]]:
     """The filter recursion for ``B`` candidates in lockstep.
 
     Candidate ``b`` has discount factor ``deltas[b]`` and innovation scale
@@ -278,11 +282,14 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     p_eigs, S)``, ``p_eigs`` being ``P``'s eigenvalues in the basis ``V``;
     the rest comes from ``base``. Checks the series and returns the per-step
     log-likelihood constant ``c1``, ``(B,)``, and an iterator of blocks
-    (:class:`_Block`) of at most ``_BLOCK`` candidate-steps each. The step
-    loop runs only what the next step needs: ``S_t``, ``S_t^*`` and their
-    spectra, ``P_t`` from its ``p`` eigenvalues, the gain and ``m_t``. Each
-    block then evaluates ``u_t`` and, with ``loglik``, the likelihood terms
-    (:func:`seqvol.likelihood.terms_from_spectra`) over all its steps.
+    (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. The
+    step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
+    their spectra, ``P_t`` from its ``p`` eigenvalues, the gain and ``m_t``.
+    Each block stacks ``failed``, the end state and the fields ``reads``
+    names (of ``f``, ``e``, ``u``, ``s_star``, ``s_prev`` and ``terms``;
+    ``e`` also for ``u`` or ``terms``) over all its steps, evaluating ``u_t``
+    and the terms (:func:`seqvol.likelihood.terms_from_spectra`) only if
+    named; the other fields are ``None``.
 
     A candidate's values depend neither on the rest of its stack nor on the
     block size, bit for bit. Callers silence floating-point warnings. A
@@ -317,8 +324,8 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     vt_omega = v_omega.swapaxes(-1, -2)
     q_inv = spectral(v_omega, 1.0 / wq)
     q_inv_sqrt = spectral(v_omega, 1.0 / np.sqrt(wq))
-    size = max(1, _BLOCK // len(deltas))  # steps per block
-    # rows of a block's S spectra that whiten e_t into u_t: S_{t-1} or S_t
+    size = max(_MIN_STEPS, _BLOCK // len(deltas))  # steps per block
+    # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1} fixed
@@ -329,12 +336,14 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     initial += stacked_eigh(estimate(start[2], *initial[2:]))
 
     def blocks(p_eigs=start[1]):
+        def gather(name, rows=slice(1, None)):  # a column of the block's steps, stacked
+            return np.array(columns[name][rows])
+
         m, s, ws, vs, w_star, v_star = initial
         failed = bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-        # S and the spectra of S and S^*: of the step before the block, then of its steps
-        history = [(s, ws, vs, w_star, v_star)]
+        # the step before the block, then its steps, as _STEP columns
+        steps = [(s, ws, vs, w_star, v_star, None, None, None, failed)]
         for lo in range(0, len(ys), size):
-            rows = []
             for y in ys[lo:lo + size]:
                 f = m if base.forecast_mean_mode == "plain" else phi * m
                 e = y - f
@@ -354,18 +363,24 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
                     m, s, ws, vs, w_star, v_star = (
                         np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
                         for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
-                rows.append((f, e, s_star, failed))
-                history.append((s, ws, vs, w_star, v_star))
-            f, e, s_star, fails = map(np.array, zip(*rows))
-            s_all, ws_all, vs_all, w_all, v_all = map(np.array, zip(*history))
-            history = history[-1:]
-            w_base, v_base = ws_all[whiten], vs_all[whiten]
-            vte = v_base.swapaxes(-1, -2) @ e[..., None]
-            u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / root_cov
-            terms = (_likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
-                                                    v_all[1:], e, q_inv, k, deltas)
-                     if loglik else None)
-            yield _Block(f, e, u, s_star, s_all[:-1], fails, terms, m, p_mat, s, p_eigs)
+                steps.append((s, ws, vs, w_star, v_star, f, e, s_star, failed))
+            columns = dict(zip(_STEP, zip(*steps)))
+            steps = steps[-1:]
+            e = gather("e") if reads & {"e", "u", "terms"} else None  # u and terms read e
+            u = terms = None
+            if "u" in reads:
+                w_base, v_base = gather("ws", whiten), gather("vs", whiten)
+                vte = v_base.swapaxes(-1, -2) @ e[..., None]
+                u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / root_cov
+            if "terms" in reads:
+                w_all, v_all = gather("w_star", slice(None)), gather("v_star", slice(None))
+                terms = _likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
+                                                       v_all[1:], e, q_inv, k, deltas)
+            yield _Block(gather("f") if "f" in reads else None, e, u,
+                         gather("s_star") if "s_star" in reads else None,
+                         gather("s", slice(0, -1)) if "s_prev" in reads else None,
+                         gather("failed"), terms, m, p_mat, s, p_eigs)
+            del columns  # frees the block's steps before the next block's
 
     return c1, blocks()
 
@@ -386,7 +401,9 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
             w, v = stacked_eigh(config.omega[None])
             c1, blocks = _recursion(ys, config, np.array([config.delta]), config.omega[None],
                                     (w, v), (state.m[None], _p_eigs(state, v[0])[None],
-                                             state.S[None]), compute_loglik)
+                                             state.S[None]),
+                                    {"f", "e", "u", "s_star", "s_prev"}
+                                    | ({"terms"} if compute_loglik else set()))
             n = len(ys)
             f, e, u = np.empty((3, n, p))
             s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))

@@ -9,12 +9,14 @@ discount factor handled as an independent outer grid.
 
 Each objective value comes from :func:`evaluate_candidates`, which runs the
 filter's own stacked recursion (``filtering._recursion``) over a whole
-stack of ``(delta, Omega)`` candidates in one pass over the series, and
-adds up the likelihood terms of the time blocks it yields in time order,
-deriving each ``Q`` from one decomposition of the ``Omega`` stack. That is
-the recursion :func:`seqvol.filtering.filter_run` runs for one candidate, so
-a ``"loglik"`` value equals :func:`seqvol.likelihood.loglik_at_filter_path`
-bit for bit. A numerically failed candidate is masked as ``-inf`` in the pass.
+stack of ``(delta, Omega)`` candidates in one pass over the series. It
+asks the recursion for the one field its objective reads (the likelihood
+terms or the standardized errors), adds it up over the time blocks in time
+order, and derives each ``Q`` from one decomposition of the ``Omega``
+stack. That is the recursion :func:`seqvol.filtering.filter_run` runs for
+one candidate, so a ``"loglik"`` value equals
+:func:`seqvol.likelihood.loglik_at_filter_path` bit for bit. A numerically
+failed candidate is masked as ``-inf`` in the pass.
 
 All discount factors are searched in lockstep. Each (sweep, coordinate)
 step makes one batched call for the uncached points on the grid lines of
@@ -117,9 +119,9 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         c1, blocks = _recursion(ys, base_config, deltas, omegas, stacked_eigh(omegas), prior,
-                                want_loglik)
+                                {"terms"} if want_loglik else {"u"})
         for block in blocks:
-            n_obs, failed = n_obs + len(block.e), block.failed[-1]
+            n_obs, failed = n_obs + len(block.failed), block.failed[-1]
             if want_loglik:
                 for acc, term in zip(sums, block.terms):
                     for row in term:  # in time order, as loglik_from_records sums

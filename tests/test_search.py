@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import seqvol.filtering
+import seqvol.likelihood
 import seqvol.search
 from seqvol.search import evaluate_candidates
 from seqvol.errors import DimensionMismatch, DomainError, SeqvolError
-from seqvol.filtering import _BLOCK, ModelConfig, filter_run
+from seqvol.filtering import _BLOCK, _MIN_STEPS, ModelConfig, filter_run
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
 from seqvol.simulate import simulate_path
 from seqvol.search import (
@@ -221,6 +224,125 @@ class TestSingleKernel:
                            n_steps=n_steps).ys
         out = evaluate_candidates(ys, config, config.delta, config.omega[None], "loglik")
         assert out[0] == loglik_at_filter_path(ys, config).total
+
+
+def _record_bits(records, state):
+    """Every value ``filter_run`` returns, as comparable bits."""
+    fields = [(r.t, r.loglik_t.hex(), r.terms, r.forecast.dof) for r in records]
+    arrays = [getattr(r, name) for r in records for name in ("e", "u", "s_star")]
+    arrays += [getattr(r.forecast, name) for r in records
+               for name in ("location", "scale", "covariance")]
+    arrays += [state.m, state.P, state.S, state.p_eigs]
+    return fields, [(a.shape, a.tobytes()) for a in arrays], state.t
+
+
+def _shocked_stack(p=3, n=300, size=5):
+    """A calm series, the same with a 4e7 shock at t = 151, and ``size``
+    candidates cycling through five discount factors: the shock fails the
+    smaller ones mid-pass (see the repeated-decompositions test above)."""
+    calm = 0.3 * np.random.default_rng(3).standard_normal((n, p))
+    ys = calm.copy()
+    ys[150] = 4e7 * np.array([0.6, 0.8, 0.0])[:p]
+    deltas = np.resize([0.7, 0.8, 0.9, 0.95, 0.99], size)
+    omegas = np.array([np.diag(np.linspace(0.2, 2.0, p)) * (1.0 + 0.05 * i)
+                       for i in range(size)])
+    return calm, ys, ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p)), deltas, omegas
+
+
+class TestBlockLayout:
+    # (_BLOCK, _MIN_STEPS): 1-step blocks everywhere; blocks that split the
+    # series unevenly; one block for the whole series
+    LAYOUTS = [(1, 1), (37, 5), (10, 7), (100, 13), (10_000, 1)]
+
+    @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),
+                                       ("phi_scaled", "posterior_st")])
+    def test_outputs_do_not_depend_on_block_layout(self, monkeypatch, modes):
+        config = ModelConfig(delta=0.85, phi=0.9, omega=random_spd(np.random.default_rng(5), 3),
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        ys = 0.3 * np.random.default_rng(6).standard_normal((301, 3))
+        _, shocked, _, deltas, omegas = _shocked_stack(size=6)
+        base = replace(config, omega=np.eye(3))
+
+        def outputs():
+            return (_record_bits(*filter_run(ys, config)),
+                    _record_bits(*filter_run(ys, config, compute_loglik=False)),
+                    [evaluate_candidates(shocked, base, deltas, omegas, objective).tobytes()
+                     for objective in ("loglik", "msse_distance")])
+
+        expected = outputs()
+        for block, min_steps in self.LAYOUTS:
+            monkeypatch.setattr(seqvol.filtering, "_BLOCK", block)
+            monkeypatch.setattr(seqvol.filtering, "_MIN_STEPS", min_steps)
+            assert outputs() == expected, (block, min_steps)
+
+
+class TestBigStack:
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_member_equals_itself_alone(self, objective):
+        # 40 candidates get _MIN_STEPS-step blocks, not _BLOCK // 40 steps,
+        # over a series of many such blocks; a member alone runs _BLOCK-step
+        # blocks. Some candidates fail at the shock, and only there
+        size, n = 40, 300
+        assert _BLOCK // size < _MIN_STEPS and n >= 3 * _MIN_STEPS
+        calm, ys, base, deltas, omegas = _shocked_stack(n=n, size=size)
+        assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
+        out = evaluate_candidates(ys, base, deltas, omegas, objective)
+        for i in range(size):
+            alone = evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1], objective)
+            assert out[i].tobytes() == alone.tobytes(), i
+        assert np.isinf(out).any() and np.isfinite(out).any()
+
+
+class TestBlockReads:
+    @pytest.fixture
+    def terms_calls(self, monkeypatch):
+        calls = []
+        real = seqvol.likelihood.terms_from_spectra
+
+        def counting(*args):
+            calls.append(args[0].shape[0])  # the block's steps
+            return real(*args)
+
+        monkeypatch.setattr(seqvol.likelihood, "terms_from_spectra", counting)
+        return calls
+
+    def test_terms_evaluated_only_when_read(self, terms_calls, stationary_ys2):
+        n = len(stationary_ys2)
+        base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(2))
+        filter_run(stationary_ys2, base, compute_loglik=False)
+        omegas = np.array([np.diag([0.5, 1.5]) * (1.0 + 0.01 * i) for i in range(198)])
+        evaluate_candidates(stationary_ys2, base, 0.8, omegas, "msse_distance")
+        assert terms_calls == []
+        evaluate_candidates(stationary_ys2, base, 0.8, omegas, "loglik")
+        size = max(_MIN_STEPS, _BLOCK // 198)
+        assert terms_calls == [min(size, n - lo) for lo in range(0, n, size)]
+        terms_calls.clear()
+        filter_run(stationary_ys2, base)
+        assert terms_calls == [n]
+
+
+class TestSearchMemory:
+    def test_peak_allocation_of_one_pass(self):
+        # one search_p2-sized pass: 198 candidates (two grid lines of 99), p = 2,
+        # 1500 steps. The bound, 2 MiB, was fixed before the first run
+        rng = np.random.default_rng(9)
+        log_vol = np.cumsum(0.05 * rng.standard_normal(1500))
+        ys = (np.exp(log_vol - log_vol.mean())[:, None] * rng.standard_normal((1500, 2))
+              @ np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]])).T)
+        grid = np.arange(1, 100) / 100.0
+        zs = np.array([[g, 0.5] for g in grid] + [[0.5, g] for g in grid])
+        omegas = np.array([z_to_omega(z) for z in zs])
+        deltas = np.repeat([0.9, 0.95], 99)
+        base = ModelConfig(delta=0.9, phi=1.0, omega=np.eye(2))
+        evaluate_candidates(ys[:50], base, deltas, omegas, "loglik")  # lazy set-up
+        tracemalloc.start()
+        try:
+            out = evaluate_candidates(ys, base, deltas, omegas, "loglik")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out))
+        assert peak < 2 * 2**20, peak
 
 
 class TestFastpathMasking:
