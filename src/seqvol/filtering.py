@@ -9,7 +9,9 @@ volatility matrix used both as output and to form the adaptive gain.
 The gain's ``P_t = V diag(lambda_t) V'`` never reads the data: ``P_0 = p0 I``
 commutes with ``Omega = V diag(w) V'``, and ``lambda <- r / (r + 1)``, ``r =
 phi^2 lambda + w``. The forecast precision ``Q`` is frozen at the limit
-``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit.
+``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit,
+both built by :func:`_steady`. ``S_t^*`` is the paper's estimator
+:func:`seqvol.gwishart.giw_estimate` with ``A = Q^{-1}``.
 
 One stacked recursion, :func:`_recursion`, is the only code that runs a
 filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
@@ -38,6 +40,7 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
+from .gwishart import giw_estimate
 from .linalg import check_spd, positive_spectrum, spd_eigh, spectral, stacked_eigh, sym
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
@@ -146,11 +149,6 @@ class ModelConfig:
         return 1.0 / (1.0 - self.delta) + 2 * self.p
 
     @property
-    def estimator_denominator(self) -> float:
-        """``2n - 4p - 4`` of the point estimator, ``n`` the posterior dof."""
-        return 2.0 * self.posterior_dof - 4.0 * self.p - 4.0
-
-    @property
     def forecast_dof(self) -> float:
         """Student-t degrees of freedom ``delta/(1-delta)`` of the forecast."""
         return self.delta / (1.0 - self.delta)
@@ -183,7 +181,10 @@ class ForecastDist:
     dof: float
     location: np.ndarray
     scale: np.ndarray
-    covariance: np.ndarray
+
+    @property
+    def covariance(self) -> np.ndarray:
+        return self.scale / (self.dof - 2.0)
 
 
 @dataclass(frozen=True)
@@ -201,13 +202,18 @@ class StepRecord:
     terms: tuple[float, float, float, float] | None = None
 
 
-def _limit_eigs(phi: float, w: np.ndarray) -> np.ndarray:
-    """Eigenvalues ``lam(w)`` of :func:`limit_P` from those ``w`` of ``omega``."""
+def _steady(phi: float, omega: np.ndarray, w: np.ndarray, v: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``Q = P_lim + omega + I`` and ``P_lim``'s eigenvalues ``lam(w)``.
+
+    ``(w, v)`` decomposes ``omega``, or each of a stack. ``Q`` stays the matrix
+    sum, not ``V diag(lam + w + 1) V'``: the likelihood constant's bits need it.
+    """
     phi2 = phi * phi
-    if phi2 == 0.0:
-        return w / (1.0 + w)
     shift = w + 1.0 - phi2
-    return (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2)
+    lam = (w / (1.0 + w) if phi2 == 0.0
+           else (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2))
+    return spectral(v, lam) + omega + np.eye(w.shape[-1]), lam
 
 
 def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
@@ -222,12 +228,12 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     ``phi = 0``). The spectrum of the result lies in ``(0, 1)``.
     """
     w, v = spd_eigh(sym(np.asarray(omega, dtype=float)))
-    return spectral(v, _limit_eigs(phi, w))
+    return spectral(v, _steady(phi, omega, w, v)[1])
 
 
 def steady_Q(config: ModelConfig) -> np.ndarray:
     """Steady-state forecast precision scale ``Q = P + omega + I``."""
-    return limit_P(config.phi, config.omega) + config.omega + np.eye(config.p)
+    return _steady(config.phi, config.omega, *spd_eigh(sym(config.omega)))[0]
 
 
 def filter_init(config: ModelConfig) -> FilterState:
@@ -304,8 +310,7 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     if ys.ndim != 2 or ys.shape[1] != base.p:
         raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {base.p})")
     w_omega, v_omega = omega_eigh
-    lam = _limit_eigs(base.phi, w_omega)
-    q = spectral(v_omega, lam) + omegas + np.eye(base.p)  # steady_Q of each
+    q, lam = _steady(base.phi, omegas, w_omega, v_omega)
     # a non-PD Omega or a non-finite Q fails its candidate; I stands in for that Q
     bad_q = ~(np.isfinite(q).all(axis=(-2, -1)) & (w_omega[:, 0] > 0.0))
     q = np.where(bad_q[:, None, None], np.eye(base.p), q)
@@ -314,12 +319,12 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     distinct, index = np.unique(deltas, return_inverse=True)
     configs = [replace(base, delta=float(d)) for d in distinct]
     k = np.array([c.k for c in configs])[index]
-    denom = np.array([c.estimator_denominator for c in configs])[index]
+    post_dof = np.array([c.posterior_dof for c in configs])[index, None, None]
     root_cov = np.sqrt([c.forecast_cov_factor for c in configs])[index, None]
     c1 = np.empty(len(deltas))
     for i, config in enumerate(configs):
         c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
-    k3, denom3 = k[:, None, None], denom[:, None, None]
+    k3 = k[:, None, None]
     phi, phi2 = base.phi, base.phi * base.phi
     vt_omega = v_omega.swapaxes(-1, -2)
     q_inv = spectral(v_omega, 1.0 / wq)
@@ -328,9 +333,9 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
 
-    def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1} fixed
+    def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
         s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
-        return sym((s_sqrt @ q_inv @ s_sqrt + q_inv_sqrt @ s @ q_inv_sqrt) / denom3)
+        return giw_estimate(q_inv, q_inv_sqrt, s, s_sqrt, post_dof)
 
     initial = (start[0], start[2]) + stacked_eigh(start[2])
     initial += stacked_eigh(estimate(start[2], *initial[2:]))
@@ -406,7 +411,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
                                     | ({"terms"} if compute_loglik else set()))
             n = len(ys)
             f, e, u = np.empty((3, n, p))
-            s_star, scale, covariance = (np.empty((n, p, p)) for _ in range(3))
+            s_star, scale = (np.empty((n, p, p)) for _ in range(2))
             terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
             for block in blocks:
                 if block.failed[-1, 0]:
@@ -417,7 +422,6 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
                 for out, x in zip((f, e, u, s_star), block):
                     out[rows] = x[:, 0]
                 scale[rows] = block.s_prev[:, 0] / config.k
-                covariance[rows] = config.forecast_cov_factor * block.s_prev[:, 0]
                 if compute_loglik:
                     terms[:, rows] = [g[:, 0] for g in block.terms]
                 done = rows.stop
@@ -434,11 +438,10 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
         groups = [None if g[2] == -np.inf else g for g in zip(*terms.tolist())]
     else:
         logliks, groups = [float("nan")] * n, [None] * n
-    forecasts = zip(f, scale, covariance)
     dof = config.forecast_dof
     records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
                           s_star=s_star[r], loglik_t=loglik_t, terms=g)
-               for r, (fc, loglik_t, g) in enumerate(zip(forecasts, logliks, groups))]
+               for r, (fc, loglik_t, g) in enumerate(zip(zip(f, scale), logliks, groups))]
     return records, FilterState(t + n, *(x[0] for x in block[-4:]))
 
 

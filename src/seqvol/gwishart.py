@@ -203,8 +203,12 @@ def giw_estimator(a: np.ndarray, s: np.ndarray, n: float) -> np.ndarray:
     p = a.shape[0]
     if n <= 2 * p + 2:
         raise DomainError(f"estimator requires n > 2p+2, got n={n}, p={p}")
-    a_sqrt = sym_sqrt(a)
-    s_sqrt = sym_sqrt(s)
+    return giw_estimate(a, sym_sqrt(a), s, sym_sqrt(s), n)
+
+
+def giw_estimate(a, a_sqrt, s, s_sqrt, n):
+    """:func:`giw_estimator` from given (possibly stacked) square roots, unchecked."""
+    p = s.shape[-1]
     return sym((s_sqrt @ a @ s_sqrt + a_sqrt @ s @ a_sqrt) / (2.0 * n - 4.0 * p - 4.0))
 
 

@@ -13,8 +13,9 @@ fixed time order, so results are deterministic and reproducible.
 from the eigendecompositions of ``Sigma_{t-1}`` and ``Sigma_t``, for one
 transition or a stack. The filter calls it on blocks of time steps and the
 search on stacks of candidates, and :func:`loglik_from_records` sums what
-the filter recorded;
-:func:`loglik_path` and :func:`step_terms` call it on arbitrary paths.
+the filter recorded. :func:`loglik_path` and :func:`step_terms` score a given
+path (say a simulated truth) with the same term math, so the independent
+checks of the terms are the test suite's scalar and mpmath oracles.
 """
 
 from __future__ import annotations

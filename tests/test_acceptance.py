@@ -5,14 +5,14 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 Criteria 7 and 8 are implemented exactly as specified and FAIL: the
 generative volatility evolution is a random matrix product with distinct
 Lyapunov exponents, so at (delta=0.7, p=2) the log condition number of the
-volatility matrix grows by ~0.21 per step and every path degenerates
+volatility matrix grows by ~0.171 per step and every path degenerates
 numerically long before N=2000 (the one-step law was verified before
 concluding: E[B] = m/(m+n) I and the deficient eigenvalue of I-B follows
-Beta(p/2, (m-p+1)/2) by KS; measured growth rates per ln-cond unit/step:
-0.21 at delta=0.7 p=2, 0.08 at 0.8, 0.02 at 0.9, <0.01 at 0.99). The
-neighbouring
-"substance" tests demonstrate the same statistical claims in an attainable
-regime and pass.
+Beta(p/2, (m-p+1)/2) by KS; the growth rate per ln-cond unit/step is
+max_i - min_i of psi((m-i+1)/2) - psi((m-i+2)/2), m = delta/(1-delta) + p - 1:
+0.171 at delta=0.7 p=2, 0.061 at 0.8, 0.012 at 0.9, 0.0001 at 0.99). The
+neighbouring "substance" tests demonstrate the same statistical claims in an
+attainable regime and pass.
 """
 
 import math
@@ -247,9 +247,9 @@ def _criterion7_protocol(delta, n_steps, seeds):
 def test_criterion_07_well_specified_recovery_as_specified():
     """Literal protocol: delta=0.7, p=2, N=2000. Expected to FAIL.
 
-    The evolution's Lyapunov gap (~0.21 ln-units/step at these settings)
+    The evolution's Lyapunov gap (~0.171 ln-units/step at these settings)
     degenerates every path numerically within ~150-270 steps; no seed can
-    complete the run in floating point (N=2000 would need ~e^420 of dynamic
+    complete the run in floating point (N=2000 would need ~e^341 of dynamic
     range). The module docstring carries the verification details.
     """
     started = time.perf_counter()
@@ -262,7 +262,7 @@ def test_criterion_07_well_specified_recovery_as_specified():
     assert ok, (
         f"criterion 7 is numerically unattainable as specified: {passes}/20 "
         f"seeds passed; {len(failures)} runs degenerated "
-        f"(volatility condition number grows ~e^0.21t at delta=0.7, p=2). "
+        f"(volatility condition number grows ~e^0.171t at delta=0.7, p=2). "
         "The substance is demonstrated in the attainable-regime test below."
     )
 

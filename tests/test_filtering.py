@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,9 @@ from seqvol.filtering import (
     limit_P,
     steady_Q,
 )
+from seqvol.gwishart import giw_estimator
 from seqvol.likelihood import loglik_constant, loglik_from_records
+from seqvol.linalg import spd_inverse
 from seqvol.simulate import simulate_path
 
 from conftest import iterate_P_to_convergence, p_recursion_step, random_spd
@@ -255,8 +258,10 @@ class TestFilterStep:
         np.testing.assert_allclose(fc.scale, state.S / config2.k, rtol=1e-14)
         # covariance = scale/(dof-2): the t convention without 1/dof in the
         # kernel, which is what makes the standardized errors unit-variance
-        np.testing.assert_allclose(fc.covariance,
-                                   fc.scale / (fc.dof - 2.0), rtol=1e-12)
+        np.testing.assert_array_equal(fc.covariance, fc.scale / (fc.dof - 2.0))
+        # ... and the factor that whitens u_t in forecast_cov mode agrees with it
+        np.testing.assert_allclose(fc.covariance, config2.forecast_cov_factor * state.S,
+                                   rtol=1e-12)
         assert np.all(np.linalg.eigvalsh(fc.covariance) > 0)
 
     def test_dimension_mismatch(self, config2):
@@ -525,6 +530,48 @@ class TestTimeBlocks:
         assert [r.loglik_t for r in records] == [r.loglik_t for r in chained]
         with pytest.raises(DomainError, match=f"t={t_zero}: transition matrix L_t"):
             loglik_from_records(records, config3)
+
+
+class TestPointEstimate:
+    @pytest.mark.parametrize("p, omega_kind, modes", [
+        (3, "dense", ("plain", "forecast_cov")),
+        (3, "dense", ("phi_scaled", "posterior_st")),
+        (8, "diagonal", ("plain", "forecast_cov")),
+    ], ids=["3-dense-plain", "3-dense-phi_scaled", "8-diagonal-plain"])
+    def test_each_step_is_giw_estimator(self, p, omega_kind, modes):
+        # the filter's S_t^* is the paper's estimator with A = Q^{-1} and the
+        # posterior dof; it roots S_t from its spectrum, not with sym_sqrt
+        omega = (random_spd(np.random.default_rng(12), p) if omega_kind == "dense"
+                 else np.diag(np.linspace(0.2, 3.0, p)))
+        config = ModelConfig(delta=0.7 if p == 8 else 0.85, phi=0.9, omega=omega,
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        ys = 0.3 * np.random.default_rng(p).standard_normal((_BLOCK + 44, p))
+        records, state = filter_run(ys, config)
+        a = spd_inverse(steady_Q(config))
+        # S_t is k times the next step's forecast scale S_t / k; S_N is the end state's
+        s_ts = [config.k * r.forecast.scale for r in records[1:]] + [state.S]
+        for rec, s_t in zip(records, s_ts):
+            ref = giw_estimator(a, s_t, config.posterior_dof)
+            assert np.abs(rec.s_star - ref).max() <= 1e-12 * np.abs(ref).max(), rec.t
+
+
+class TestRunMemory:
+    def test_peak_allocation_of_one_run(self):
+        # the CLI filter's size (p = 8, N = 4773, with the likelihood): the run
+        # allocates one (N, p, p) array per stored matrix field, and no more
+        p = 8
+        corr = 0.3 + 0.7 * np.eye(p)
+        ys = (0.01 * np.random.default_rng(9).standard_normal((4773, p))
+              @ np.linalg.cholesky(corr).T)
+        config = ModelConfig(delta=0.7, phi=1.0, omega=np.eye(p))
+        filter_run(ys[:50], config)  # lazy set-up
+        tracemalloc.start()
+        try:
+            filter_run(ys, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, peak
 
 
 class TestSimulatedPathFilter:
