@@ -9,18 +9,18 @@ volatility matrix used both as output and to form the adaptive gain.
 The gain's ``P_t = V diag(lambda_t) V'`` never reads the data: ``P_0 = p0 I``
 commutes with ``Omega = V diag(w) V'``, and ``lambda <- r / (r + 1)``, ``r =
 phi^2 lambda + w``. The forecast precision ``Q`` is frozen at the limit
-``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit,
-both built by :func:`_steady`. ``S_t^*`` is the paper's estimator
+``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit
+(:func:`_limit_eigs`). ``S_t^*`` is the paper's estimator
 :func:`seqvol.gwishart.giw_estimate` with ``A = Q^{-1}``.
 
-One stacked recursion, :func:`_recursion`, is the only code that runs a
-filter step. It runs ``B`` candidate ``(delta, Omega)`` settings in
-lockstep along a leading axis, and yields blocks of consecutive steps with
-time as the leading axis: 256 steps at ``B = 1``, at least 8 for any stack.
-Only the part of a step that depends on the step before runs in the step
-loop; each block stacks only the fields its caller names, evaluating the
-standardized errors or the likelihood terms
-(:func:`seqvol.likelihood.terms_from_spectra`) over its steps if named.
+:class:`_Setup` holds what depends only on ``B`` candidate ``(delta, Omega)``
+settings (each :class:`ModelConfig` caches its own); :func:`_recursion`, the
+only code that runs a filter step, runs them in lockstep along a leading axis
+and yields blocks of consecutive steps with time as the leading axis: 256
+steps at ``B = 1``, at least 8 for any stack. Only the part of a step that
+depends on the step before runs in the step loop; each block stacks only the
+fields its caller names, evaluating the standardized errors or the likelihood
+terms (:func:`seqvol.likelihood.terms_from_spectra`) over its steps if named.
 :func:`seqvol.search.evaluate_candidates` adds up each block's terms or
 squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
 observation) copy the blocks into arrays allocated once per run.
@@ -29,6 +29,7 @@ observation) copy the blocks into arrays allocated once per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -118,7 +119,7 @@ class ModelConfig:
             raise DomainError(f"phi={self.phi} must be finite")
         if not 0.0 < self.p0 < np.inf:
             raise DomainError(f"p0={self.p0} must be positive and finite")
-        m0 = np.zeros(p) if self.m0 is None else np.asarray(self.m0, dtype=float)
+        m0 = np.zeros(p) if self.m0 is None else np.array(self.m0, dtype=float)
         if m0.shape != (p,):
             raise DimensionMismatch(f"m0 has shape {m0.shape}, expected ({p},)")
         if not np.isfinite(m0).all():
@@ -130,10 +131,15 @@ class ModelConfig:
             raise DomainError(f"unknown forecast_mean_mode {self.forecast_mean_mode!r}")
         if self.standardization_mode not in STANDARDIZATION_MODES:
             raise DomainError(f"unknown standardization_mode {self.standardization_mode!r}")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "s0", s0)
+        for name, x in (("omega", omega), ("m0", m0), ("s0", s0)):
+            x.flags.writeable = False  # so the cached setup cannot go stale
+            object.__setattr__(self, name, x)
         object.__setattr__(self, "p", p)
+
+    @cached_property
+    def _solo_setup(self) -> _Setup:
+        """This config's one-candidate :class:`_Setup`, built on first use."""
+        return _Setup(self, np.array([self.delta]), self.omega[None])
 
     @property
     def k(self) -> float:
@@ -161,13 +167,17 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Sufficient statistics carried between steps (``p_eigs``: see :func:`_p_eigs`)."""
+    """Sufficient statistics after step ``t``, with ``P_t = V diag(p_eigs) V'``."""
 
     t: int
     m: np.ndarray
-    P: np.ndarray
     S: np.ndarray
-    p_eigs: np.ndarray | None = None
+    p_eigs: np.ndarray
+    basis: np.ndarray  # V: the config's own read-only Omega eigenvectors, which a step checks
+
+    @property
+    def P(self) -> np.ndarray:
+        return (self.basis * self.p_eigs) @ self.basis.T
 
 
 @dataclass(frozen=True)
@@ -202,18 +212,12 @@ class StepRecord:
     terms: tuple[float, float, float, float] | None = None
 
 
-def _steady(phi: float, omega: np.ndarray, w: np.ndarray, v: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """``Q = P_lim + omega + I`` and ``P_lim``'s eigenvalues ``lam(w)``.
-
-    ``(w, v)`` decomposes ``omega``, or each of a stack. ``Q`` stays the matrix
-    sum, not ``V diag(lam + w + 1) V'``: the likelihood constant's bits need it.
-    """
+def _limit_eigs(phi: float, w: np.ndarray) -> np.ndarray:
+    """``P_lim``'s eigenvalues ``lam(w)`` over Omega's eigenvalues ``w``, or a stack of them."""
     phi2 = phi * phi
     shift = w + 1.0 - phi2
-    lam = (w / (1.0 + w) if phi2 == 0.0
-           else (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2))
-    return spectral(v, lam) + omega + np.eye(w.shape[-1]), lam
+    return (w / (1.0 + w) if phi2 == 0.0
+            else (np.sqrt(shift * shift + 4.0 * phi2 * w) - shift) / (2.0 * phi2))
 
 
 def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
@@ -228,35 +232,46 @@ def limit_P(phi: float, omega: np.ndarray) -> np.ndarray:
     ``phi = 0``). The spectrum of the result lies in ``(0, 1)``.
     """
     w, v = spd_eigh(sym(np.asarray(omega, dtype=float)))
-    return spectral(v, _steady(phi, omega, w, v)[1])
+    return spectral(v, _limit_eigs(phi, w))
 
 
 def steady_Q(config: ModelConfig) -> np.ndarray:
     """Steady-state forecast precision scale ``Q = P + omega + I``."""
-    return _steady(config.phi, config.omega, *spd_eigh(sym(config.omega)))[0]
+    return config._solo_setup.q[0].copy()
 
 
 def filter_init(config: ModelConfig) -> FilterState:
     """Initial state ``(t=0, m0, p0 I, S0)``."""
-    return FilterState(t=0, m=config.m0.copy(), P=config.p0 * np.eye(config.p),
-                       S=config.s0.copy(), p_eigs=np.full(config.p, config.p0))
+    return FilterState(t=0, m=config.m0.copy(), S=config.s0.copy(),
+                       p_eigs=np.full(config.p, config.p0), basis=config._solo_setup.v[0])
 
 
-def _p_eigs(state: FilterState, v: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``state.P`` in Omega's eigenbasis ``v``.
+class _Setup:
+    """What ``B`` candidates ``(deltas[b], omegas[b])`` need that no observation changes."""
 
-    ``state.p_eigs`` if they rebuild ``P = V diag V'`` to 1e-12 of its largest
-    entry, else the diagonal of ``V' P V`` if that does; a ``P`` that does not
-    commute with Omega raises :class:`DomainError`.
-    """
-    p_mat = np.asarray(state.P, dtype=float)
-    if p_mat.shape != v.shape:
-        raise DimensionMismatch(f"state P has shape {p_mat.shape}, expected {v.shape}")
-    for lam in (state.p_eigs, np.diag(v.T @ p_mat @ v)):
-        if lam is not None and (np.abs((v * lam) @ v.T - p_mat).max()
-                                <= 1e-12 * np.abs(p_mat).max()):
-            return np.asarray(lam, dtype=float)
-    raise DomainError("state P does not commute with omega (it is not V diag V' over its V)")
+    @np.errstate(invalid="ignore", divide="ignore", over="ignore")
+    def __init__(self, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray):
+        self.base, self.deltas = base, deltas
+        self.w, self.v = w, v = stacked_eigh(omegas)  # v is P_t's basis
+        v.flags.writeable = False
+        lam = _limit_eigs(base.phi, w)
+        # Q = P_lim + Omega + I stays the matrix sum: the likelihood constant's bits need it
+        self.q = spectral(v, lam) + omegas + np.eye(base.p)
+        # a non-PD Omega or a non-finite Q fails its candidate; I stands in for that Q
+        self.bad_q = ~(np.isfinite(self.q).all(axis=(-2, -1)) & (w[:, 0] > 0.0))
+        wq = np.where(self.bad_q[:, None], 1.0, lam + w + 1.0)  # Q's spectrum over V
+        self.q_inv = spectral(v, 1.0 / wq)
+        self.q_inv_sqrt = spectral(v, 1.0 / np.sqrt(wq))
+        # each distinct discount factor's scalars, gathered per candidate
+        distinct, index = np.unique(deltas, return_inverse=True)
+        configs = [replace(base, delta=float(d)) for d in distinct]
+        self.k = np.array([c.k for c in configs])[index]
+        self.post_dof = np.array([c.posterior_dof for c in configs])[index, None, None]
+        self.root_cov = np.sqrt([c.forecast_cov_factor for c in configs])[index, None]
+        q = np.where(self.bad_q[:, None, None], np.eye(base.p), self.q)
+        self.c1 = np.empty(len(deltas))
+        for i, config in enumerate(configs):
+            self.c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
 
 
 class _Block(NamedTuple):
@@ -272,22 +287,18 @@ class _Block(NamedTuple):
     failed: np.ndarray
     # (quad, chol_logdet, lt, sigma_logdet), each (T, B)
     terms: tuple[np.ndarray, ...] | None
-    m: np.ndarray  # with P, S and p_eigs: FilterState after the last step, stacked
-    P: np.ndarray
+    m: np.ndarray  # with S and p_eigs: FilterState after the last step, stacked
     S: np.ndarray
     p_eigs: np.ndarray
 
 
-def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, omega_eigh: tuple,
-               start: tuple, reads: set[str]) -> tuple[np.ndarray, Iterator[_Block]]:
-    """The filter recursion for ``B`` candidates in lockstep.
+def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterator[_Block]:
+    """The filter recursion for the ``B`` candidates of ``setup``, in lockstep.
 
-    Candidate ``b`` has discount factor ``deltas[b]`` and innovation scale
-    ``omegas[b]``, with eigendecomposition row ``b`` of ``omega_eigh = (w,
-    V)``, which gives its ``Q``. It starts from row ``b`` of ``start = (m,
-    p_eigs, S)``, ``p_eigs`` being ``P``'s eigenvalues in the basis ``V``;
-    the rest comes from ``base``. Checks the series and returns the per-step
-    log-likelihood constant ``c1``, ``(B,)``, and an iterator of blocks
+    Every candidate starts from ``start``, its ``p_eigs`` read in the
+    candidate's basis ``setup.v[b]`` (``P_0 = p0 I`` is the same in every
+    basis). Checks the series (a non-finite observation raises
+    :class:`DomainError` naming its step) and returns an iterator of blocks
     (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. The
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
     their spectra, ``P_t`` from its ``p`` eigenvalues, the gain and ``m_t``.
@@ -304,48 +315,37 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
     meaningless but finite and the stacked decompositions of the others run
     once (:func:`stacked_eigh` retries a stack with a non-finite member).
     """
+    base = setup.base
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
     if ys.ndim != 2 or ys.shape[1] != base.p:
         raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {base.p})")
-    w_omega, v_omega = omega_eigh
-    q, lam = _steady(base.phi, omegas, w_omega, v_omega)
-    # a non-PD Omega or a non-finite Q fails its candidate; I stands in for that Q
-    bad_q = ~(np.isfinite(q).all(axis=(-2, -1)) & (w_omega[:, 0] > 0.0))
-    q = np.where(bad_q[:, None, None], np.eye(base.p), q)
-    wq = np.where(bad_q[:, None], 1.0, lam + w_omega + 1.0)  # Q's spectrum over V
-    # each distinct discount factor's scalars, gathered per candidate
-    distinct, index = np.unique(deltas, return_inverse=True)
-    configs = [replace(base, delta=float(d)) for d in distinct]
-    k = np.array([c.k for c in configs])[index]
-    post_dof = np.array([c.posterior_dof for c in configs])[index, None, None]
-    root_cov = np.sqrt([c.forecast_cov_factor for c in configs])[index, None]
-    c1 = np.empty(len(deltas))
-    for i, config in enumerate(configs):
-        c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
-    k3 = k[:, None, None]
+    if not np.isfinite(ys).all():
+        i = int(np.argmin(np.isfinite(ys).all(axis=1)))
+        raise DomainError(f"t={start.t + i + 1}: observation {ys[i].tolist()} is not finite")
+    k3 = setup.k[:, None, None]
     phi, phi2 = base.phi, base.phi * base.phi
-    vt_omega = v_omega.swapaxes(-1, -2)
-    q_inv = spectral(v_omega, 1.0 / wq)
-    q_inv_sqrt = spectral(v_omega, 1.0 / np.sqrt(wq))
-    size = max(_MIN_STEPS, _BLOCK // len(deltas))  # steps per block
+    vt_omega = setup.v.swapaxes(-1, -2)
+    size = max(_MIN_STEPS, _BLOCK // len(setup.deltas))  # steps per block
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
         s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
-        return giw_estimate(q_inv, q_inv_sqrt, s, s_sqrt, post_dof)
+        return giw_estimate(setup.q_inv, setup.q_inv_sqrt, s, s_sqrt, setup.post_dof)
 
-    initial = (start[0], start[2]) + stacked_eigh(start[2])
-    initial += stacked_eigh(estimate(start[2], *initial[2:]))
+    m0, s0, p_eigs0 = (np.broadcast_to(x, (len(setup.deltas),) + x.shape)
+                       for x in (start.m, start.S, start.p_eigs))
+    initial = (m0, s0) + stacked_eigh(s0)
+    initial += stacked_eigh(estimate(s0, *initial[2:]))
 
-    def blocks(p_eigs=start[1]):
+    def blocks(p_eigs=p_eigs0):
         def gather(name, rows=slice(1, None)):  # a column of the block's steps, stacked
             return np.array(columns[name][rows])
 
         m, s, ws, vs, w_star, v_star = initial
-        failed = bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+        failed = setup.bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
         # the step before the block, then its steps, as _STEP columns
         steps = [(s, ws, vs, w_star, v_star, None, None, None, failed)]
         for lo in range(0, len(ys), size):
@@ -353,9 +353,9 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
                 f = m if base.forecast_mean_mode == "plain" else phi * m
                 e = y - f
                 s = s / k3 + e[:, :, None] * e[:, None, :]
-                r = phi2 * p_eigs + w_omega  # P_t's eigenvalues: never stop on convergence
+                r = phi2 * p_eigs + setup.w  # P_t's eigenvalues: never stop on convergence
                 p_eigs = r / (r + 1.0)
-                p_mat = (v_omega * p_eigs[:, None, :]) @ vt_omega
+                p_mat = (setup.v * p_eigs[:, None, :]) @ vt_omega
                 ws, vs = stacked_eigh(s)
                 s_star = estimate(s, ws, vs)
                 w_star, v_star = stacked_eigh(s_star)
@@ -376,18 +376,19 @@ def _recursion(ys, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray, om
             if "u" in reads:
                 w_base, v_base = gather("ws", whiten), gather("vs", whiten)
                 vte = v_base.swapaxes(-1, -2) @ e[..., None]
-                u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / root_cov
+                u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / setup.root_cov
             if "terms" in reads:
                 w_all, v_all = gather("w_star", slice(None)), gather("v_star", slice(None))
                 terms = _likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
-                                                       v_all[1:], e, q_inv, k, deltas)
+                                                       v_all[1:], e, setup.q_inv, setup.k,
+                                                       setup.deltas)
             yield _Block(gather("f") if "f" in reads else None, e, u,
                          gather("s_star") if "s_star" in reads else None,
                          gather("s", slice(0, -1)) if "s_prev" in reads else None,
-                         gather("failed"), terms, m, p_mat, s, p_eigs)
+                         gather("failed"), terms, m, s, p_eigs)
             del columns  # frees the block's steps before the next block's
 
-    return c1, blocks()
+    return blocks()
 
 
 def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
@@ -398,17 +399,17 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     raises at the first failed step. Each record holds views into the run's
     arrays.
     """
-    p, t = config.p, state.t
+    p, t, setup = config.p, state.t, config._solo_setup
+    if np.shape(state.basis) != (p, p):
+        raise DimensionMismatch(f"state basis has shape {np.shape(state.basis)}, not {(p, p)}")
+    if not np.array_equal(state.basis, setup.v[0]):
+        raise DomainError("state P is not held in this config's Omega eigenbasis")
     # steps copied; a LinAlgError is reported at the first step after them
     done = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         try:
-            w, v = stacked_eigh(config.omega[None])
-            c1, blocks = _recursion(ys, config, np.array([config.delta]), config.omega[None],
-                                    (w, v), (state.m[None], _p_eigs(state, v[0])[None],
-                                             state.S[None]),
-                                    {"f", "e", "u", "s_star", "s_prev"}
-                                    | ({"terms"} if compute_loglik else set()))
+            blocks = _recursion(ys, setup, state, {"f", "e", "u", "s_star", "s_prev"}
+                                | ({"terms"} if compute_loglik else set()))
             n = len(ys)
             f, e, u = np.empty((3, n, p))
             s_star, scale = (np.empty((n, p, p)) for _ in range(2))
@@ -431,7 +432,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
         return [], state
     if compute_loglik:
         quad, chol, lt, sig = terms
-        logliks = (c1[0] + (quad + chol + lt + sig)).tolist()
+        logliks = (setup.c1[0] + (quad + chol + lt + sig)).tolist()
         # a zero-error step puts the plug-in path on the boundary of the
         # transition's support (L_t = 0): the state update is still defined,
         # so the step contributes -inf and carries no terms
@@ -442,14 +443,14 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
                           s_star=s_star[r], loglik_t=loglik_t, terms=g)
                for r, (fc, loglik_t, g) in enumerate(zip(zip(f, scale), logliks, groups))]
-    return records, FilterState(t + n, *(x[0] for x in block[-4:]))
+    return records, FilterState(t + n, *(x[0] for x in block[-3:]), setup.v[0])
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig
                 ) -> tuple[FilterState, StepRecord]:
     """Advance the filter by one observation.
 
-    Runs the recursion on ``y`` from ``state`` (:func:`_p_eigs` reads its ``P``);
+    Runs the recursion on ``y`` from ``state`` with the config's cached setup;
     a numerical failure raises :class:`FilterNumericalError` with the step index.
     """
     y = np.asarray(y, dtype=float)

@@ -197,15 +197,13 @@ def loglik_from_records(records: Sequence["StepRecord"],
     the likelihood, and at the first step with no positive ``L_t``
     eigenvalue.
     """
-    from .filtering import steady_Q  # deferred: avoids import cycle
-
     for rec in records:
         if rec.terms is None:
             if math.isnan(rec.loglik_t):
                 raise DomainError("records carry no likelihood terms: "
                                   "filter_run ran with compute_loglik=False")
             raise DomainError(f"t={rec.t}: {_NO_POSITIVE_LT}")
-    constant = loglik_constant(config, steady_Q(config), len(records))
+    constant = len(records) * config._solo_setup.c1[0] if records else 0.0
     return LikelihoodBreakdown.from_terms(constant, [rec.terms for rec in records],
                                           [rec.loglik_t for rec in records])
 

@@ -12,11 +12,12 @@ filter's own stacked recursion (``filtering._recursion``) over a whole
 stack of ``(delta, Omega)`` candidates in one pass over the series. It
 asks the recursion for the one field its objective reads (the likelihood
 terms or the standardized errors), adds it up over the time blocks in time
-order, and derives each ``Q`` from one decomposition of the ``Omega``
-stack. That is the recursion :func:`seqvol.filtering.filter_run` runs for
-one candidate, so a ``"loglik"`` value equals
-:func:`seqvol.likelihood.loglik_at_filter_path` bit for bit. A numerically
-failed candidate is masked as ``-inf`` in the pass.
+order, and builds one setup per pass (``filtering._Setup``: each ``Q``
+from one decomposition of the ``Omega`` stack). That is the recursion
+:func:`seqvol.filtering.filter_run` runs for one candidate, so a
+``"loglik"`` value equals :func:`seqvol.likelihood.loglik_at_filter_path`
+bit for bit. A numerically failed candidate is masked as ``-inf`` in the
+pass.
 
 All discount factors are searched in lockstep. Each (sweep, coordinate)
 step makes one batched call for the uncached points on the grid lines of
@@ -40,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .filtering import ModelConfig, _recursion
-from .linalg import stacked_eigh
+from .filtering import ModelConfig, _recursion, _Setup, filter_init
 
 logger = logging.getLogger(__name__)
 
@@ -111,15 +111,14 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     omegas = np.asarray(omegas, dtype=float)
     nb, p = omegas.shape[0], base_config.p
     deltas = np.broadcast_to(np.asarray(deltas, dtype=float), (nb,))
-    prior = tuple(np.broadcast_to(x, (nb,) + x.shape) for x in
-                  (base_config.m0, np.full(p, base_config.p0), base_config.s0))
     want_loglik = objective == "loglik"
     # sums of the term groups (quad, chol_logdet, lt, sigma_logdet), or of u^2
     sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
     n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        c1, blocks = _recursion(ys, base_config, deltas, omegas, stacked_eigh(omegas), prior,
-                                {"terms"} if want_loglik else {"u"})
+        setup = _Setup(base_config, deltas, omegas)
+        blocks = _recursion(ys, setup, filter_init(base_config),
+                            {"terms"} if want_loglik else {"u"})
         for block in blocks:
             n_obs, failed = n_obs + len(block.failed), block.failed[-1]
             if want_loglik:
@@ -130,7 +129,7 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
                 for row in block.u ** 2:
                     sums += row
         if want_loglik:
-            out = n_obs * c1 + sums[0] + sums[1] + sums[2] + sums[3]
+            out = n_obs * setup.c1 + sums[0] + sums[1] + sums[2] + sums[3]
         else:
             out = -np.linalg.norm(sums / n_obs - 1.0, axis=-1)
     out[failed | ~np.isfinite(out)] = -np.inf

@@ -100,6 +100,21 @@ class TestModelConfig:
         assert config.p0 == 1000.0
         assert config.posterior_dof == pytest.approx(1 / 0.3 + 4)
 
+    def test_frozen_arrays(self):
+        # the config caches its setup, so its arrays are its own and read-only
+        m0, omega, s0 = np.array([1.0, -2.0]), np.diag([0.5, 1.5]), np.diag([2.0, 4.0])
+        config = ModelConfig(delta=0.8, phi=1.0, omega=omega, m0=m0, s0=s0)
+        q = steady_Q(config)
+        m0[0], omega[0, 0], s0[0, 0] = 9.0, 9.0, 9.0
+        np.testing.assert_array_equal(config.m0, [1.0, -2.0])
+        np.testing.assert_array_equal(config.omega, np.diag([0.5, 1.5]))
+        np.testing.assert_array_equal(config.s0, np.diag([2.0, 4.0]))
+        for name in ("omega", "m0", "s0"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(config, name)[0] = 0.0
+        q[0, 0] = 9.0  # steady_Q hands out a copy, not the cached Q
+        assert steady_Q(config)[0, 0] != 9.0
+
 
 class TestLimitP:
     def test_phi_zero(self, rng):
@@ -271,43 +286,79 @@ class TestFilterStep:
 
 
 class TestStateP:
-    """A state's ``P`` in the eigenbasis of ``omega``: carried eigenvalues,
-    a projected hand-built ``P``, or a rejected one."""
+    """A state holds ``P`` as eigenvalues in its config's Omega eigenbasis;
+    a state in any other basis is rejected."""
 
     @pytest.fixture
     def config(self):
         return ModelConfig(delta=0.8, phi=0.9, omega=np.diag([0.5, 1.5]))
 
-    def test_hand_built_commuting_P_is_projected(self, config):
-        ys = 0.3 * np.random.default_rng(4).standard_normal((5, 2))
-        state = filter_init(config)
-        bare = FilterState(t=0, m=state.m, P=state.P, S=state.S)
-        for y in ys:
-            state, _ = filter_step(state, y, config)
-            bare, _ = filter_step(bare, y, config)
-        np.testing.assert_allclose(bare.P, state.P, rtol=1e-14)
-        np.testing.assert_allclose(bare.S, state.S, rtol=1e-12)
+    def test_basis_is_the_configs_read_only_array(self, config):
+        _, state = filter_run(0.3 * np.random.default_rng(4).standard_normal((5, 2)), config)
+        np.testing.assert_array_equal(state.basis, filter_init(config).basis)
+        with pytest.raises(ValueError, match="read-only"):
+            state.basis[0, 0] = 0.0  # it is the config's cached setup
+        with pytest.raises(AttributeError):
+            state.P = np.eye(2)
 
-    def test_state_from_a_reordered_omega_is_projected(self, config):
+    def test_state_from_a_reordered_omega_is_rejected(self, config):
         # omega's eigenbasis lists the axes the other way round, so the
-        # carried eigenvalues do not rebuild P; projecting P does
+        # carried eigenvalues belong to another basis
         y = np.array([0.2, -0.1])
         _, state = filter_run(np.tile(y, (3, 1)), config)
+        filter_step(state, y, dataclasses.replace(config, delta=0.9))  # the same basis
         swapped = dataclasses.replace(config, omega=np.diag([1.5, 0.5]))
-        new_state, _ = filter_step(state, y, swapped)
-        expected = p_recursion_step(state.P, swapped.phi, swapped.omega)
-        np.testing.assert_allclose(new_state.P, expected, atol=1e-15)
+        with pytest.raises(DomainError, match="not held in this config's Omega eigenbasis"):
+            filter_step(state, y, swapped)
 
     def test_non_commuting_P_rejected(self, config):
-        state = dataclasses.replace(filter_init(config), P=np.array([[1.0, 0.5], [0.5, 1.0]]),
-                                    p_eigs=None)
-        with pytest.raises(DomainError, match="state P does not commute with omega"):
+        c = math.sqrt(0.5)
+        state = dataclasses.replace(filter_init(config), basis=np.array([[c, -c], [c, c]]))
+        with pytest.raises(DomainError, match="not held in this config's Omega eigenbasis"):
             filter_step(state, np.zeros(2), config)
 
     def test_P_of_wrong_shape_rejected(self, config):
-        state = dataclasses.replace(filter_init(config), P=np.eye(3), p_eigs=None)
-        with pytest.raises(DimensionMismatch, match="state P has shape"):
+        state = filter_init(ModelConfig(delta=0.8, phi=0.9, omega=np.eye(3)))
+        with pytest.raises(DimensionMismatch, match="state basis has shape"):
             filter_step(state, np.zeros(2), config)
+
+
+class TestSetupOnce:
+    """A config builds its setup once: an on-line step decomposes only ``S``
+    and ``S^*``, before and after its observation, and a run with its
+    likelihood decomposes Omega once."""
+
+    @staticmethod
+    def _count(monkeypatch, omega):
+        counts = dict.fromkeys(("eigh", "eigvalsh", "slogdet", "eigh of omega"), 0)
+        for name in ("eigh", "eigvalsh", "slogdet"):
+            def counted(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                if _name == "eigh" and np.shape(a)[-2:] == omega.shape:
+                    members = np.reshape(a, (-1,) + omega.shape)
+                    counts["eigh of omega"] += any(np.array_equal(x, omega) for x in members)
+                return _call(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_online_step(self, monkeypatch, p):
+        config = ModelConfig(delta=0.9, phi=1.0, omega=np.diag(np.linspace(0.5, 1.5, p)))
+        ys = 0.3 * np.random.default_rng(p).standard_normal((11, p))
+        state, _ = filter_step(filter_init(config), ys[0], config)  # warm-up
+        counts = self._count(monkeypatch, config.omega)
+        for y in ys[1:]:
+            counts.update(eigh=0, eigvalsh=0, slogdet=0)
+            state, _ = filter_step(state, y, config)
+            assert counts["eigh"] <= 4 and counts["eigvalsh"] <= 1 and counts["slogdet"] == 0
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_run_and_likelihood_decompose_omega_once(self, monkeypatch, p):
+        config = ModelConfig(delta=0.9, phi=1.0, omega=random_spd(np.random.default_rng(p), p))
+        ys = 0.3 * np.random.default_rng(p).standard_normal((50, p))
+        counts = self._count(monkeypatch, config.omega)
+        loglik_from_records(filter_run(ys, config)[0], config)
+        assert counts["eigh of omega"] == 1 and counts["slogdet"] == 1
 
 
 class TestPEigenvaluePath:
@@ -484,7 +535,7 @@ class TestTimeBlocks:
             for name in ("location", "scale", "covariance"):
                 np.testing.assert_array_equal(getattr(rec.forecast, name),
                                               getattr(ref.forecast, name))
-        for name in ("t", "m", "P", "S"):
+        for name in [f.name for f in dataclasses.fields(FilterState)] + ["P"]:
             np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
 
     @pytest.mark.parametrize("modes", [("plain", "forecast_cov"),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -14,7 +15,8 @@ import seqvol.likelihood
 import seqvol.search
 from seqvol.search import evaluate_candidates
 from seqvol.errors import DimensionMismatch, DomainError, SeqvolError
-from seqvol.filtering import _BLOCK, _MIN_STEPS, ModelConfig, filter_run
+from seqvol.filtering import (_BLOCK, _MIN_STEPS, FilterState, ModelConfig, filter_init,
+                              filter_run, filter_step)
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
 from seqvol.simulate import simulate_path
 from seqvol.search import (
@@ -153,6 +155,7 @@ class TestFastpathEquivalence:
         base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
         omegas = np.array([np.diag(np.linspace(0.2, 2.0, p)) * (1.0 + 0.1 * i)
                            for i in range(20)])
+        filter_init(base)  # the search starts from it: builds base's cached setup uncounted
         counts = self._count_decompositions(monkeypatch)
         finite = evaluate_candidates(ys, base, 0.8, omegas, objective)
         finite_counts = dict(counts)
@@ -179,6 +182,7 @@ class TestFastpathEquivalence:
         base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
         deltas = np.array([0.7, 0.8, 0.9, 0.95, 0.99])
         omegas = np.broadcast_to(np.eye(p), (5, p, p))
+        filter_init(base)  # the search starts from it: builds base's cached setup uncounted
         counts = self._count_decompositions(monkeypatch)
         assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
         finite_counts = dict(counts)
@@ -226,14 +230,37 @@ class TestSingleKernel:
         assert out[0] == loglik_at_filter_path(ys, config).total
 
 
+class TestNonFiniteObservations:
+    """A NaN or infinite observation is an input error naming its step at every
+    entry point; finite shocks stay numerical failures (see the 1e200, 4e7 and
+    1e40 shock tests)."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_rejected_with_its_step(self, p, bad):
+        config = ModelConfig(delta=0.9, phi=1.0, omega=np.eye(p))
+        ys = 0.1 * np.random.default_rng(p).standard_normal((10 * p, p))
+        ys[6, p - 1] = bad
+        match = r"t=7: observation \[.*\] is not finite"
+        with pytest.raises(DomainError, match=match):
+            filter_run(ys, config)
+        _, state = filter_run(ys[:6], config)
+        with pytest.raises(DomainError, match=match):
+            filter_step(state, ys[6], config)
+        with pytest.raises(DomainError, match=match):
+            evaluate_candidates(ys, config, 0.9, np.eye(p)[None])
+        with pytest.raises(DomainError, match=match):
+            coordinate_search(ys, config, SearchSpec(q=1, delta_candidates=(0.9,)))
+
+
 def _record_bits(records, state):
     """Every value ``filter_run`` returns, as comparable bits."""
     fields = [(r.t, r.loglik_t.hex(), r.terms, r.forecast.dof) for r in records]
     arrays = [getattr(r, name) for r in records for name in ("e", "u", "s_star")]
     arrays += [getattr(r.forecast, name) for r in records
                for name in ("location", "scale", "covariance")]
-    arrays += [state.m, state.P, state.S, state.p_eigs]
-    return fields, [(a.shape, a.tobytes()) for a in arrays], state.t
+    arrays += [getattr(state, f.name) for f in dataclasses.fields(FilterState)] + [state.P]
+    return fields, [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
 
 
 def _shocked_stack(p=3, n=300, size=5):
