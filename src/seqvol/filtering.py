@@ -8,9 +8,13 @@ volatility matrix used both as output and to form the adaptive gain.
 
 The gain's ``P_t = V diag(lambda_t) V'`` never reads the data: ``P_0 = p0 I``
 commutes with ``Omega = V diag(w) V'``, and ``lambda <- r / (r + 1)``, ``r =
-phi^2 lambda + w``. The forecast precision ``Q`` is frozen at the limit
-``P + Omega + I = V diag(lam(w) + w + 1) V'``, ``lam(w)`` the map's limit
-(:func:`_limit_eigs`). ``S_t^*`` is the paper's estimator
+phi^2 lambda + w``. So each block of steps maps its eigenvalues before its
+step loop and builds its ``P_t`` with one stacked product; once they repeat
+those of two steps before (a fixed point, or two adjacent doubles, within a
+few hundred steps on the search's grids), each step takes one of the last two
+``P_t`` by parity, and nothing is computed. The forecast precision ``Q`` is
+frozen at the limit ``P + Omega + I = V diag(lam(w) + w + 1) V'``,
+``lam(w)`` the map's limit (:func:`_limit_eigs`). ``S_t^*`` is the paper's estimator
 :func:`seqvol.gwishart.giw_estimate` with ``A = Q^{-1}``.
 
 :class:`_Setup` holds what depends only on ``B`` candidate ``(delta, Omega)``
@@ -41,7 +45,7 @@ from .errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
-from .gwishart import giw_estimate
+from .gwishart import giw_denominator, giw_estimate
 from .linalg import check_spd, positive_spectrum, spd_eigh, spectral, stacked_eigh, sym
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
@@ -266,7 +270,8 @@ class _Setup:
         distinct, index = np.unique(deltas, return_inverse=True)
         configs = [replace(base, delta=float(d)) for d in distinct]
         self.k = np.array([c.k for c in configs])[index]
-        self.post_dof = np.array([c.posterior_dof for c in configs])[index, None, None]
+        self.denominator = giw_denominator(  # of S_t^*
+            np.array([c.posterior_dof for c in configs])[index, None, None], base.p)
         self.root_cov = np.sqrt([c.forecast_cov_factor for c in configs])[index, None]
         q = np.where(self.bad_q[:, None, None], np.eye(base.p), self.q)
         self.c1 = np.empty(len(deltas))
@@ -301,7 +306,8 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     :class:`DomainError` naming its step) and returns an iterator of blocks
     (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. The
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
-    their spectra, ``P_t`` from its ``p`` eigenvalues, the gain and ``m_t``.
+    their spectra, the gain and ``m_t``. ``P_t`` is built per block, before
+    its steps, and reused by parity once periodic (see the module docstring).
     Each block stacks ``failed``, the end state and the fields ``reads``
     names (of ``f``, ``e``, ``u``, ``s_star``, ``s_prev`` and ``terms``;
     ``e`` also for ``u`` or ``terms``) over all its steps, evaluating ``u_t``
@@ -314,6 +320,8 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     its start state and spectra (``P_t`` goes on), so its values are
     meaningless but finite and the stacked decompositions of the others run
     once (:func:`stacked_eigh` retries a stack with a non-finite member).
+    Only a step that fails a candidate, or follows one that did, updates the
+    flags and restarts: the common step checks its spectra and goes on.
     """
     base = setup.base
     ys = np.asarray(ys, dtype=float)
@@ -333,42 +341,67 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
         s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
-        return giw_estimate(setup.q_inv, setup.q_inv_sqrt, s, s_sqrt, setup.post_dof)
+        return giw_estimate(setup.q_inv, setup.q_inv_sqrt, s, s_sqrt, setup.denominator)
 
     m0, s0, p_eigs0 = (np.broadcast_to(x, (len(setup.deltas),) + x.shape)
                        for x in (start.m, start.S, start.p_eigs))
     initial = (m0, s0) + stacked_eigh(s0)
     initial += stacked_eigh(estimate(s0, *initial[2:]))
 
-    def blocks(p_eigs=p_eigs0):
+    def p_matrices(eigs):  # P_t = V diag(lambda_t) V' of a (T, B, p) stack of eigenvalues
+        return (setup.v * np.array(eigs)[:, :, None, :]) @ vt_omega
+
+    def blocks():
         def gather(name, rows=slice(1, None)):  # a column of the block's steps, stacked
             return np.array(columns[name][rows])
 
         m, s, ws, vs, w_star, v_star = initial
         failed = setup.bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+        restart = bool(failed.any())  # a candidate has failed: restart it every step
         # the step before the block, then its steps, as _STEP columns
         steps = [(s, ws, vs, w_star, v_star, None, None, None, failed)]
+        # P_t's eigenvalues at the last steps mapped, t counted from the run's
+        # start. The map is deterministic: once the stack's bits equal those
+        # of two steps before (bits, so a NaN member compares equal), P_t
+        # repeats with period 1 or 2, and cycle holds (eigenvalues, P_t) at
+        # even and at odd t
+        lams, cycle = [p_eigs0], None
         for lo in range(0, len(ys), size):
-            for y in ys[lo:lo + size]:
+            block = ys[lo:lo + size]
+            p_mats = ()
+            if cycle is None:
+                lams = lams[-2:]
+                known = len(lams)
+                for t in range(lo + 1, lo + len(block) + 1):
+                    r = phi2 * lams[-1] + setup.w
+                    lams.append(r / (r + 1.0))
+                    if len(lams) > 2 and lams[-1].tobytes() == lams[-3].tobytes():
+                        pair = list(zip(lams[-2:], p_matrices(lams[-2:])))
+                        cycle = pair if t % 2 else pair[::-1]
+                        break
+                p_mats = p_matrices(lams[known:])
+            if len(p_mats) < len(block):  # the cycle gives the rest of the block
+                p_mats = [*p_mats, *(cycle[t % 2][1]
+                                     for t in range(lo + len(p_mats) + 1, lo + len(block) + 1))]
+            for y, p_mat in zip(block, p_mats):
                 f = m if base.forecast_mean_mode == "plain" else phi * m
                 e = y - f
                 s = s / k3 + e[:, :, None] * e[:, None, :]
-                r = phi2 * p_eigs + setup.w  # P_t's eigenvalues: never stop on convergence
-                p_eigs = r / (r + 1.0)
-                p_mat = (setup.v * p_eigs[:, None, :]) @ vt_omega
                 ws, vs = stacked_eigh(s)
                 s_star = estimate(s, ws, vs)
                 w_star, v_star = stacked_eigh(s_star)
-                failed = failed | ~(positive_spectrum(ws) & positive_spectrum(w_star))
+                ok = positive_spectrum(ws) & positive_spectrum(w_star)
                 root = np.sqrt(w_star)[:, None, :]
                 vt_star = v_star.swapaxes(-1, -2)
                 gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
                 m = m + (gain @ e[:, :, None])[:, :, 0]
-                if failed.any():
+                if restart or not ok.all():  # rare: a candidate has failed
+                    failed, restart = failed | ~ok, True
                     m, s, ws, vs, w_star, v_star = (
                         np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
                         for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
                 steps.append((s, ws, vs, w_star, v_star, f, e, s_star, failed))
+            p_eigs = lams[-1] if cycle is None else cycle[(lo + len(block)) % 2][0]
             columns = dict(zip(_STEP, zip(*steps)))
             steps = steps[-1:]
             e = gather("e") if reads & {"e", "u", "terms"} else None  # u and terms read e
@@ -440,9 +473,9 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     else:
         logliks, groups = [float("nan")] * n, [None] * n
     dof = config.forecast_dof
-    records = [StepRecord(t=t + r + 1, forecast=ForecastDist(dof, *fc), e=e[r], u=u[r],
-                          s_star=s_star[r], loglik_t=loglik_t, terms=g)
-               for r, (fc, loglik_t, g) in enumerate(zip(zip(f, scale), logliks, groups))]
+    records = [StepRecord(step, ForecastDist(dof, f_t, scale_t), e_t, u_t, s_t, loglik_t, g)
+               for step, f_t, scale_t, e_t, u_t, s_t, loglik_t, g
+               in zip(range(t + 1, t + n + 1), f, scale, e, u, s_star, logliks, groups)]
     return records, FilterState(t + n, *(x[0] for x in block[-3:]), setup.v[0])
 
 

@@ -203,13 +203,18 @@ def giw_estimator(a: np.ndarray, s: np.ndarray, n: float) -> np.ndarray:
     p = a.shape[0]
     if n <= 2 * p + 2:
         raise DomainError(f"estimator requires n > 2p+2, got n={n}, p={p}")
-    return giw_estimate(a, sym_sqrt(a), s, sym_sqrt(s), n)
+    return giw_estimate(a, sym_sqrt(a), s, sym_sqrt(s), giw_denominator(n, p))
 
 
-def giw_estimate(a, a_sqrt, s, s_sqrt, n):
-    """:func:`giw_estimator` from given (possibly stacked) square roots, unchecked."""
-    p = s.shape[-1]
-    return sym((s_sqrt @ a @ s_sqrt + a_sqrt @ s @ a_sqrt) / (2.0 * n - 4.0 * p - 4.0))
+def giw_denominator(n, p: int):
+    """:func:`giw_estimator`'s denominator ``2n - 4p - 4``, for one ``n`` or an array."""
+    return 2.0 * n - 4.0 * p - 4.0
+
+
+def giw_estimate(a, a_sqrt, s, s_sqrt, denominator):
+    """:func:`giw_estimator` from given (possibly stacked) square roots and
+    :func:`giw_denominator`, unchecked."""
+    return sym((s_sqrt @ a @ s_sqrt + a_sqrt @ s @ a_sqrt) / denominator)
 
 
 def _singular_beta_log_const(params: SingularBetaParams) -> float:

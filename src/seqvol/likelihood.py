@@ -167,8 +167,8 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
         )
     q = np.asarray(q, dtype=float)
     q_inv = spd_inverse(q)
-    constant = loglik_constant(config, q, n_obs)
-    c1 = constant / n_obs if n_obs else 0.0
+    c1 = loglik_constant(config, q, 1)  # per step, as the filter's records carry it
+    constant = n_obs * c1 if n_obs else 0.0
 
     terms: list[tuple[float, float, float, float]] = []
     per_step: list[float] = []

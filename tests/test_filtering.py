@@ -15,6 +15,8 @@ from seqvol.filtering import (
     _BLOCK,
     FilterState,
     ModelConfig,
+    _recursion,
+    _Setup,
     beta_dof_m,
     discount_k,
     filter_init,
@@ -382,8 +384,8 @@ class TestPEigenvaluePath:
 
     def test_two_cycle_carried_exactly(self):
         # at phi = 0.9, w = 0.01 the eigenvalue map alternates in the last bit
-        # for ever, so the filter steps it at every step and never stops on
-        # convergence; float arithmetic gives the same correctly rounded steps
+        # for ever, so the filter takes the pair by parity once it repeats;
+        # float arithmetic gives the same correctly rounded steps
         config = ModelConfig(delta=0.95, phi=0.9, omega=np.array([[0.01]]))
         ys = 0.3 * np.random.default_rng(6).standard_normal((2002, 1))
         states = [filter_run(ys[:n], config, compute_loglik=False)[1]
@@ -395,6 +397,81 @@ class TestPEigenvaluePath:
             scalar.append(lam)
         assert [float(state.p_eigs[0]) for state in states] == scalar[-3:]
         assert scalar[-1] == scalar[-3] != scalar[-2]
+
+
+class TestPCycle:
+    """``P_t``'s eigenvalues are mapped per block until the stack's bits repeat
+    those of two steps before; from then on each step takes one of the last
+    two ``P_t`` by parity. At ``phi = 1``, ``Omega = I`` reaches its fixed
+    point after 20 steps and ``w = z / (1 - z)`` at ``z = 0.14`` alternates
+    between two doubles; ``phi = 0`` is fixed after one step."""
+
+    W_CYCLE = 0.14 / 0.86
+    CONFIGS = [(1.0, np.eye(2)), (1.0, np.diag([W_CYCLE, 1.0])),
+               (0.0, np.diag([0.5, 1.0, 2.0]))]
+    IDS = ["identity", "two-cycle", "phi-zero"]
+
+    @pytest.mark.parametrize("n", [1, 19, 20, 21, 255, 256, 257, 600])
+    @pytest.mark.parametrize("phi, omega", CONFIGS, ids=IDS)
+    def test_end_state_equals_scalar_loop(self, phi, omega, n):
+        config = ModelConfig(delta=0.95, phi=phi, omega=omega)
+        ys = 0.3 * np.random.default_rng(n).standard_normal((n, config.p))
+        _, state = filter_run(ys, config, compute_loglik=False)
+        expected = []
+        for w in config._solo_setup.w[0].tolist():
+            lam = config.p0
+            for _ in range(n):
+                r = phi * phi * lam + w
+                lam = r / (r + 1.0)
+            expected.append(lam)
+        assert state.p_eigs.tolist() == expected
+
+    @staticmethod
+    def _run(ys, base, omegas):
+        """Every field of a ``_recursion`` run, time first, and its end state."""
+        setup = _Setup(base, np.full(len(omegas), base.delta), omegas)
+        reads = {"f", "e", "u", "s_star", "s_prev", "terms"}
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            blocks = list(_recursion(ys, setup, filter_init(base), reads))
+        fields = {name: np.concatenate([getattr(b, name) for b in blocks])
+                  for name in ("f", "e", "u", "s_star", "s_prev", "failed")}
+        fields["terms"] = np.stack([np.concatenate([b.terms[i] for b in blocks])
+                                    for i in range(4)], axis=-1)
+        return fields, [blocks[-1].m, blocks[-1].S, blocks[-1].p_eigs]
+
+    @pytest.mark.parametrize("phi, bad", [(1.0, np.full((2, 2), np.nan)), (0.0, -np.eye(2))],
+                             ids=["nan-omega", "negative-omega"])
+    def test_stack_with_failed_member_equals_solo_runs(self, phi, bad):
+        # the failed member's P_t eigenvalues are NaN or -inf; the stack still
+        # reaches its periodic point, and each healthy member its own values
+        base = ModelConfig(delta=0.9, phi=phi, omega=np.eye(2))
+        omegas = np.array([np.eye(2), np.diag([self.W_CYCLE, 1.0]), bad, np.diag([0.5, 2.0])])
+        ys = 0.3 * np.random.default_rng(4).standard_normal((600, 2))
+        fields, end = self._run(ys, base, omegas)
+        assert fields["failed"][:, 2].all() and not fields["failed"][:, [0, 1, 3]].any()
+        for b in (0, 1, 3):
+            solo, solo_end = self._run(ys, base, omegas[b:b + 1])
+            for name, x in fields.items():
+                np.testing.assert_array_equal(x[:, b], solo[name][:, 0], err_msg=name)
+            for x, ref in zip(end, solo_end):
+                np.testing.assert_array_equal(x[b], ref[0])
+
+    @pytest.mark.parametrize("start", [30, 31])
+    def test_chain_across_periodic_point_equals_run(self, start):
+        # the run repeats P_t from step 49 on and crosses a block boundary; the
+        # chain maps the eigenvalues one step per call
+        config = ModelConfig(delta=0.9, phi=1.0, omega=np.diag([self.W_CYCLE, 1.0]))
+        ys = 0.3 * np.random.default_rng(5).standard_normal((_BLOCK + 40, 2))
+        records, state = filter_run(ys, config)
+        _, chained_state = filter_run(ys[:start], config)
+        for y, rec in zip(ys[start:], records[start:]):
+            chained_state, ref = filter_step(chained_state, y, config)
+            assert (rec.t, rec.loglik_t, rec.terms) == (ref.t, ref.loglik_t, ref.terms)
+            for name in ("e", "u", "s_star"):
+                np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
+            np.testing.assert_array_equal(rec.forecast.scale, ref.forecast.scale)
+        for name in [f.name for f in dataclasses.fields(FilterState)] + ["P"]:
+            np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
 
 
 class TestFilterRun:

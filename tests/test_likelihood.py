@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
+import seqvol.likelihood
 from seqvol.errors import DimensionMismatch, DomainError, EmptyInput
 from seqvol.filtering import ModelConfig, StepRecord, filter_run, steady_Q
 from seqvol.gwishart import RANK_REL_TOL, giw_estimator
@@ -98,6 +99,18 @@ class TestLoglikPath:
         sigmas, es = self._random_path(rng, config2, 5)
         with pytest.raises(DimensionMismatch):
             loglik_path(sigmas[:-1], es, config2, steady_Q(config2))
+
+    def test_per_step_constant_is_the_filters(self, monkeypatch):
+        # each step carries the filter's c1 at every length N, and the total N c1;
+        # (N c1) / N differs from c1 in the last bit for some N. With the term
+        # groups zeroed, a step's value is its constant alone
+        config = ModelConfig(delta=0.85, phi=0.9, omega=np.diag([0.3, 0.6, 1.2]))
+        q, c1 = steady_Q(config), config._solo_setup.c1[0]
+        monkeypatch.setattr(seqvol.likelihood, "_transition", lambda *args: (0.0,) * 4)
+        sigmas, es = [np.eye(3)] * 400, [np.zeros(3)] * 399
+        for n in range(1, 400):
+            bd = loglik_path(sigmas[:n + 1], es[:n], config, q)
+            assert bd.constant_c == n * c1 and bd.per_step == [c1] * n, n
 
     def test_zero_errors_zero_quad(self, rng, config2):
         sigmas, _ = self._random_path(rng, config2, 6)

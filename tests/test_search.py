@@ -15,8 +15,8 @@ import seqvol.likelihood
 import seqvol.search
 from seqvol.search import evaluate_candidates
 from seqvol.errors import DimensionMismatch, DomainError, SeqvolError
-from seqvol.filtering import (_BLOCK, _MIN_STEPS, FilterState, ModelConfig, filter_init,
-                              filter_run, filter_step)
+from seqvol.filtering import (_BLOCK, _MIN_STEPS, FilterState, ModelConfig, _recursion,
+                              _Setup, filter_init, filter_run, filter_step)
 from seqvol.likelihood import loglik_at_filter_path, perf_metrics
 from seqvol.simulate import simulate_path
 from seqvol.search import (
@@ -318,6 +318,51 @@ class TestBigStack:
             alone = evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1], objective)
             assert out[i].tobytes() == alone.tobytes(), i
         assert np.isinf(out).any() and np.isfinite(out).any()
+
+
+class TestFailureAtBlockEdges:
+    # 32 candidates run 8-step blocks; the first shock fails some candidates at
+    # t = 81, the first step of a block, the second fails others at t = 160,
+    # the last step of a block. The step loop flags them, and restarts them
+    # from the start state at every step after, only on that rare path
+    @staticmethod
+    def _failed(ys, base, deltas, omegas):
+        """The ``failed`` flags, time first, and the end state's ``m`` and ``S``."""
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            blocks = list(_recursion(ys, _Setup(base, deltas, omegas), filter_init(base),
+                                     set()))
+        return np.concatenate([block.failed for block in blocks]), blocks[-1].m, blocks[-1].S
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("p, shocks", [(2, (3e7, 1e8)), (3, (2e7, 4e7))])
+    @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
+    def test_members_fail_alone_and_stay_failed(self, monkeypatch, p, shocks, objective):
+        size, n = 32, 200
+        assert max(_MIN_STEPS, _BLOCK // size) == 8
+        calm, _, base, deltas, omegas = _shocked_stack(p=p, n=n, size=size)
+        ys = calm.copy()
+        for t, shock in zip((81, 160), shocks):
+            ys[t - 1] = shock * np.array([0.6, 0.8, 0.0])[:p]
+        failed, m, s = self._failed(ys, base, deltas, omegas)
+        first = np.where(failed.any(axis=0), np.argmax(failed, axis=0) + 1, 0)
+        assert {81, 160} <= set(first.tolist()) and 0 in first
+        for i in range(size):
+            assert (failed[:, i] == (np.arange(1, n + 1) >= (first[i] or n + 1))).all(), i
+            alone, m_alone, s_alone = self._failed(ys, base, deltas[i:i + 1], omegas[i:i + 1])
+            np.testing.assert_array_equal(failed[:, i], alone[:, 0])
+            np.testing.assert_array_equal(m[i], m_alone[0])
+            np.testing.assert_array_equal(s[i], s_alone[0])
+        assert (m[first > 0] == base.m0).all() and (s[first > 0] == base.s0).all()
+        counts = TestFastpathEquivalence._count_decompositions(monkeypatch)
+        assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
+        calm_counts = dict(counts)
+        counts.update(eigh=0, eigvalsh=0)
+        out = evaluate_candidates(ys, base, deltas, omegas, objective)
+        assert counts == calm_counts
+        assert np.all(out[first > 0] == -np.inf)
+        for i in np.flatnonzero(first == 0):
+            alone = evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1], objective)
+            assert out[i].tobytes() == alone.tobytes(), i
 
 
 class TestBlockReads:
