@@ -66,6 +66,13 @@ def _typed_config():
         raise DomainError(f"invalid config value: {exc}") from exc
 
 
+def _integer(raw: dict, key: str, default=None) -> int:  # int() takes True and cuts 2.5
+    value = raw.get(key, default)
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"config {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 @contextmanager
 def _os_errors(action: str):
     """Report an ``OSError`` as a DomainError ``cannot <action>: ...``."""
@@ -133,7 +140,7 @@ def load_model_config(raw: dict) -> ModelConfig:
 def load_search_spec(raw: dict) -> SearchSpec:
     kwargs = {}
     if "q" in raw:
-        kwargs["q"] = int(raw["q"])
+        kwargs["q"] = _integer(raw, "q")
     if "delta_candidates" in raw:
         kwargs["delta_candidates"] = tuple(float(d) for d in raw["delta_candidates"])
     return SearchSpec(**kwargs)
@@ -262,7 +269,7 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
         if n_steps < 1:
             raise DomainError("--n-steps must be >= 1")
         with _typed_config():
-            seed = int(raw.get("seed", 0) if seed is None else seed)
+            seed = _integer(raw, "seed", 0) if seed is None else seed
         if seed < 0:
             raise DomainError(f"seed={seed} must be non-negative")
         manifest = _manifest(raw, config, seed)

@@ -411,10 +411,9 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
                 vte = v_base.swapaxes(-1, -2) @ e[..., None]
                 u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / setup.root_cov
             if "terms" in reads:
-                w_all, v_all = gather("w_star", slice(None)), gather("v_star", slice(None))
-                terms = _likelihood.terms_from_spectra(w_all[:-1], v_all[:-1], w_all[1:],
-                                                       v_all[1:], e, setup.q_inv, setup.k,
-                                                       setup.deltas)
+                terms = _likelihood.terms_from_spectra(
+                    e, gather("w_star", slice(None)), gather("v_star", slice(None)),
+                    setup.q_inv, setup.k, setup.deltas)
             yield _Block(gather("f") if "f" in reads else None, e, u,
                          gather("s_star") if "s_star" in reads else None,
                          gather("s", slice(0, -1)) if "s_prev" in reads else None,

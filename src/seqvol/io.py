@@ -89,7 +89,7 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
     header = [h.strip() for h in header]
     first_field = data_rows[0][1][0].strip()
     try:
-        float(first_field)
+        float(first_field or "0")  # an empty field is a missing value, not a date
         has_dates = False
     except ValueError:
         has_dates = True

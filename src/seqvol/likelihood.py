@@ -10,8 +10,8 @@ returned so each group can be audited; per-step sums are accumulated in
 fixed time order, so results are deterministic and reproducible.
 
 :func:`terms_from_spectra` is the one place the term groups are computed,
-from the eigendecompositions of ``Sigma_{t-1}`` and ``Sigma_t``, for one
-transition or a stack. The filter calls it on blocks of time steps and the
+from the eigendecompositions of a path ``Sigma_{t-1}, Sigma_t, ...``, one
+path or a stack. The filter calls it on blocks of time steps and the
 search on stacks of candidates, and :func:`loglik_from_records` sums what
 the filter recorded. :func:`loglik_path` and :func:`step_terms` score a given
 path (say a simulated truth) with the same term math, so the independent
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyInput
+from .errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
 from .gwishart import RANK_REL_TOL
 from .linalg import log_multigamma_ratio, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
 
@@ -96,48 +96,43 @@ def loglik_constant(config: "ModelConfig", q: np.ndarray, n_obs: int) -> float:
     return n_obs * per
 
 
-def terms_from_spectra(w_prev, v_prev, w, v, e, q_inv, k, delta):
-    """Term groups ``(quad, chol_logdet, lt, sigma_logdet)`` of transitions.
+def terms_from_spectra(e, w, v, q_inv, k, delta):
+    """Term groups ``(quad, chol_logdet, lt, sigma_logdet)`` of ``T`` transitions.
 
-    ``(w_prev, v_prev)`` and ``(w, v)`` are the eigendecompositions of
-    ``Sigma_{t-1}`` and ``Sigma_t``; every argument may carry leading stack
-    axes, ``k`` and ``delta`` one value per transition. With ``U`` the upper
+    ``e`` holds the ``T`` forecast errors and ``(w, v)`` the ascending
+    eigendecompositions of the path ``Sigma_0 .. Sigma_T``, each taken to its
+    root and log-determinant once; every argument may carry stack axes after
+    the first, ``k`` and ``delta`` one value per path. With ``U`` the upper
     Cholesky factor of ``Sigma_{t-1}^{-1}``:
 
-    * ``sum log diag(U) = -1/2 sum log w_prev``;
+    * ``sum log diag(U) = -1/2 sum log w_{t-1}``;
     * ``L_t`` holds the positive eigenvalues of
       ``I - k^{-1} U'^{-1} Sigma_t^{-1} U^{-1}``, kept at relative tolerance
       1e-8. They are those of ``I - k^{-1} B B'`` with
-      ``B = diag(w^{-1/2}) V' V_prev diag(w_prev^{1/2})``, since ``XY`` and
+      ``B = diag(w_t^{-1/2}) V_t' V_{t-1} diag(w_{t-1}^{1/2})``, since ``XY`` and
       ``YX`` share their nonzero eigenvalues (Horn & Johnson, *Matrix
       Analysis*, Thm 1.3.22). ``lt`` is ``-inf`` when none is kept.
     """
     k = np.asarray(k, dtype=float)
-    vt = v.swapaxes(-1, -2)
-    root = np.sqrt(w)
-    x = v @ ((vt @ e[..., None]) / root[..., None])
+    root, log_det = np.sqrt(w), np.log(w).sum(axis=-1)
+    vt = v[1:].swapaxes(-1, -2)
+    x = v[1:] @ ((vt @ e[..., None]) / root[1:, ..., None])
     quad = -0.5 * (x.swapaxes(-1, -2) @ q_inv @ x)[..., 0, 0]
-    log_u = -0.5 * np.log(w_prev).sum(axis=-1)
+    log_u = -0.5 * log_det[:-1]
     chol = -(2.0 * delta - 1.0) / (1.0 - delta) * log_u
 
-    b = (vt @ v_prev) * (np.sqrt(w_prev)[..., None, :] / root[..., None])
-    # eigvalsh reads one triangle of the symmetric matrix
-    bbt = b @ b.swapaxes(-1, -2)
+    b = (vt @ v[:-1]) * (root[:-1, ..., None, :] / root[1:, ..., None])
+    # a copy of B', not a view: numpy multiplies an operand by its own
+    # transpose with one syrk call per matrix, several times slower than gemm
+    # at small p; eigvalsh reads one triangle of the symmetric product
+    bbt = b @ b.swapaxes(-1, -2).copy()
     l_eigs = stacked_eigh(np.eye(w.shape[-1]) - bbt / k[..., None, None], values_only=True)
     kept = rank_cut(l_eigs, RANK_REL_TOL)  # ascending: the largest is kept if any is
     lt = -0.5 * w.shape[-1] * np.log(np.where(kept, l_eigs, 1.0)).sum(axis=-1)
     lt = np.where(kept[..., -1], lt, -np.inf)
 
-    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * np.log(w).sum(axis=-1)
+    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * log_det[1:]
     return quad, chol, lt, sig
-
-
-def _transition(w_prev, v_prev, w, v, e, config, q_inv) -> tuple[float, ...]:
-    terms = tuple(map(float, terms_from_spectra(w_prev, v_prev, w, v, e, q_inv,
-                                                config.k, config.delta)))
-    if terms[2] == -math.inf:
-        raise DomainError(_NO_POSITIVE_LT)
-    return terms
 
 
 def step_terms(sigma_prev: np.ndarray, sigma_t: np.ndarray, e: np.ndarray,
@@ -148,9 +143,13 @@ def step_terms(sigma_prev: np.ndarray, sigma_t: np.ndarray, e: np.ndarray,
     See :func:`terms_from_spectra`. Raises :class:`DomainError` when ``L_t``
     has no positive eigenvalue.
     """
-    return _transition(*spd_eigh(sym(np.asarray(sigma_prev, dtype=float))),
-                       *spd_eigh(sym(np.asarray(sigma_t, dtype=float))),
-                       np.asarray(e, dtype=float), config, q_inv)
+    ws, vs = map(np.array, zip(*(spd_eigh(sym(np.asarray(s, dtype=float)))
+                                 for s in (sigma_prev, sigma_t))))
+    terms = tuple(float(g[0]) for g in terms_from_spectra(
+        np.asarray(e, dtype=float)[None], ws, vs, q_inv, config.k, config.delta))
+    if terms[2] == -math.inf:
+        raise DomainError(_NO_POSITIVE_LT)
+    return terms
 
 
 def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
@@ -158,7 +157,8 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     """Log-likelihood of a volatility path against forecast errors.
 
     ``sigmas`` must hold ``N + 1`` SPD matrices (the time-0 matrix supplies
-    the first transition term); ``es`` the ``N`` forecast errors.
+    the first transition term); ``es`` the ``N`` forecast errors. One
+    :func:`terms_from_spectra` call scores the path; errors come in time order.
     """
     n_obs = len(es)
     if len(sigmas) != n_obs + 1:
@@ -170,22 +170,26 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     c1 = loglik_constant(config, q, 1)  # per step, as the filter's records carry it
     constant = n_obs * c1 if n_obs else 0.0
 
-    terms: list[tuple[float, float, float, float]] = []
-    per_step: list[float] = []
-    # thread each matrix's eigendecomposition to the next transition
-    w, v = spd_eigh(sym(np.asarray(sigmas[0], dtype=float)))
-    for t in range(1, n_obs + 1):
-        w_prev, v_prev = w, v
-        w, v = spd_eigh(sym(np.asarray(sigmas[t], dtype=float)))
-        try:
-            quad, chol, lt, sig = _transition(w_prev, v_prev, w, v,
-                                              np.asarray(es[t - 1], dtype=float),
-                                              config, q_inv)
-        except DomainError as exc:
-            raise DomainError(f"t={t}: {exc}") from exc
-        terms.append((quad, chol, lt, sig))
-        per_step.append(c1 + quad + chol + lt + sig)
-    return LikelihoodBreakdown.from_terms(constant, terms, per_step)
+    spectra, failure = [], None
+    try:
+        for sigma in sigmas:
+            spectra.append(spd_eigh(sym(np.asarray(sigma, dtype=float))))
+    except (DimensionMismatch, NotPositiveDefinite) as exc:
+        if not spectra:
+            raise
+        failure = exc  # raised once the transitions before this matrix are scored
+    ws, vs = map(np.array, zip(*spectra))
+    quad, chol, lt, sig = terms_from_spectra(
+        np.array(es[:len(ws) - 1], dtype=float).reshape(ws[1:].shape), ws, vs, q_inv,
+        config.k, config.delta)
+    steps = np.flatnonzero(lt == -np.inf)
+    if steps.size:
+        raise DomainError(f"t={steps[0] + 1}: {_NO_POSITIVE_LT}")
+    if failure is not None:
+        raise failure
+    return LikelihoodBreakdown.from_terms(
+        constant, zip(*(g.tolist() for g in (quad, chol, lt, sig))),
+        (c1 + quad + chol + lt + sig).tolist())
 
 
 def loglik_from_records(records: Sequence["StepRecord"],

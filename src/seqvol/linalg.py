@@ -125,12 +125,17 @@ def _pack(*xs):  # np.stack(xs, axis=-1) of same-shape float arrays, without its
     return out
 
 
-# the two evaluators of _eigh2; float(np.hypot), because math.hypot differs
-# from it in the last bit
+def _hypot(x, y):  # libm's hypot, as np.hypot calls it, without numpy's scalar dispatch
+    try:
+        return abs(complex(x, y))  # math.hypot differs from it in the last bit
+    except OverflowError:  # where hypot returns inf
+        return math.inf
+
+
+# the two evaluators of _eigh2
 _ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot, pack=_pack)
 _FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
-                             copysign=math.copysign,
-                             hypot=lambda x, y: float(np.hypot(x, y)),
+                             copysign=math.copysign, hypot=_hypot,
                              pack=lambda *xs: np.array(xs))
 
 
@@ -253,9 +258,10 @@ def spd_logdet(m: np.ndarray) -> float:
 def rank_cut(w: np.ndarray, rel_tol: float) -> np.ndarray:
     """Mask of the eigenvalues ``lam > rel_tol * max(1, max |lam|)``.
 
-    ``w`` holds one spectrum, or a stack of them along the last axis.
+    ``w`` holds one ascending spectrum, or a stack of them along the last
+    axis (as :func:`positive_spectrum`), so ``max |lam|`` is read from its ends.
     """
-    return w > rel_tol * np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))[..., None]
+    return w > rel_tol * np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
 
 
 def positive_eigenvalues(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

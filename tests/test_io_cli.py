@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from seqvol.cli import main
+from seqvol.cli import load_search_spec, main
 from seqvol.errors import DomainError, NonPositivePrice, ParseError
 from seqvol.filtering import ModelConfig, filter_run
 from seqvol.io import (
@@ -55,6 +55,12 @@ class TestLoadPricesCsv:
         f = tmp_path / "bad.csv"
         f.write_text("a\n1.0\nnan\n2.0\n")
         with pytest.raises(ParseError, match="line 3"):
+            load_prices_csv(f)
+
+    def test_empty_first_field_is_missing_not_a_date(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("a,b\n,0.02\n0.01,0.03\n0.02,0.04\n")
+        with pytest.raises(ParseError, match="line 2: missing value in column 'a'"):
             load_prices_csv(f)
 
     def test_date_column_detected(self, tmp_path):
@@ -427,9 +433,13 @@ def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
     if command == "search":
         wrong_types.append(({"q": "x"},
                             "invalid config value: invalid literal for int() with base 10: 'x'"))
+        wrong_types.append(({"q": 2.5}, "config 'q' must be an integer, got 2.5"))
+        wrong_types.append(({"q": True}, "config 'q' must be an integer, got True"))
     if command == "simulate":
         wrong_types.append(({"seed": "x"},
                             "invalid config value: invalid literal for int() with base 10: 'x'"))
+        wrong_types.append(({"seed": 1.5}, "config 'seed' must be an integer, got 1.5"))
+        wrong_types.append(({"seed": False}, "config 'seed' must be an integer, got False"))
         wrong_types.append(({"seed": -3}, "seed=-3 must be non-negative"))
     # a non-finite value fails the config, not the run at step 1
     wrong_types += [
@@ -458,6 +468,15 @@ def test_non_finite_scale_exits_2_before_out_dir(scale, tmp_path):
     assert res.exit_code == 2, res.output
     assert f"error: scale={scale} must be finite" in res.output
     assert not (tmp_path / "out").exists()
+
+
+def test_integral_q_and_seed_accepted(tmp_path):
+    assert load_search_spec({"q": 3.0}).q == 3
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "seed": 4.0}))
+    res = _invoke("simulate", cfg, None, tmp_path / "out")
+    assert res.exit_code == 0, res.output
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["manifest"]["seed"] == 4
 
 
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):

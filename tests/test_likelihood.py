@@ -6,7 +6,7 @@ from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
 import seqvol.likelihood
-from seqvol.errors import DimensionMismatch, DomainError, EmptyInput
+from seqvol.errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
 from seqvol.filtering import ModelConfig, StepRecord, filter_run, steady_Q
 from seqvol.gwishart import RANK_REL_TOL, giw_estimator
 from seqvol.likelihood import (
@@ -106,7 +106,8 @@ class TestLoglikPath:
         # groups zeroed, a step's value is its constant alone
         config = ModelConfig(delta=0.85, phi=0.9, omega=np.diag([0.3, 0.6, 1.2]))
         q, c1 = steady_Q(config), config._solo_setup.c1[0]
-        monkeypatch.setattr(seqvol.likelihood, "_transition", lambda *args: (0.0,) * 4)
+        monkeypatch.setattr(seqvol.likelihood, "terms_from_spectra",
+                            lambda e, *args: (np.zeros(len(e)),) * 4)
         sigmas, es = [np.eye(3)] * 400, [np.zeros(3)] * 399
         for n in range(1, 400):
             bd = loglik_path(sigmas[:n + 1], es[:n], config, q)
@@ -163,6 +164,18 @@ class TestLoglikPath:
         with pytest.raises(DomainError, match="t=2"):
             loglik_path(sigmas, es, config2, steady_Q(config2))
 
+    def test_errors_in_time_order(self, config2):
+        # a step with no positive L_t before a non-SPD matrix raises first, and
+        # a non-SPD matrix before such a step
+        collapse = np.eye(2) / (2.0 * config2.k)  # L_t = I - 2 I
+        es = [0.1 * np.ones(2)] * 4
+        sigmas = [np.eye(2), collapse, np.eye(2), -np.eye(2), np.eye(2)]
+        with pytest.raises(DomainError, match="t=1"):
+            loglik_path(sigmas, es, config2, steady_Q(config2))
+        sigmas = [np.eye(2), np.eye(2), -np.eye(2), np.eye(2), collapse]
+        with pytest.raises(NotPositiveDefinite):
+            loglik_path(sigmas, es, config2, steady_Q(config2))
+
     def test_monotone_decrease_in_error_scale(self, rng, config2):
         sigmas, es = self._random_path(rng, config2, 8)
         q = steady_Q(config2)
@@ -205,6 +218,33 @@ class TestLoglikPath:
                      for t in range(1, n_obs + 1))
         offset += n_obs * ((m_beta - 1) / 2 * math.log(k) + 0.5 * math.log(2.0))
         assert bd.total == pytest.approx(exact + offset, abs=1e-8)
+
+
+class TestTermsFromSpectra:
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_path_equals_its_transitions(self, rng, p):
+        # one call on a T + 1 path gives, bit for bit, the T calls on its
+        # two-row paths; the stack holds a NaN member from step 3 and a step
+        # (t = 5 of member 2) with no positive L_t eigenvalue
+        n_steps, n_members = 9, 4
+        sigmas = np.array([[random_spd(rng, p) for _ in range(n_members)]
+                           for _ in range(n_steps + 1)])
+        deltas = np.linspace(0.75, 0.95, n_members)
+        k = np.array([ModelConfig(delta=d, phi=1.0, omega=np.eye(p)).k for d in deltas])
+        sigmas[5, 2] = sigmas[4, 2] / (2.0 * k[2])
+        w, v = np.linalg.eigh(sigmas)
+        w[3:, 1], v[3:, 1] = np.nan, np.nan
+        e = rng.standard_normal((n_steps, n_members, p))
+        q_inv = np.array([random_spd(rng, p) for _ in range(n_members)])
+        with np.errstate(invalid="ignore"):
+            path = seqvol.likelihood.terms_from_spectra(e, w, v, q_inv, k, deltas)
+            steps = [seqvol.likelihood.terms_from_spectra(e[t:t + 1], w[t:t + 2],
+                                                          v[t:t + 2], q_inv, k, deltas)
+                     for t in range(n_steps)]
+        assert path[2][4, 2] == -np.inf
+        assert np.isnan(path[0][3:, 1]).all() and np.isfinite(path[0][:, [0, 2, 3]]).all()
+        for group, got in zip(path, zip(*steps)):
+            assert group.tobytes() == np.concatenate(got).tobytes()
 
 
 class TestLoglikAtFilterPath:

@@ -157,7 +157,24 @@ class TestPositiveEigenvalues:
         assert np.all(np.diff(out) <= 0)
 
 
+# entries of sorted spectra: NaN sorts last
+_SPECTRUM_ENTRIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
+
+
 class TestRankCut:
+    @settings(max_examples=400, deadline=None)
+    @given(w=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0,
+                                                     max_side=5), elements=_SPECTRUM_ENTRIES),
+           rel_tol=st.floats(0.0, 1.0, exclude_max=True))
+    def test_equals_largest_magnitude_formula(self, w, rel_tol):
+        # rank_cut reads the ends of an ascending spectrum
+        w = np.sort(w, axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            largest = np.abs(w).max(axis=-1, initial=0.0)[..., None]
+            np.testing.assert_array_equal(rank_cut(w, rel_tol),
+                                          w > rel_tol * np.maximum(1.0, largest))
+
     def test_stack_matches_each_spectrum(self, rng):
         w = np.sort(rng.standard_normal((6, 4)) * 10.0 ** rng.integers(-9, 3, (6, 1)))
         for rel_tol in (1e-10, 1e-8):
@@ -231,7 +248,8 @@ class TestStackedEigh:
                 assert np.all(np.abs(w - diag) <= bound * np.abs(diag)), name
 
     _entries = (st.floats(allow_nan=True, allow_infinity=True)
-                | st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0, 1e-200, 1e200]))
+                | st.floats(-10.0, 10.0) | st.sampled_from([0.0, -0.0, 1.0, 1e-200, 1e200, 1.5e308,
+                                                             -1.5e308, 1.7e308, -1.7e308]))
 
     @settings(max_examples=300, deadline=None)
     @given(abc=hnp.arrays(np.float64, st.tuples(st.integers(2, 6), st.just(3)),
@@ -263,15 +281,12 @@ class TestPositiveSpectrum:
     """``positive_spectrum`` reads the ends of an ascending spectrum; on
     sorted input it equals the test against the spectral radius."""
 
-    _values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-        [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf])
-
     @settings(max_examples=400, deadline=None)
     @given(w=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
-                        elements=_values),
+                        elements=_SPECTRUM_ENTRIES),
            rel_tol=st.none() | st.floats(0.0, 1.0, exclude_max=True))
     def test_equals_spectral_radius_formula(self, w, rel_tol):
-        w = np.sort(w, axis=-1)  # NaN sorts last
+        w = np.sort(w, axis=-1)
         tol = w.shape[-1] * np.finfo(float).eps if rel_tol is None else rel_tol
         with np.errstate(invalid="ignore", over="ignore"):
             expected = w[..., 0] > tol * np.abs(w).max(axis=-1)
