@@ -40,6 +40,7 @@ from .io import (
     write_volatility_csv,
 )
 from .likelihood import loglik_from_records, perf_metrics
+from .linalg import check_square
 from .search import SearchSpec, coordinate_search
 from .simulate import simulate_path
 
@@ -66,11 +67,23 @@ def _typed_config():
         raise DomainError(f"invalid config value: {exc}") from exc
 
 
-def _integer(raw: dict, key: str, default=None) -> int:  # int() takes True and cuts 2.5
-    value = raw.get(key, default)
+def _integer(raw: dict, key: str) -> int:  # int() takes True and cuts 2.5
+    value = raw[key]
     if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
         raise DomainError(f"config {key!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(raw: dict, seed: int | None, default: int | None = None) -> int | None:
+    """The run's seed: ``--seed``, else the config's, else ``default``; an integer >= 0."""
+    if seed is None:
+        if "seed" not in raw:
+            return default
+        with _typed_config():
+            seed = _integer(raw, "seed")
+    if seed < 0:
+        raise DomainError(f"seed={seed} must be non-negative")
+    return seed
 
 
 @contextmanager
@@ -90,12 +103,10 @@ def _make_out(out_dir) -> Path:
     return out
 
 
-def _as_matrix(value, p_hint: int | None, name: str) -> np.ndarray:
+def _as_matrix(value, p: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
-        if p_hint is None:
-            raise DomainError(f"{name}: scalar given but dimension unknown")
-        return float(arr) * np.eye(p_hint)
+        return float(arr) * np.eye(p)
     if arr.ndim == 1:
         return np.diag(arr)
     return arr
@@ -109,7 +120,7 @@ def load_model_config(raw: dict) -> ModelConfig:
     if "omega_diag" in raw:
         omega = np.diag(np.asarray(raw["omega_diag"], dtype=float))
     elif "omega_matrix" in raw:
-        omega = np.asarray(raw["omega_matrix"], dtype=float)
+        omega = check_square(raw["omega_matrix"], "omega")
     else:
         raise DomainError("config must provide 'omega_diag' or 'omega_matrix'")
     p = omega.shape[0]
@@ -120,7 +131,7 @@ def load_model_config(raw: dict) -> ModelConfig:
             m0 = np.full(p, float(m0))
     s0 = raw.get("s0")
     if s0 is not None:
-        s0 = _as_matrix(s0, p, "s0")
+        s0 = _as_matrix(s0, p)
     modes = raw.get("modes", {})
     if not isinstance(modes, dict):
         raise DomainError(f"config 'modes' must be an object, got {modes!r}")
@@ -191,8 +202,7 @@ def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False
                 f"input has {table.values.shape[1]} series but omega is {config.p}x{config.p}"
             )
         spec = load_search_spec(raw) if search else None
-        manifest = _manifest(raw, config, raw.get("seed") if seed is None else seed,
-                             input_path)
+        manifest = _manifest(raw, config, _seed(raw, seed), input_path)
         out = _make_out(out_dir)
     return out, config, spec, table.values, manifest
 
@@ -268,10 +278,7 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
         config = load_model_config(raw)
         if n_steps < 1:
             raise DomainError("--n-steps must be >= 1")
-        with _typed_config():
-            seed = _integer(raw, "seed", 0) if seed is None else seed
-        if seed < 0:
-            raise DomainError(f"seed={seed} must be non-negative")
+        seed = _seed(raw, seed, default=0)
         manifest = _manifest(raw, config, seed)
         out = _make_out(out_dir)
     with _exit_on_error(NUMERICAL_EXIT):

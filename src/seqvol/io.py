@@ -5,9 +5,10 @@ CSV inputs carry a header row and an optional leading date column
 log-returns; rows with gaps are rejected with their 1-based line number.
 
 All floats are serialized with 17 significant digits, so identical runs
-produce byte-identical files and every double round-trips exactly. The
-lower-triangle vech ordering of matrix columns is row-major and documented
-in the file's leading comment line.
+produce byte-identical files and every double round-trips exactly; every CSV
+table is written by one block writer, one ``str.format`` per line. The
+lower-triangle vech ordering of matrix columns (:func:`vech_lower`) is
+row-major and documented in the file's leading comment line.
 """
 
 from __future__ import annotations
@@ -175,14 +176,14 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(render_json(obj) + "\n")
 
 
-def vech_lower(mat: np.ndarray) -> list[float]:
-    """Row-major lower-triangle half-vectorization."""
-    p = mat.shape[0]
-    return [float(mat[i, j]) for i in range(p) for j in range(i + 1)]
+def vech_lower(mats: np.ndarray) -> np.ndarray:
+    """Row-major lower-triangle half-vectorization of a matrix or a stack ``(..., p, p)``."""
+    rows, cols = np.tril_indices(mats.shape[-1])
+    return mats[..., rows, cols]
 
 
 def _vech_labels(prefix: str, p: int) -> list[str]:
-    return [f"{prefix}_{i}_{j}" for i in range(p) for j in range(i + 1)]
+    return [f"{prefix}_{i}_{j}" for i, j in zip(*vech_lower(np.indices((p, p))).tolist())]
 
 
 def correlation_from_cov(cov: np.ndarray) -> np.ndarray:
@@ -195,20 +196,26 @@ def correlation_from_cov(cov: np.ndarray) -> np.ndarray:
     return corr
 
 
-_BLOCK = 256  # records per block: bounds the writers' numpy temporaries
+_BLOCK = 256  # rows per block: bounds the writers' numpy temporaries
 
 
-def _write_records(handle, records: Sequence, n_cols: int, table) -> None:
-    """Write one line ``t,v1,...`` per record, as ``csv.writer`` would.
+def _header(labels: Sequence[str]) -> str:
+    return ",".join(labels) + "\r\n"
 
-    ``table(block)`` gives a block's ``(len(block), n_cols)`` floats, written
-    with 17 significant digits.
+
+def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> None:
+    """Write ``head``, then ``n_rows`` data lines in blocks of ``_BLOCK`` rows.
+
+    ``rows(start, start + _BLOCK)`` yields the format arguments of a block's
+    lines, and each line is one ``line.format(*args)`` whose float fields are
+    ``{:.17g}``: one call per line, not one per field. Lines end in ``\\r\\n``,
+    as ``csv.writer``'s do.
     """
-    line = "{}" + ",{:.17g}" * n_cols + "\r\n"
-    for start in range(0, len(records), _BLOCK):
-        block = records[start:start + _BLOCK]
-        handle.writelines(line.format(rec.t, *row.tolist())
-                          for rec, row in zip(block, table(block)))
+    line += "\r\n"
+    with Path(path).open("w", newline="") as handle:
+        handle.write(head)
+        for start in range(0, n_rows, _BLOCK):
+            handle.writelines(line.format(*args) for args in rows(start, start + _BLOCK))
 
 
 def write_volatility_csv(path: str | Path, records: Sequence) -> None:
@@ -216,19 +223,17 @@ def write_volatility_csv(path: str | Path, records: Sequence) -> None:
     if not records:
         raise DimensionMismatch("no records to write")
     p = records[0].s_star.shape[0]
-    rows, cols = np.tril_indices(p)  # row-major lower triangle
 
-    def table(block):
+    def rows(start, stop):
+        block = records[start:stop]
         s_star = np.array([rec.s_star for rec in block])
-        return np.hstack([s_star[:, rows, cols],
-                          correlation_from_cov(s_star)[:, rows, cols]])
+        table = np.hstack([vech_lower(s_star), vech_lower(correlation_from_cov(s_star))])
+        return ((rec.t, *row.tolist()) for rec, row in zip(block, table))
 
-    with Path(path).open("w", newline="") as handle:
-        handle.write("# vech ordering: row-major lower triangle "
-                     "(i=0..p-1, j=0..i); corr diagonal is exactly 1\n")
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p))
-        _write_records(handle, records, 2 * len(rows), table)
+    head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
+            "corr diagonal is exactly 1\n"
+            + _header(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p)))
+    _write_csv(path, head, "{}" + ",{:.17g}" * (p * (p + 1)), len(records), rows)
 
 
 def write_forecast_csv(path: str | Path, records: Sequence) -> None:
@@ -236,32 +241,25 @@ def write_forecast_csv(path: str | Path, records: Sequence) -> None:
     if not records:
         raise DimensionMismatch("no records to write")
     p = len(records[0].e)
-    cols = ([f"forecast_{j}" for j in range(p)]
-            + [f"e_{j}" for j in range(p)]
-            + [f"u_{j}" for j in range(p)])
 
-    def table(block):
-        return np.hstack([np.array([rec.forecast.location for rec in block]),
-                          np.array([rec.e for rec in block]),
-                          np.array([rec.u for rec in block])])
+    def rows(start, stop):
+        block = records[start:stop]
+        table = np.hstack([np.array([rec.forecast.location for rec in block]),
+                           np.array([rec.e for rec in block]),
+                           np.array([rec.u for rec in block])])
+        return ((rec.t, *row.tolist()) for rec, row in zip(block, table))
 
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + cols)
-        _write_records(handle, records, 3 * p, table)
+    head = _header(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
+                            for j in range(p)])
+    _write_csv(path, head, "{}" + ",{:.17g}" * (3 * p), len(records), rows)
 
 
-def write_returns_csv(path: str | Path, values: np.ndarray,
-                      columns: Sequence[str] | None = None) -> None:
+def write_returns_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a returns matrix in the same layout the loader ingests."""
     values = np.asarray(values, dtype=float)
-    if columns is None:
-        columns = [f"y{j}" for j in range(values.shape[1])]
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(columns))
-        for row in values:
-            writer.writerow([fmt17(v) for v in row])
+    p = values.shape[1]
+    _write_csv(path, _header([f"y{j}" for j in range(p)]), ",".join(["{:.17g}"] * p),
+               len(values), lambda start, stop: values[start:stop].tolist())
 
 
 def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
@@ -271,26 +269,26 @@ def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
     Row ``t = 0`` holds the prior seed matrix and an empty signal.
     """
     p = thetas.shape[1]
-    with Path(path).open("w", newline="") as handle:
-        handle.write("# vech ordering: row-major lower triangle; "
-                     "sigma at t=0 is the prior seed matrix\n")
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + _vech_labels("sigma", p) + [f"theta_{j}" for j in range(p)])
-        for t, sigma in enumerate(sigmas):
-            theta = [""] * p if t == 0 else [fmt17(v) for v in thetas[t - 1]]
-            writer.writerow([str(t)] + [fmt17(v) for v in vech_lower(sigma)] + theta)
+    line = "{}" + ",{:.17g}" * (p * (p + 1) // 2)
+
+    def rows(start, stop):
+        table = np.hstack([vech_lower(np.array(sigmas[start + 1:stop + 1])),
+                           thetas[start:stop]])
+        return ((t, *row.tolist()) for t, row in enumerate(table, start + 1))
+
+    head = ("# vech ordering: row-major lower triangle; "
+            "sigma at t=0 is the prior seed matrix\n"
+            + _header(["t"] + _vech_labels("sigma", p) + [f"theta_{j}" for j in range(p)])
+            + line.format(0, *vech_lower(sigmas[0]).tolist()) + "," * p + "\r\n")
+    _write_csv(path, head, line + ",{:.17g}" * p, len(thetas), rows)
 
 
 def write_search_trace_csv(path: str | Path, trace: Sequence) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["delta", "sweep", "coordinate", "objective", "accepted", "z"])
-        for entry in trace:
-            writer.writerow([
-                fmt17(entry.delta),
-                str(entry.sweep),
-                "" if entry.coordinate is None else str(entry.coordinate),
-                fmt17(entry.objective),
-                str(int(entry.accepted)),
-                ";".join(fmt17(v) for v in entry.z),
-            ])
+    """One line per objective evaluation; a start point has no ``coordinate``."""
+    def rows(start, stop):
+        return ((e.delta, e.sweep, "" if e.coordinate is None else e.coordinate,
+                 e.objective, int(e.accepted), *e.z) for e in trace[start:stop])
+
+    z = ";".join(["{:.17g}"] * (len(trace[0].z) if trace else 0))
+    _write_csv(path, _header(["delta", "sweep", "coordinate", "objective", "accepted", "z"]),
+               "{:.17g},{},{},{:.17g},{}," + z, len(trace), rows)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FilterNumericalError, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError, FilterNumericalError, NotPositiveDefinite
 from .filtering import ModelConfig
 from .gwishart import SingularBetaParams, sample_singular_beta
 from .linalg import (
@@ -143,6 +143,13 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
         omega_sqrt = sym_sqrt(config.omega, DEFAULT_REL_TOL)
     else:
         omega_sqrt = psd_sqrt(np.asarray(omega, dtype=float))
+    for name, x in (("sigma0", sigma0), ("omega", omega_sqrt)):
+        if x.shape != (p, p):
+            raise DimensionMismatch(f"{name} has shape {x.shape}, expected {(p, p)}")
+    if theta.shape != (p,):
+        raise DimensionMismatch(f"theta0 has shape {theta.shape}, expected ({p},)")
+    if not np.isfinite(theta).all():
+        raise DomainError(f"theta0={theta.tolist()} must be finite")
 
     sigmas, w, v = _evolve(gen, sigma0, config, n_steps)
     # columns: the state innovation's Omega^{1/2} z_t, the observation's eps_t

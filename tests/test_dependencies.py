@@ -46,6 +46,30 @@ def test_declared_dependencies():
     assert "scipy" in test
 
 
+def test_every_import_is_used():
+    # a name a seqvol module imports is used there, or its line is marked
+    # "# noqa: F401" (kept for a caller outside the module); a string spelling
+    # the name (a quoted annotation, an __all__ entry) counts as a use
+    unused = []
+    for path in sorted((ROOT / "src" / "seqvol").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a, (a.asname or a.name).split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a, a.asname or a.name) for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{alias.lineno}: {name}" for alias, name in bound
+                       if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]]
+    assert unused == []
+
+
 def test_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text()
     block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]

@@ -18,9 +18,12 @@ from seqvol.io import (
     vech_lower,
     write_forecast_csv,
     write_returns_csv,
+    write_search_trace_csv,
+    write_sim_truth_csv,
     write_volatility_csv,
 )
 from seqvol.likelihood import loglik_at_filter_path
+from seqvol.search import TraceEntry
 from seqvol.simulate import simulate_path
 
 
@@ -113,7 +116,10 @@ class TestSerialization:
 
     def test_vech_row_major_lower(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-        assert vech_lower(m) == [1.0, 2.0, 4.0, 3.0, 5.0, 6.0]
+        np.testing.assert_array_equal(vech_lower(m), [1.0, 2.0, 4.0, 3.0, 5.0, 6.0])
+        np.testing.assert_array_equal(vech_lower(np.stack([m, -m])),
+                                      [[1.0, 2.0, 4.0, 3.0, 5.0, 6.0],
+                                       [-1.0, -2.0, -4.0, -3.0, -5.0, -6.0]])
 
     def test_correlations(self, rng):
         from conftest import random_spd
@@ -179,6 +185,65 @@ class TestWriters:
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "ref.csv").read_bytes()
         assert b",-0,0.25,1e-300," in got
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_returns_csv_bytes(self, p, tmp_path):
+        # more rows than one block of the writer
+        values = 0.3 * np.random.default_rng(p).standard_normal((300, p))
+        values[5, 0] = -0.0
+        values[270, -1] = 1e-300
+        _reference_csv(tmp_path / "ref.csv", [f"y{j}" for j in range(p)],
+                       [[fmt17(v) for v in row] for row in values])
+        write_returns_csv(tmp_path / "got.csv", values)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b"\r\n-0" in got and b"1e-300\r\n" in got
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_sim_truth_csv_bytes(self, p, tmp_path):
+        config = ModelConfig(delta=0.95, phi=1.0, omega=np.diag(np.linspace(0.5, 1.5, p)))
+        path = simulate_path(11, config, n_steps=300)
+        sigmas = [s.copy() for s in path.sigmas]
+        if p > 1:
+            sigmas[0][-1, 0] = sigmas[0][0, -1] = -0.0
+        thetas = path.thetas.copy()
+        thetas[3, 0] = -0.0
+        rows = []
+        for t, s in enumerate(sigmas):
+            theta = [""] * p if t == 0 else [fmt17(v) for v in thetas[t - 1]]
+            rows.append([str(t)] + [fmt17(s[i, j]) for i in range(p) for j in range(i + 1)]
+                        + theta)
+        _reference_csv(tmp_path / "ref.csv",
+                       ["t"] + [f"sigma_{i}_{j}" for i in range(p) for j in range(i + 1)]
+                       + [f"theta_{j}" for j in range(p)],
+                       rows,
+                       comment="# vech ordering: row-major lower triangle; "
+                               "sigma at t=0 is the prior seed matrix\n")
+        write_sim_truth_csv(tmp_path / "got.csv", sigmas, thetas)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        # the t = 0 row: the prior seed matrix and an empty signal
+        assert b"\r\n0,1" + b",0,1,-0,0,1" * (p > 1) + b"," * p + b"\r\n1," in got
+
+    def test_search_trace_csv_bytes(self, tmp_path):
+        trace = [
+            TraceEntry(0.8, (0.25, 0.5), None, 0, -math.inf, True),  # a start point
+            TraceEntry(0.8, (0.125, 0.5), 0, 1, np.float64(-0.0), np.False_),
+            TraceEntry(np.float64(0.95), (np.float64(0.1), 1 / 3), 1, 2,
+                       np.float64(-1234.5678901234567), np.True_),
+        ]
+        trace += [TraceEntry(0.9, (k / 300, 0.5), 0, 3, 1e-300 * k, k == 7)
+                  for k in range(1, 300)]
+        rows = [[fmt17(e.delta), str(e.sweep), "" if e.coordinate is None else str(e.coordinate),
+                 fmt17(e.objective), str(int(e.accepted)), ";".join(fmt17(v) for v in e.z)]
+                for e in trace]
+        _reference_csv(tmp_path / "ref.csv",
+                       ["delta", "sweep", "coordinate", "objective", "accepted", "z"], rows)
+        write_search_trace_csv(tmp_path / "got.csv", trace)
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        assert b"\r\n0.80000000000000004,0,,-inf,1,0.25;0.5\r\n" in got
+        assert b",-0,0," in got
 
 
 @pytest.fixture
@@ -477,6 +542,45 @@ def test_integral_q_and_seed_accepted(tmp_path):
     res = _invoke("simulate", cfg, None, tmp_path / "out")
     assert res.exit_code == 0, res.output
     assert json.loads((tmp_path / "out" / "report.json").read_text())["manifest"]["seed"] == 4
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c != "simulate"])
+def test_config_seed_checked_as_simulate_checks_it(command, tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text("a\n" + "0.01\n-0.01\n0.02\n" * 4)  # search needs 10 rows
+    cfg = tmp_path / "config.json"
+    for seed, message in [(2.5, "config 'seed' must be an integer, got 2.5"),
+                          ("x", "invalid config value: invalid literal for int() "
+                                "with base 10: 'x'"),
+                          (True, "config 'seed' must be an integer, got True"),
+                          (-1, "seed=-1 must be non-negative")]:
+        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0],
+                                   "seed": seed}))
+        res = _invoke(command, cfg, data, tmp_path / "out")
+        assert res.exit_code == 2, (seed, res.output)
+        assert f"error: {message}" in res.output
+        assert not (tmp_path / "out").exists()
+    # a valid seed, or none, is echoed into the manifest as it is
+    for config, echoed in [({"seed": 7}, 7), ({"seed": 4.0}, 4), ({}, None)]:
+        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], **config}))
+        out = tmp_path / f"out_{echoed}"
+        res = _invoke(command, cfg, data, out)
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "report.json").read_text())["manifest"]["seed"] == echoed
+
+
+@pytest.mark.parametrize("omega", [2.0, [1.0, 2.0], [[[1.0]]]])
+def test_omega_matrix_not_a_matrix_exits_2(omega, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_matrix": omega}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    res = _invoke("filter", cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    shape = np.shape(omega)
+    assert f"error: omega must be square, got shape {shape}" in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
 
 
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
-from seqvol.errors import DomainError, FilterNumericalError, NotPositiveDefinite
+from seqvol.errors import (DimensionMismatch, DomainError, FilterNumericalError,
+                           NotPositiveDefinite)
 from seqvol.filtering import ModelConfig, steady_Q
 from seqvol.gwishart import (
     GWParams,
@@ -148,6 +149,23 @@ class TestSimulatePath:
         with pytest.raises(DomainError):
             SimPath(ys=np.zeros((3, 2)), thetas=np.zeros((2, 2)),
                     sigmas=[np.eye(2)] * 4, seed=None)
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"theta0": [math.nan, 0.0]}, DomainError, r"theta0=\[nan, 0.0\] must be finite"),
+        ({"theta0": [0.0, math.inf]}, DomainError, r"theta0=\[0.0, inf\] must be finite"),
+        ({"theta0": np.zeros(3)}, DimensionMismatch,
+         r"theta0 has shape \(3,\), expected \(2,\)"),
+        ({"theta0": 0.0}, DimensionMismatch, r"theta0 has shape \(\), expected \(2,\)"),
+        ({"sigma0": np.eye(3)}, DimensionMismatch,
+         r"sigma0 has shape \(3, 3\), expected \(2, 2\)"),
+        ({"sigma0": np.ones(2)}, DimensionMismatch, "sigma0 must be square"),
+        ({"omega": np.eye(3)}, DimensionMismatch,
+         r"omega has shape \(3, 3\), expected \(2, 2\)"),
+    ])
+    def test_rejects_bad_start(self, config2, kwargs, error, message):
+        # rejected before any draw, not as numpy's error or a NaN path
+        with pytest.raises(error, match=message):
+            simulate_path(1, config2, n_steps=5, **kwargs)
 
 
 class TestLongRunRobustness:
