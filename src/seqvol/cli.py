@@ -118,7 +118,10 @@ def load_model_config(raw: dict) -> ModelConfig:
     if "delta" not in raw or "phi" not in raw:
         raise DomainError("config must provide 'delta' and 'phi'")
     if "omega_diag" in raw:
-        omega = np.diag(np.asarray(raw["omega_diag"], dtype=float))
+        diag = np.asarray(raw["omega_diag"], dtype=float)
+        if diag.ndim != 1 or not diag.size:
+            raise DomainError(f"'omega_diag' must be a non-empty vector, got {diag.tolist()}")
+        omega = np.diag(diag)
     elif "omega_matrix" in raw:
         omega = check_square(raw["omega_matrix"], "omega")
     else:

@@ -25,6 +25,8 @@ steps at ``B = 1``, at least 8 for any stack. Only the part of a step that
 depends on the step before runs in the step loop; each block stacks only the
 fields its caller names, evaluating the standardized errors or the likelihood
 terms (:func:`seqvol.likelihood.terms_from_spectra`) over its steps if named.
+Failure is flagged per block too, from the spectra the block keeps, and a
+failed candidate restarts from its start state at the block's end.
 :func:`seqvol.search.evaluate_candidates` adds up each block's terms or
 squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
 observation) copy the blocks into arrays allocated once per run.
@@ -57,7 +59,7 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
 # what the step loop keeps of each step of a block, in order
-_STEP = ("s", "ws", "vs", "w_star", "v_star", "f", "e", "s_star", "failed")
+_STEP = ("s", "ws", "vs", "w_star", "v_star", "f", "e", "s_star")
 
 
 def discount_k(delta: float, p: int) -> float:
@@ -315,13 +317,11 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     named; the other fields are ``None``.
 
     A candidate's values depend neither on the rest of its stack nor on the
-    block size, bit for bit. Callers silence floating-point warnings. A
-    failed candidate is flagged in ``failed`` and restarts every step from
-    its start state and spectra (``P_t`` goes on), so its values are
-    meaningless but finite and the stacked decompositions of the others run
-    once (:func:`stacked_eigh` retries a stack with a non-finite member).
-    Only a step that fails a candidate, or follows one that did, updates the
-    flags and restarts: the common step checks its spectra and goes on.
+    block size, bit for bit. Callers silence floating-point warnings. Each
+    block flags its failed candidates in ``failed`` from the spectra it
+    keeps, and at its end restarts them from their start state and spectra
+    (``P_t`` goes on). So a failed candidate's values are meaningless, and
+    NaN, which slows the stacked decompositions, at most until then.
     """
     base = setup.base
     ys = np.asarray(ys, dtype=float)
@@ -357,9 +357,8 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
 
         m, s, ws, vs, w_star, v_star = initial
         failed = setup.bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-        restart = bool(failed.any())  # a candidate has failed: restart it every step
         # the step before the block, then its steps, as _STEP columns
-        steps = [(s, ws, vs, w_star, v_star, None, None, None, failed)]
+        steps = [(s, ws, vs, w_star, v_star, None, None, None)]
         # P_t's eigenvalues at the last steps mapped, t counted from the run's
         # start. The map is deterministic: once the stack's bits equal those
         # of two steps before (bits, so a NaN member compares equal), P_t
@@ -390,20 +389,23 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
                 ws, vs = stacked_eigh(s)
                 s_star = estimate(s, ws, vs)
                 w_star, v_star = stacked_eigh(s_star)
-                ok = positive_spectrum(ws) & positive_spectrum(w_star)
                 root = np.sqrt(w_star)[:, None, :]
                 vt_star = v_star.swapaxes(-1, -2)
                 gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
                 m = m + (gain @ e[:, :, None])[:, :, 0]
-                if restart or not ok.all():  # rare: a candidate has failed
-                    failed, restart = failed | ~ok, True
-                    m, s, ws, vs, w_star, v_star = (
-                        np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
-                        for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
-                steps.append((s, ws, vs, w_star, v_star, f, e, s_star, failed))
+                steps.append((s, ws, vs, w_star, v_star, f, e, s_star))
             p_eigs = lams[-1] if cycle is None else cycle[(lo + len(block)) % 2][0]
             columns = dict(zip(_STEP, zip(*steps)))
-            steps = steps[-1:]
+            w_stars = gather("w_star", slice(None))
+            # a candidate stays failed from its first spectrum that is not positive definite
+            flags = failed | np.logical_or.accumulate(
+                ~(positive_spectrum(gather("ws")) & positive_spectrum(w_stars[1:])), axis=0)
+            failed = flags[-1]
+            if failed.any():  # rare: restart the failed candidates
+                m, s, ws, vs, w_star, v_star = (
+                    np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
+                    for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
+            steps = [(s, ws, vs, w_star, v_star, None, None, None)]
             e = gather("e") if reads & {"e", "u", "terms"} else None  # u and terms read e
             u = terms = None
             if "u" in reads:
@@ -412,12 +414,11 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
                 u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / setup.root_cov
             if "terms" in reads:
                 terms = _likelihood.terms_from_spectra(
-                    e, gather("w_star", slice(None)), gather("v_star", slice(None)),
-                    setup.q_inv, setup.k, setup.deltas)
+                    e, w_stars, gather("v_star", slice(None)), setup.q_inv, setup.k, setup.deltas)
             yield _Block(gather("f") if "f" in reads else None, e, u,
                          gather("s_star") if "s_star" in reads else None,
                          gather("s", slice(0, -1)) if "s_prev" in reads else None,
-                         gather("failed"), terms, m, s, p_eigs)
+                         flags, terms, m, s, p_eigs)
             del columns  # frees the block's steps before the next block's
 
     return blocks()
@@ -436,30 +437,25 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
         raise DimensionMismatch(f"state basis has shape {np.shape(state.basis)}, not {(p, p)}")
     if not np.array_equal(state.basis, setup.v[0]):
         raise DomainError("state P is not held in this config's Omega eigenbasis")
-    # steps copied; a LinAlgError is reported at the first step after them
-    done = 0
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        try:
-            blocks = _recursion(ys, setup, state, {"f", "e", "u", "s_star", "s_prev"}
-                                | ({"terms"} if compute_loglik else set()))
-            n = len(ys)
-            f, e, u = np.empty((3, n, p))
-            s_star, scale = (np.empty((n, p, p)) for _ in range(2))
-            terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
-            for block in blocks:
-                if block.failed[-1, 0]:
-                    i = done + int(np.argmax(block.failed[:, 0]))
-                    raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
-                        "S_t or S_t^* is not positive definite at machine precision"))
-                rows = slice(done, done + len(block.e))
-                for out, x in zip((f, e, u, s_star), block):
-                    out[rows] = x[:, 0]
-                scale[rows] = block.s_prev[:, 0] / config.k
-                if compute_loglik:
-                    terms[:, rows] = [g[:, 0] for g in block.terms]
-                done = rows.stop
-        except np.linalg.LinAlgError as exc:
-            raise FilterNumericalError(t + done + 1, exc) from exc
+        blocks = _recursion(ys, setup, state, {"f", "e", "u", "s_star", "s_prev"}
+                            | ({"terms"} if compute_loglik else set()))
+        n, done = len(ys), 0  # steps copied
+        f, e, u = np.empty((3, n, p))
+        s_star, scale = (np.empty((n, p, p)) for _ in range(2))
+        terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
+        for block in blocks:
+            if block.failed[-1, 0]:
+                i = done + int(np.argmax(block.failed[:, 0]))
+                raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
+                    "S_t or S_t^* is not positive definite at machine precision"))
+            rows = slice(done, done + len(block.e))
+            for out, x in zip((f, e, u, s_star), block):
+                out[rows] = x[:, 0]
+            scale[rows] = block.s_prev[:, 0] / config.k
+            if compute_loglik:
+                terms[:, rows] = [g[:, 0] for g in block.terms]
+            done = rows.stop
     if n == 0:
         return [], state
     if compute_loglik:

@@ -6,7 +6,7 @@ log-returns; rows with gaps are rejected with their 1-based line number.
 
 All floats are serialized with 17 significant digits, so identical runs
 produce byte-identical files and every double round-trips exactly; every CSV
-table is written by one block writer, one ``str.format`` per line. The
+table is written by one block writer, one ``%`` format per line. The
 lower-triangle vech ordering of matrix columns (:func:`vech_lower`) is
 row-major and documented in the file's leading comment line.
 """
@@ -206,16 +206,16 @@ def _header(labels: Sequence[str]) -> str:
 def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> None:
     """Write ``head``, then ``n_rows`` data lines in blocks of ``_BLOCK`` rows.
 
-    ``rows(start, start + _BLOCK)`` yields the format arguments of a block's
-    lines, and each line is one ``line.format(*args)`` whose float fields are
-    ``{:.17g}``: one call per line, not one per field. Lines end in ``\\r\\n``,
+    ``rows(start, start + _BLOCK)`` yields the argument tuples of a block's
+    lines, and each line is one ``line % args`` whose float fields are
+    ``%.17g``: one call per line, not one per field. Lines end in ``\\r\\n``,
     as ``csv.writer``'s do.
     """
     line += "\r\n"
     with Path(path).open("w", newline="") as handle:
         handle.write(head)
         for start in range(0, n_rows, _BLOCK):
-            handle.writelines(line.format(*args) for args in rows(start, start + _BLOCK))
+            handle.writelines(line % args for args in rows(start, start + _BLOCK))
 
 
 def write_volatility_csv(path: str | Path, records: Sequence) -> None:
@@ -233,7 +233,7 @@ def write_volatility_csv(path: str | Path, records: Sequence) -> None:
     head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
             "corr diagonal is exactly 1\n"
             + _header(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p)))
-    _write_csv(path, head, "{}" + ",{:.17g}" * (p * (p + 1)), len(records), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1)), len(records), rows)
 
 
 def write_forecast_csv(path: str | Path, records: Sequence) -> None:
@@ -251,15 +251,15 @@ def write_forecast_csv(path: str | Path, records: Sequence) -> None:
 
     head = _header(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
                             for j in range(p)])
-    _write_csv(path, head, "{}" + ",{:.17g}" * (3 * p), len(records), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (3 * p), len(records), rows)
 
 
 def write_returns_csv(path: str | Path, values: np.ndarray) -> None:
     """Write a returns matrix in the same layout the loader ingests."""
     values = np.asarray(values, dtype=float)
     p = values.shape[1]
-    _write_csv(path, _header([f"y{j}" for j in range(p)]), ",".join(["{:.17g}"] * p),
-               len(values), lambda start, stop: values[start:stop].tolist())
+    _write_csv(path, _header([f"y{j}" for j in range(p)]), ",".join(["%.17g"] * p),
+               len(values), lambda start, stop: map(tuple, values[start:stop].tolist()))
 
 
 def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
@@ -269,7 +269,7 @@ def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
     Row ``t = 0`` holds the prior seed matrix and an empty signal.
     """
     p = thetas.shape[1]
-    line = "{}" + ",{:.17g}" * (p * (p + 1) // 2)
+    line = "%d" + ",%.17g" * (p * (p + 1) // 2)
 
     def rows(start, stop):
         table = np.hstack([vech_lower(np.array(sigmas[start + 1:stop + 1])),
@@ -279,8 +279,8 @@ def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
     head = ("# vech ordering: row-major lower triangle; "
             "sigma at t=0 is the prior seed matrix\n"
             + _header(["t"] + _vech_labels("sigma", p) + [f"theta_{j}" for j in range(p)])
-            + line.format(0, *vech_lower(sigmas[0]).tolist()) + "," * p + "\r\n")
-    _write_csv(path, head, line + ",{:.17g}" * p, len(thetas), rows)
+            + line % (0, *vech_lower(sigmas[0]).tolist()) + "," * p + "\r\n")
+    _write_csv(path, head, line + ",%.17g" * p, len(thetas), rows)
 
 
 def write_search_trace_csv(path: str | Path, trace: Sequence) -> None:
@@ -289,6 +289,6 @@ def write_search_trace_csv(path: str | Path, trace: Sequence) -> None:
         return ((e.delta, e.sweep, "" if e.coordinate is None else e.coordinate,
                  e.objective, int(e.accepted), *e.z) for e in trace[start:stop])
 
-    z = ";".join(["{:.17g}"] * (len(trace[0].z) if trace else 0))
+    z = ";".join(["%.17g"] * (len(trace[0].z) if trace else 0))
     _write_csv(path, _header(["delta", "sweep", "coordinate", "objective", "accepted", "z"]),
-               "{:.17g},{},{},{:.17g},{}," + z, len(trace), rows)
+               "%.17g,%d,%s,%.17g,%d," + z, len(trace), rows)

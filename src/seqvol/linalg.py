@@ -13,9 +13,10 @@ Conventions fixed across the package:
 * the "symmetric square root" of ``M`` is the unique symmetric positive
   definite ``R`` with ``R R = M``, computed by spectral mapping.
 * the filter, the search, the simulator and the likelihood decompose
-  through :func:`stacked_eigh`: LAPACK at ``p >= 3``, and at ``p = 2`` a
-  closed form whose two evaluators (numpy arrays for a stack, Python
-  floats for one matrix) give the same bits.
+  through :func:`stacked_eigh`: LAPACK's kernels at ``p >= 3``, called
+  without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form whose two
+  evaluators (numpy arrays for a stack, Python floats for one matrix) give
+  the same bits. A non-finite member gets a NaN spectrum, raising nothing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK kernels np.linalg.eigh wraps
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
 
@@ -62,11 +64,13 @@ def check_symmetric(m: np.ndarray, rel_tol: float = SYMMETRY_REL_TOL,
 def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
               name: str = "matrix") -> np.ndarray:
     """Validate a symmetric positive definite matrix from untrusted input."""
+    if not check_square(m, name).size:
+        raise DimensionMismatch(f"{name} is empty")
     m = check_symmetric(m, name=name)
     eigvals = stacked_eigh(m, values_only=True)
     if not np.isfinite(eigvals).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries")
-    scale = float(np.max(np.abs(eigvals))) if m.size else 0.0
+    scale = float(np.max(np.abs(eigvals)))
     if scale == 0.0 or eigvals[0] <= rel_tol * scale:
         raise NotPositiveDefinite(
             f"{name} is not positive definite (min eigenvalue {eigvals[0]:.3e})"
@@ -146,10 +150,11 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
     replaces LAPACK, over numpy arrays for a stack and over Python floats
     for one matrix (where numpy costs more per call than LAPACK), with the
     same bits: a member's result never depends on its stack. At ``p >= 3``
-    LAPACK raises for the whole stack when one member has non-finite
-    entries. At every ``p`` such a member gets a NaN spectrum, which
-    :func:`positive_spectrum` rejects, and the others are decomposed as
-    usual. The common path makes one call and no check.
+    it calls the LAPACK kernels under ``np.linalg``'s wrapper, with its
+    bits. At every ``p`` a member with non-finite entries gets a NaN
+    spectrum, which :func:`positive_spectrum` rejects, and the others are
+    decomposed as usual. Nothing is raised, and callers silence the
+    floating-point warnings that the kernels then give.
     """
     if m.shape[-1] == 2:
         if m.size == 4:
@@ -159,14 +164,9 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
             out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
         return (out.reshape(m.shape[:-1]) if values_only
                 else (out[0].reshape(m.shape[:-1]), out[1].reshape(m.shape)))
-    decompose = np.linalg.eigvalsh if values_only else np.linalg.eigh
-    try:
-        return decompose(m)
-    except np.linalg.LinAlgError:
-        bad = ~np.isfinite(m).all(axis=(-2, -1))
-        out = decompose(np.where(bad[..., None, None], np.eye(m.shape[-1]), m))
-        (out if values_only else out[0])[bad] = np.nan
-        return out
+    if values_only:
+        return _umath_linalg.eigvalsh_lo(m, signature="d->d")
+    return _umath_linalg.eigh_lo(m, signature="d->dd")
 
 
 def spd_eigh(m: np.ndarray, rel_tol: float | None = None
@@ -177,7 +177,8 @@ def spd_eigh(m: np.ndarray, rel_tol: float | None = None
     falls at or below the positivity threshold (machine level by default).
     """
     m = check_square(m, "spd_eigh input")
-    w, v = stacked_eigh(m)
+    with np.errstate(invalid="ignore", divide="ignore"):  # a non-finite m: NaN w, rejected below
+        w, v = stacked_eigh(m)
     if not np.isfinite(w).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
     if w.size == 0 or not positive_spectrum(w, rel_tol):

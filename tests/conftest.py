@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+import seqvol.linalg
 
 # every run draws the same examples, and no property fails on a timing deadline
 settings.register_profile("seqvol", derandomize=True, deadline=None)
@@ -40,3 +44,30 @@ def iterate_P_to_convergence(phi, omega, p0, max_iter=200_000, tol=1e-13):
             return nxt
         current = nxt
     raise AssertionError(f"P recursion did not converge within {max_iter} iterations")
+
+
+def count_decompositions(monkeypatch, omega=None):
+    """Count eigendecompositions where they happen: the LAPACK kernels that
+    ``stacked_eigh`` calls directly, and ``np.linalg.eigh``/``eigvalsh``.
+
+    With ``omega``, ``"eigh of omega"`` counts the ``eigh`` calls with
+    ``omega`` among the matrices they decompose.
+    """
+    counts = {"eigh": 0, "eigvalsh": 0} | ({} if omega is None else {"eigh of omega": 0})
+
+    def counted(name, call):
+        def wrapper(a, *args, **kwargs):
+            counts[name] += 1
+            if omega is not None and name == "eigh" and np.shape(a)[-2:] == omega.shape:
+                members = np.reshape(a, (-1,) + omega.shape)
+                counts["eigh of omega"] += any(np.array_equal(x, omega) for x in members)
+            return call(a, *args, **kwargs)
+        return wrapper
+
+    kernels = seqvol.linalg._umath_linalg
+    monkeypatch.setattr(seqvol.linalg, "_umath_linalg", SimpleNamespace(
+        eigh_lo=counted("eigh", kernels.eigh_lo),
+        eigvalsh_lo=counted("eigvalsh", kernels.eigvalsh_lo)))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return counts

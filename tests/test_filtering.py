@@ -30,7 +30,8 @@ from seqvol.likelihood import loglik_constant, loglik_from_records
 from seqvol.linalg import spd_inverse
 from seqvol.simulate import simulate_path
 
-from conftest import iterate_P_to_convergence, p_recursion_step, random_spd
+from conftest import (count_decompositions, iterate_P_to_convergence, p_recursion_step,
+                      random_spd)
 from scalar_oracle import run_scalar_pipeline
 
 
@@ -81,6 +82,8 @@ class TestModelConfig:
                         forecast_mean_mode="bogus")
         with pytest.raises(DimensionMismatch):
             ModelConfig(delta=0.7, phi=1.0, omega=np.eye(2), m0=np.zeros(3))
+        with pytest.raises(DimensionMismatch, match="omega is empty"):
+            ModelConfig(delta=0.7, phi=1.0, omega=np.zeros((0, 0)))
 
     @pytest.mark.parametrize("change, message", [
         ({"phi": math.nan}, "phi=nan must be finite"),
@@ -332,15 +335,13 @@ class TestSetupOnce:
 
     @staticmethod
     def _count(monkeypatch, omega):
-        counts = dict.fromkeys(("eigh", "eigvalsh", "slogdet", "eigh of omega"), 0)
-        for name in ("eigh", "eigvalsh", "slogdet"):
-            def counted(a, *args, _call=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] += 1
-                if _name == "eigh" and np.shape(a)[-2:] == omega.shape:
-                    members = np.reshape(a, (-1,) + omega.shape)
-                    counts["eigh of omega"] += any(np.array_equal(x, omega) for x in members)
-                return _call(a, *args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        counts = count_decompositions(monkeypatch, omega)
+        counts["slogdet"] = 0
+
+        def slogdet(*args, _call=np.linalg.slogdet, **kwargs):
+            counts["slogdet"] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "slogdet", slogdet)
         return counts
 
     @pytest.mark.parametrize("p", [3, 8])

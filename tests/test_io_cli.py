@@ -583,6 +583,20 @@ def test_omega_matrix_not_a_matrix_exits_2(omega, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["filter", "simulate"])
+@pytest.mark.parametrize("diag", [[], [[1.0, 0.0], [0.0, 1.0]], 2.0])
+def test_omega_diag_not_a_vector_exits_2(command, diag, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": diag}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n0.01\n-0.01\n0.02\n")
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert f"error: 'omega_diag' must be a non-empty vector, got {diag!r}" in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "q": 0}))

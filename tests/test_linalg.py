@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,23 +190,25 @@ class TestRankCut:
 class TestStackedEigh:
     @pytest.mark.parametrize("p", [2, 3, 8])
     def test_non_finite_member_gets_nan_spectrum(self, rng, p):
+        # nothing is raised, and LAPACK's floating-point flags (invalid, and
+        # divide for an infinite diagonal) are the caller's to silence
         good = random_spd(rng, p)
         off_diagonal = np.eye(p, k=1) + np.eye(p, k=-1) > 0
         for bad in (np.full((p, p), np.nan), np.diag(np.full(p, np.inf)),
                     np.diag([-np.inf] + [1.0] * (p - 1)),
                     np.where(off_diagonal, np.inf, np.eye(p))):
             stack = np.array([good, bad, good])
-            with np.errstate(invalid="ignore"):
+            with warnings.catch_warnings(), np.errstate(invalid="ignore", divide="ignore"):
+                warnings.simplefilter("error")
                 w, v = stacked_eigh(stack)
                 w_only = stacked_eigh(stack, values_only=True)
+                assert np.isnan(stacked_eigh(bad, values_only=True)).all()
             ref_w, ref_v = stacked_eigh(good[None])
             for i in (0, 2):
                 np.testing.assert_array_equal(w[i], ref_w[0])
                 np.testing.assert_array_equal(v[i], ref_v[0])
                 np.testing.assert_array_equal(w_only[i], stacked_eigh(good[None], True)[0])
             assert np.isnan(w[1]).all() and np.isnan(w_only[1]).all()
-            with np.errstate(invalid="ignore"):
-                assert np.isnan(stacked_eigh(bad, values_only=True)).all()
             np.testing.assert_array_equal(positive_spectrum(w), [True, False, True])
 
     @staticmethod
@@ -271,10 +274,29 @@ class TestStackedEigh:
                     for got, ref in zip(alone, stacked):
                         np.testing.assert_array_equal(got.reshape(ref[i].shape), ref[i])
 
-    def test_common_path_is_numpy(self, rng):
-        stack = np.array([random_spd(rng, 3) for _ in range(4)])
-        for got, ref in zip(stacked_eigh(stack), np.linalg.eigh(stack)):
-            np.testing.assert_array_equal(got, ref)
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_lapack_kernels_give_numpys_bits(self, rng, p):
+        # the kernels np.linalg.eigh and eigvalsh wrap, called directly. Both
+        # read the lower triangle, so an unsymmetrized stack is a fair input
+        for shape in ((), (1,), (5,), (2, 3)):
+            stack = rng.standard_normal(shape + (p, p))
+            for m in (stack, stack @ stack.swapaxes(-1, -2)):
+                for got, ref in zip(stacked_eigh(m), np.linalg.eigh(m)):
+                    np.testing.assert_array_equal(got, ref)
+                np.testing.assert_array_equal(stacked_eigh(m, values_only=True),
+                                              np.linalg.eigvalsh(m))
+        # a non-finite member leaves the others' bits as numpy gives them alone
+        stack = np.array([random_spd(rng, p) for _ in range(4)])
+        stack[1, -1, 0] = np.nan
+        stack[2] = np.diag(np.full(p, np.inf))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            w, v = stacked_eigh(stack)
+            w_only = stacked_eigh(stack, values_only=True)
+        for i in (0, 3):
+            for got, ref in zip((w[i], v[i], w_only[i]),
+                                (*np.linalg.eigh(stack[i]), np.linalg.eigvalsh(stack[i]))):
+                np.testing.assert_array_equal(got, ref)
+        assert np.isnan(w[1:3]).all() and np.isnan(w_only[1:3]).all()
 
 
 class TestPositiveSpectrum:

@@ -27,7 +27,7 @@ from seqvol.search import (
     z_to_omega,
 )
 
-from conftest import random_spd
+from conftest import count_decompositions, random_spd
 
 
 @pytest.fixture
@@ -135,21 +135,13 @@ class TestFastpathEquivalence:
         assert out[1] == evaluate_candidates(ys, base, 0.8, omegas[1:], objective)[0]
         assert np.isfinite(out[1])
 
-    @staticmethod
-    def _count_decompositions(monkeypatch):
-        counts = {"eigh": 0, "eigvalsh": 0}
-        for name in counts:
-            def counted(*args, _decompose=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _decompose(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        return counts
+    _count_decompositions = staticmethod(count_decompositions)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
     def test_failed_candidate_does_not_repeat_decompositions(self, monkeypatch, objective):
-        # at p >= 3 a non-finite member makes a stacked decomposition retry; a
-        # failed candidate must not carry non-finite values through the pass
+        # a failed candidate is restarted at its block's end, so it costs the
+        # pass no extra decomposition
         p = 3
         ys = 0.3 * np.random.default_rng(3).standard_normal((300, p))
         base = ModelConfig(delta=0.8, phi=1.0, omega=np.eye(p))
@@ -173,8 +165,8 @@ class TestFastpathEquivalence:
     def test_candidate_failing_mid_pass_does_not_repeat_decompositions(self, monkeypatch,
                                                                        objective):
         # a 4e7 shock at t = 151 leaves S_t^* numerically singular for the
-        # smaller discount factors only; their NaN gain must not reach the
-        # decompositions of the steps after it
+        # smaller discount factors only; they cost the pass no extra
+        # decomposition, and the others keep their bits
         p = 3
         calm = 0.3 * np.random.default_rng(3).standard_normal((300, p))
         ys = calm.copy()
@@ -323,8 +315,8 @@ class TestBigStack:
 class TestFailureAtBlockEdges:
     # 32 candidates run 8-step blocks; the first shock fails some candidates at
     # t = 81, the first step of a block, the second fails others at t = 160,
-    # the last step of a block. The step loop flags them, and restarts them
-    # from the start state at every step after, only on that rare path
+    # the last step of a block. Each block flags them from its spectra, and
+    # restarts them from the start state at its end
     @staticmethod
     def _failed(ys, base, deltas, omegas):
         """The ``failed`` flags, time first, and the end state's ``m`` and ``S``."""
