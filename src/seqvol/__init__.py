@@ -22,9 +22,7 @@ from .errors import (
 )
 from .filtering import (
     FilterState,
-    ForecastDist,
     ModelConfig,
-    StepRecord,
     beta_dof_m,
     discount_k,
     filter_init,
@@ -82,9 +80,8 @@ __all__ = [
     "giw_estimator", "singular_beta_logpdf", "transformed_beta_logpdf",
     "sample_wishart", "sample_wishart_scaled", "sample_singular_beta",
     # filter
-    "ModelConfig", "FilterState", "ForecastDist", "StepRecord",
-    "discount_k", "beta_dof_m", "limit_P", "steady_Q", "filter_init",
-    "filter_step", "filter_run",
+    "ModelConfig", "FilterState", "discount_k", "beta_dof_m", "limit_P", "steady_Q",
+    "filter_init", "filter_step", "filter_run",
     # likelihood and metrics
     "LikelihoodBreakdown", "PerfReport", "loglik_constant", "loglik_path",
     "loglik_at_filter_path", "loglik_from_records", "perf_metrics",

@@ -3,7 +3,8 @@
 Subcommands: ``filter``, ``simulate``, ``loglik``, ``search``, ``metrics``.
 Each reads a JSON config (keys: ``delta``, ``phi``, ``omega_diag`` or
 ``omega_matrix``, ``m0``, ``p0``, ``s0``, ``q``, ``delta_candidates``,
-``seed``, ``modes``) and writes machine-readable outputs into ``--out``.
+``seed``, ``modes``; :data:`CONFIG_KEYS`, where any other key is an error) and
+writes machine-readable outputs into ``--out``.
 
 Every command runs a validation phase (config, data, seed, then creating
 ``--out``) and then its compute phase; :mod:`seqvol.io` writes every output
@@ -46,6 +47,12 @@ from .simulate import simulate_path
 
 VALIDATION_EXIT = 2
 NUMERICAL_EXIT = 3
+
+# every config key, with the keys of the one object-valued key; a key not
+# here, a misspelling say, would otherwise leave its default silently in force
+CONFIG_KEYS = dict.fromkeys(("delta", "phi", "omega_diag", "omega_matrix", "m0", "p0", "s0",
+                             "q", "delta_candidates", "seed"), ())
+CONFIG_KEYS["modes"] = ("forecast_mean", "standardization")
 
 
 @contextmanager
@@ -103,6 +110,12 @@ def _make_out(out_dir) -> Path:
     return out
 
 
+def _known_keys(raw: dict, known, prefix: str = "") -> None:
+    unknown = [key for key in raw if key not in known]
+    if unknown:
+        raise DomainError(f"unknown config key '{prefix}{unknown[0]}'")
+
+
 def _as_matrix(value, p: int) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
@@ -115,6 +128,9 @@ def _as_matrix(value, p: int) -> np.ndarray:
 @_typed_config()
 def load_model_config(raw: dict) -> ModelConfig:
     """Build a validated :class:`ModelConfig` from a raw config dict."""
+    if not isinstance(raw, dict):
+        raise DomainError(f"config must be a JSON object, got {raw!r}")
+    _known_keys(raw, CONFIG_KEYS)
     if "delta" not in raw or "phi" not in raw:
         raise DomainError("config must provide 'delta' and 'phi'")
     if "omega_diag" in raw:
@@ -138,6 +154,7 @@ def load_model_config(raw: dict) -> ModelConfig:
     modes = raw.get("modes", {})
     if not isinstance(modes, dict):
         raise DomainError(f"config 'modes' must be an object, got {modes!r}")
+    _known_keys(modes, CONFIG_KEYS["modes"], "modes.")
     return ModelConfig(
         delta=float(raw["delta"]),
         phi=float(raw["phi"]),
@@ -258,15 +275,15 @@ def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
     out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
                                             levels, scale)
     with _exit_on_error(NUMERICAL_EXIT):
-        records, _ = filter_run(ys, config)
-        breakdown = loglik_from_records(records, config)
-    report = {"perf": asdict(perf_metrics(records)), "loglik": _loglik_dict(breakdown),
+        run, _ = filter_run(ys, config)
+        breakdown = loglik_from_records(run, config)
+    report = {"perf": asdict(perf_metrics(run)), "loglik": _loglik_dict(breakdown),
               "manifest": manifest}
     with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
-        write_volatility_csv(out / "volatility.csv", records)
-        write_forecast_csv(out / "forecast.csv", records)
+        write_volatility_csv(out / "volatility.csv", run)
+        write_forecast_csv(out / "forecast.csv", run)
         write_json(out / "report.json", report)
-    click.echo(f"filter: {len(records)} steps in "
+    click.echo(f"filter: {len(run)} steps in "
                f"{time.perf_counter() - started:.3f}s", err=True)
 
 
@@ -303,8 +320,8 @@ def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
     out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
                                             levels, scale)
     with _exit_on_error(NUMERICAL_EXIT):
-        records, _ = filter_run(ys, config)
-        breakdown = loglik_from_records(records, config)
+        run, _ = filter_run(ys, config)
+        breakdown = loglik_from_records(run, config)
     with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
         write_json(out / "report.json", {"loglik": _loglik_dict(breakdown),
                                          "manifest": manifest})
@@ -347,8 +364,8 @@ def metrics_cmd(config_path, out_dir, seed, input_path, levels, scale):
     out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
                                             levels, scale)
     with _exit_on_error(NUMERICAL_EXIT):
-        records, _ = filter_run(ys, config, compute_loglik=False)
-    report = perf_metrics(records)
+        run, _ = filter_run(ys, config, compute_loglik=False)
+    report = perf_metrics(run)
     with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
         write_json(out / "report.json", {"perf": asdict(report), "manifest": manifest})
     click.echo(f"metrics: {report.n_obs} steps in "

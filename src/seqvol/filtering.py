@@ -29,11 +29,13 @@ Failure is flagged per block too, from the spectra the block keeps, and a
 failed candidate restarts from its start state at the block's end.
 :func:`seqvol.search.evaluate_candidates` adds up each block's terms or
 squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
-observation) copy the blocks into arrays allocated once per run.
+observation) copy the blocks into one record array per run (:func:`_filter`),
+which every consumer reads by column.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, NamedTuple
@@ -60,6 +62,9 @@ _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
 # what the step loop keeps of each step of a block, in order
 _STEP = ("s", "ws", "vs", "w_star", "v_star", "f", "e", "s_star")
+# a run array this big or bigger gets its own mapping (glibc's default mmap
+# threshold, before its dynamic rise moves such blocks into the heap)
+_MAP_BYTES = 128 * 1024
 
 
 def discount_k(delta: float, p: int) -> float:
@@ -184,38 +189,6 @@ class FilterState:
     @property
     def P(self) -> np.ndarray:
         return (self.basis * self.p_eigs) @ self.basis.T
-
-
-@dataclass(frozen=True)
-class ForecastDist:
-    """Multivariate Student-t one-step forecast distribution.
-
-    Follows the matrix-variate convention without the 1/dof factor in the
-    kernel, so ``covariance = scale / (dof - 2)`` for ``dof > 2``.
-    """
-
-    dof: float
-    location: np.ndarray
-    scale: np.ndarray
-
-    @property
-    def covariance(self) -> np.ndarray:
-        return self.scale / (self.dof - 2.0)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step output bundle."""
-
-    t: int
-    forecast: ForecastDist
-    e: np.ndarray
-    u: np.ndarray
-    s_star: np.ndarray
-    loglik_t: float
-    # (quad, chol_logdet, lt, sigma_logdet); None when loglik_t is NaN (not
-    # computed) or -inf (no positive L_t eigenvalue)
-    terms: tuple[float, float, float, float] | None = None
 
 
 def _limit_eigs(phi: float, w: np.ndarray) -> np.ndarray:
@@ -425,78 +398,89 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
 
 
 def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
-            ) -> tuple[list[StepRecord], FilterState]:
-    """Run :func:`_recursion` for one candidate from ``state``, as records.
+            ) -> tuple[np.recarray, FilterState]:
+    """Run :func:`_recursion` for one candidate from ``state``, as a run array.
 
-    Copies each block's slices into arrays allocated once per run, and
-    raises at the first failed step. Each record holds views into the run's
-    arrays.
+    The run is one ``np.recarray`` with a row per step and the fields ``t``;
+    the forecast mean ``f``, the forecast error ``e`` and the standardized
+    error ``u``; the forecast scale ``scale = S_{t-1} / k`` (the forecast is
+    Student-t on ``config.forecast_dof`` degrees of freedom, its covariance
+    ``config.forecast_cov_factor * S_{t-1}``); the estimate ``s_star``; the
+    term groups ``terms = (quad, chol_logdet, lt, sigma_logdet)``; and the
+    step's log-likelihood contribution ``loglik_t``. Each field is filled
+    from each block's slice. Without ``compute_loglik`` ``terms`` and
+    ``loglik_t`` are NaN. A step whose ``L_t`` has no positive eigenvalue
+    has ``lt = loglik_t = -inf``. Raises at the first failed step.
     """
     p, t, setup = config.p, state.t, config._solo_setup
     if np.shape(state.basis) != (p, p):
         raise DimensionMismatch(f"state basis has shape {np.shape(state.basis)}, not {(p, p)}")
     if not np.array_equal(state.basis, setup.v[0]):
         raise DomainError("state P is not held in this config's Omega eigenbasis")
+    n, vec, mat = len(ys), (float, (p,)), (float, (p, p))
+    dtype = np.dtype([("t", np.int64), ("f", *vec), ("scale", *mat), ("e", *vec),
+                      ("u", *vec), ("s_star", *mat), ("terms", float, (4,)),
+                      ("loglik_t", float)])
+    # A long run is mapped on its own and unmapped when dropped. From the heap,
+    # where glibc puts it once a bigger block has been freed, a process that
+    # filters again and again leaves a run-sized hole that a small block
+    # allocated above it can pin, and its resident size jumps by a run.
+    nbytes = n * dtype.itemsize
+    run = np.recarray(n, dtype, buf=mmap.mmap(-1, nbytes) if nbytes >= _MAP_BYTES else None)
+    run.t = np.arange(t + 1, t + n + 1)
+    run.terms = run.loglik_t = np.nan
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         blocks = _recursion(ys, setup, state, {"f", "e", "u", "s_star", "s_prev"}
                             | ({"terms"} if compute_loglik else set()))
-        n, done = len(ys), 0  # steps copied
-        f, e, u = np.empty((3, n, p))
-        s_star, scale = (np.empty((n, p, p)) for _ in range(2))
-        terms = np.empty((4, n))  # quad, chol_logdet, lt, sigma_logdet
+        done = 0  # steps copied
         for block in blocks:
             if block.failed[-1, 0]:
                 i = done + int(np.argmax(block.failed[:, 0]))
                 raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
                     "S_t or S_t^* is not positive definite at machine precision"))
-            rows = slice(done, done + len(block.e))
-            for out, x in zip((f, e, u, s_star), block):
-                out[rows] = x[:, 0]
-            scale[rows] = block.s_prev[:, 0] / config.k
+            rows = run[done:done + len(block.e)]
+            rows.f, rows.e, rows.u, rows.s_star = (x[:, 0] for x in block[:4])
+            rows.scale = block.s_prev[:, 0] / config.k
             if compute_loglik:
-                terms[:, rows] = [g[:, 0] for g in block.terms]
-            done = rows.stop
+                rows.terms = np.stack(block.terms, axis=-1)[:, 0]
+            done += len(rows)
     if n == 0:
-        return [], state
+        return run, state
     if compute_loglik:
-        quad, chol, lt, sig = terms
-        logliks = (setup.c1[0] + (quad + chol + lt + sig)).tolist()
         # a zero-error step puts the plug-in path on the boundary of the
         # transition's support (L_t = 0): the state update is still defined,
-        # so the step contributes -inf and carries no terms
-        groups = [None if g[2] == -np.inf else g for g in zip(*terms.tolist())]
-    else:
-        logliks, groups = [float("nan")] * n, [None] * n
-    dof = config.forecast_dof
-    records = [StepRecord(step, ForecastDist(dof, f_t, scale_t), e_t, u_t, s_t, loglik_t, g)
-               for step, f_t, scale_t, e_t, u_t, s_t, loglik_t, g
-               in zip(range(t + 1, t + n + 1), f, scale, e, u, s_star, logliks, groups)]
-    return records, FilterState(t + n, *(x[0] for x in block[-3:]), setup.v[0])
+        # so the step contributes lt = -inf
+        quad, chol, lt, sig = run.terms.T
+        run.loglik_t = setup.c1[0] + (quad + chol + lt + sig)
+    return run, FilterState(t + n, *(x[0] for x in block[-3:]), setup.v[0])
 
 
 def filter_step(state: FilterState, y: np.ndarray, config: ModelConfig
-                ) -> tuple[FilterState, StepRecord]:
-    """Advance the filter by one observation.
+                ) -> tuple[FilterState, np.record]:
+    """Advance the filter by one observation; returns the new state and the step's row.
 
     Runs the recursion on ``y`` from ``state`` with the config's cached setup;
-    a numerical failure raises :class:`FilterNumericalError` with the step index.
+    the row has the fields of :func:`filter_run`'s run. A numerical failure
+    raises :class:`FilterNumericalError` with the step index.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (config.p,):
         raise DimensionMismatch(f"observation has shape {y.shape}, expected ({config.p},)")
-    records, new_state = _filter(y[None], config, state, True)
-    return new_state, records[0]
+    run, new_state = _filter(y[None], config, state, True)
+    return new_state, run[0]
 
 
 def filter_run(ys, config: ModelConfig, *, compute_loglik: bool = True
-               ) -> tuple[list[StepRecord], FilterState]:
+               ) -> tuple[np.recarray, FilterState]:
     """Filter a whole series; the first numerical failure aborts with its index.
 
-    Returns the per-step records and the final state. With
-    ``compute_loglik`` each record carries its additive log-likelihood
-    contribution and term groups, which
-    :func:`seqvol.likelihood.loglik_from_records` sums. A step whose
-    ``L_t`` has no positive eigenvalue contributes ``-inf`` and does not
-    stop the run.
+    Returns the run, a record array with one row per step (fields in
+    :func:`_filter`), and the final state. Each field is a column
+    (``run.s_star`` stacks the estimates) and each row a record
+    (``run[i].loglik_t``). With ``compute_loglik`` each row carries its
+    additive log-likelihood contribution and term groups, which
+    :func:`seqvol.likelihood.loglik_from_records` sums; without, both are
+    NaN. A step whose ``L_t`` has no positive eigenvalue contributes
+    ``-inf`` and does not stop the run.
     """
     return _filter(ys, config, filter_init(config), compute_loglik)

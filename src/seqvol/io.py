@@ -218,40 +218,38 @@ def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> Non
             handle.writelines(line % args for args in rows(start, start + _BLOCK))
 
 
-def write_volatility_csv(path: str | Path, records: Sequence) -> None:
-    """Per-step posterior volatility: vech of the estimate plus correlations."""
-    if not records:
+def write_volatility_csv(path: str | Path, run: np.recarray) -> None:
+    """Per-step posterior volatility of a filter run: vech of ``s_star`` plus correlations."""
+    if len(run) == 0:
         raise DimensionMismatch("no records to write")
-    p = records[0].s_star.shape[0]
+    p = run.s_star.shape[-1]
 
     def rows(start, stop):
-        block = records[start:stop]
-        s_star = np.array([rec.s_star for rec in block])
-        table = np.hstack([vech_lower(s_star), vech_lower(correlation_from_cov(s_star))])
-        return ((rec.t, *row.tolist()) for rec, row in zip(block, table))
+        block = run[start:stop]
+        table = np.hstack([vech_lower(block.s_star),
+                           vech_lower(correlation_from_cov(block.s_star))])
+        return ((t, *row) for t, row in zip(block.t.tolist(), table.tolist()))
 
     head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
             "corr diagonal is exactly 1\n"
             + _header(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p)))
-    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1)), len(records), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1)), len(run), rows)
 
 
-def write_forecast_csv(path: str | Path, records: Sequence) -> None:
-    """Per-step forecast mean, forecast error and standardized error."""
-    if not records:
+def write_forecast_csv(path: str | Path, run: np.recarray) -> None:
+    """Per-step forecast mean ``f``, forecast error ``e`` and standardized error ``u``."""
+    if len(run) == 0:
         raise DimensionMismatch("no records to write")
-    p = len(records[0].e)
+    p = run.e.shape[-1]
 
     def rows(start, stop):
-        block = records[start:stop]
-        table = np.hstack([np.array([rec.forecast.location for rec in block]),
-                           np.array([rec.e for rec in block]),
-                           np.array([rec.u for rec in block])])
-        return ((rec.t, *row.tolist()) for rec, row in zip(block, table))
+        block = run[start:stop]
+        table = np.hstack([block.f, block.e, block.u])
+        return ((t, *row) for t, row in zip(block.t.tolist(), table.tolist()))
 
     head = _header(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
                             for j in range(p)])
-    _write_csv(path, head, "%d" + ",%.17g" * (3 * p), len(records), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (3 * p), len(run), rows)
 
 
 def write_returns_csv(path: str | Path, values: np.ndarray) -> None:

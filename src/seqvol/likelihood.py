@@ -12,10 +12,11 @@ fixed time order, so results are deterministic and reproducible.
 :func:`terms_from_spectra` is the one place the term groups are computed,
 from the eigendecompositions of a path ``Sigma_{t-1}, Sigma_t, ...``, one
 path or a stack. The filter calls it on blocks of time steps and the
-search on stacks of candidates, and :func:`loglik_from_records` sums what
-the filter recorded. :func:`loglik_path` and :func:`step_terms` score a given
-path (say a simulated truth) with the same term math, so the independent
-checks of the terms are the test suite's scalar and mpmath oracles.
+search on stacks of candidates, and :func:`loglik_from_records` sums a filter
+run's ``terms`` column. :func:`loglik_path` and :func:`step_terms` score a
+given path (say a simulated truth) with the same term math, so the
+independent checks of the terms are the test suite's scalar and mpmath
+oracles.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .gwishart import RANK_REL_TOL
 from .linalg import log_multigamma_ratio, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
 
 if TYPE_CHECKING:  # import would be circular at runtime
-    from .filtering import ModelConfig, StepRecord
+    from .filtering import ModelConfig
 
 
 _NO_POSITIVE_LT = "transition matrix L_t has no positive eigenvalues"
@@ -167,7 +168,7 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
         )
     q = np.asarray(q, dtype=float)
     q_inv = spd_inverse(q)
-    c1 = loglik_constant(config, q, 1)  # per step, as the filter's records carry it
+    c1 = loglik_constant(config, q, 1)  # per step, as a filter run's loglik_t has it
     constant = n_obs * c1 if n_obs else 0.0
 
     spectra, failure = [], None
@@ -192,24 +193,23 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
         (c1 + quad + chol + lt + sig).tolist())
 
 
-def loglik_from_records(records: Sequence["StepRecord"],
-                        config: "ModelConfig") -> LikelihoodBreakdown:
-    """Likelihood breakdown of a run: sums the term groups its records carry.
+def loglik_from_records(run: np.recarray, config: "ModelConfig") -> LikelihoodBreakdown:
+    """Likelihood breakdown of a run: sums its ``terms`` column in time order.
 
-    Equals :func:`loglik_path` on the records' ``S_t^*`` after the prior
-    point estimate. Raises :class:`DomainError` for records filtered without
-    the likelihood, and at the first step with no positive ``L_t``
-    eigenvalue.
+    ``run`` is :func:`~seqvol.filtering.filter_run`'s record array. Equals
+    :func:`loglik_path` on its ``S_t^*`` after the prior point estimate.
+    Raises :class:`DomainError` at the first step whose ``loglik_t`` is NaN
+    (filtered without the likelihood) or ``-inf`` (no positive ``L_t``
+    eigenvalue).
     """
-    for rec in records:
-        if rec.terms is None:
-            if math.isnan(rec.loglik_t):
-                raise DomainError("records carry no likelihood terms: "
-                                  "filter_run ran with compute_loglik=False")
-            raise DomainError(f"t={rec.t}: {_NO_POSITIVE_LT}")
-    constant = len(records) * config._solo_setup.c1[0] if records else 0.0
-    return LikelihoodBreakdown.from_terms(constant, [rec.terms for rec in records],
-                                          [rec.loglik_t for rec in records])
+    bad = np.flatnonzero(np.isnan(run.loglik_t) | (run.loglik_t == -np.inf))
+    if bad.size:
+        if np.isnan(run.loglik_t[bad[0]]):
+            raise DomainError("records carry no likelihood terms: "
+                              "filter_run ran with compute_loglik=False")
+        raise DomainError(f"t={run.t[bad[0]]}: {_NO_POSITIVE_LT}")
+    constant = len(run) * config._solo_setup.c1[0] if len(run) else 0.0
+    return LikelihoodBreakdown.from_terms(constant, run.terms.tolist(), run.loglik_t.tolist())
 
 
 def loglik_at_filter_path(ys, config: "ModelConfig") -> LikelihoodBreakdown:
@@ -221,20 +221,19 @@ def loglik_at_filter_path(ys, config: "ModelConfig") -> LikelihoodBreakdown:
     """
     from .filtering import filter_run  # deferred: avoids import cycle
 
-    records, _ = filter_run(ys, config)
-    return loglik_from_records(records, config)
+    run, _ = filter_run(ys, config)
+    return loglik_from_records(run, config)
 
 
-def perf_metrics(records: Sequence["StepRecord"]) -> PerfReport:
-    """MSE, MSSE, MAD and ME vectors over a run's per-step records."""
-    if len(records) == 0:
+def perf_metrics(run: np.recarray) -> PerfReport:
+    """MSE, MSSE, MAD and ME vectors over a run's ``e`` and ``u`` columns."""
+    if len(run) == 0:
         raise EmptyInput("no step records to summarize")
-    es = np.array([r.e for r in records])
-    us = np.array([r.u for r in records])
+    es, us = run.e, run.u
     return PerfReport(
         mse=np.mean(es ** 2, axis=0),
         msse=np.mean(us ** 2, axis=0),
         mad=np.mean(np.abs(es), axis=0),
         me=np.mean(es, axis=0),
-        n_obs=len(records),
+        n_obs=len(run),
     )

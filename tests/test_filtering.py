@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import mmap
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from seqvol.errors import (
 )
 from seqvol.filtering import (
     _BLOCK,
+    _MAP_BYTES,
     FilterState,
     ModelConfig,
     _recursion,
@@ -26,7 +28,7 @@ from seqvol.filtering import (
     steady_Q,
 )
 from seqvol.gwishart import giw_estimator
-from seqvol.likelihood import loglik_constant, loglik_from_records
+from seqvol.likelihood import loglik_constant, loglik_from_records, perf_metrics
 from seqvol.linalg import spd_inverse
 from seqvol.simulate import simulate_path
 
@@ -272,17 +274,16 @@ class TestFilterStep:
 
     def test_forecast_distribution_fields(self, config2):
         state = filter_init(config2)
-        _, record = filter_step(state, np.array([0.4, -0.2]), config2)
-        fc = record.forecast
-        assert fc.dof == pytest.approx(config2.forecast_dof)
-        np.testing.assert_allclose(fc.scale, state.S / config2.k, rtol=1e-14)
+        run, _ = filter_run(np.array([[0.4, -0.2]]), config2)
+        np.testing.assert_array_equal(run.scale[0], state.S / config2.k)
         # covariance = scale/(dof-2): the t convention without 1/dof in the
-        # kernel, which is what makes the standardized errors unit-variance
-        np.testing.assert_array_equal(fc.covariance, fc.scale / (fc.dof - 2.0))
-        # ... and the factor that whitens u_t in forecast_cov mode agrees with it
-        np.testing.assert_allclose(fc.covariance, config2.forecast_cov_factor * state.S,
+        # kernel, which is what makes the standardized errors unit-variance;
+        # the factor that whitens u_t in forecast_cov mode agrees with it
+        covariance = config2.forecast_cov_factor * state.S
+        np.testing.assert_allclose(covariance, run.scale[0] / (config2.forecast_dof - 2.0),
                                    rtol=1e-12)
-        assert np.all(np.linalg.eigvalsh(fc.covariance) > 0)
+        assert np.all(np.linalg.eigvalsh(run.scale[0]) > 0)
+        assert np.all(np.linalg.eigvalsh(covariance) > 0)
 
     def test_dimension_mismatch(self, config2):
         state = filter_init(config2)
@@ -467,10 +468,9 @@ class TestPCycle:
         _, chained_state = filter_run(ys[:start], config)
         for y, rec in zip(ys[start:], records[start:]):
             chained_state, ref = filter_step(chained_state, y, config)
-            assert (rec.t, rec.loglik_t, rec.terms) == (ref.t, ref.loglik_t, ref.terms)
-            for name in ("e", "u", "s_star"):
+            assert (rec.t, rec.loglik_t) == (ref.t, ref.loglik_t)
+            for name in ("e", "u", "s_star", "scale", "terms"):
                 np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
-            np.testing.assert_array_equal(rec.forecast.scale, ref.forecast.scale)
         for name in [f.name for f in dataclasses.fields(FilterState)] + ["P"]:
             np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
 
@@ -478,8 +478,45 @@ class TestPCycle:
 class TestFilterRun:
     def test_empty_series(self, config2):
         records, state = filter_run(np.empty((0, 2)), config2)
-        assert records == []
+        assert len(records) == 0
         assert state.t == 0
+
+    def test_run_is_what_bench_reads(self, config2):
+        # bench/workloads.py cannot change with the library: it takes a run's
+        # len, slices and iterates it, reads a row's t, s_star and loglik_t,
+        # writes str(t) as the CSV's step column, and passes runs to perf_metrics
+        ys = 0.3 * np.random.default_rng(4).standard_normal((12, 2))
+        run, _ = filter_run(ys, config2)
+        assert len(run) == 12 and len(run[3:7]) == 4
+        assert [str(row.t) for row in run] == [str(t) for t in range(1, 13)]
+        row = run[5]
+        np.testing.assert_array_equal(row.s_star[np.tril_indices(2)],
+                                      run.s_star[5][np.tril_indices(2)])
+        assert row.loglik_t == run.loglik_t[5] and math.isfinite(row.loglik_t)
+        total = loglik_from_records(run, config2).total
+        assert math.fsum(row.loglik_t for row in run) == pytest.approx(total, rel=1e-12)
+        assert perf_metrics(run).n_obs == 12
+        no_loglik, _ = filter_run(ys, config2, compute_loglik=False)
+        np.testing.assert_array_equal(perf_metrics(no_loglik).msse, perf_metrics(run).msse)
+        empty, state = filter_run(np.empty((0, 2)), config2)
+        assert len(empty) == 0 and list(empty) == []
+        for field in dataclasses.fields(FilterState):
+            np.testing.assert_array_equal(getattr(state, field.name),
+                                          getattr(filter_init(config2), field.name))
+
+    def test_long_run_has_its_own_mapping(self, config2):
+        # a run of _MAP_BYTES or more is held outside the heap, with the same
+        # bits, and its rows and columns keep the mapping after the run goes
+        n = _MAP_BYTES // filter_run(np.zeros((1, 2)), config2)[0].itemsize + 1
+        ys = 0.3 * np.random.default_rng(6).standard_normal((n, 2))
+        run, _ = filter_run(ys, config2)
+        short, _ = filter_run(ys[:10], config2)
+        assert isinstance(run.base, mmap.mmap) and not isinstance(short.base, mmap.mmap)
+        assert run[:10].tobytes() == short.tobytes()
+        row, s_star, expected = run[-1], run.s_star, run.s_star.copy()
+        del run
+        np.testing.assert_array_equal(s_star, expected)
+        np.testing.assert_array_equal(row.s_star, expected[-1])
 
     def test_composition_equals_manual_steps(self, config2):
         rng = np.random.default_rng(3)
@@ -607,12 +644,8 @@ class TestTimeBlocks:
         for rec, ref in zip(records, chained):
             assert rec.t == ref.t
             assert rec.loglik_t == ref.loglik_t == c1 + sum(rec.terms)
-            assert rec.terms == ref.terms
-            for name in ("e", "u", "s_star"):
+            for name in ("f", "e", "u", "s_star", "scale", "terms"):
                 np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
-            for name in ("location", "scale", "covariance"):
-                np.testing.assert_array_equal(getattr(rec.forecast, name),
-                                              getattr(ref.forecast, name))
         for name in [f.name for f in dataclasses.fields(FilterState)] + ["P"]:
             np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
 
@@ -628,12 +661,9 @@ class TestTimeBlocks:
         chained, chained_state = self._chain(ys3, config)
         assert len(records) == len(chained) == 2 * _BLOCK + 3
         for rec, ref in zip(records, chained):
-            assert (rec.t, rec.loglik_t, rec.terms) == (ref.t, ref.loglik_t, ref.terms)
-            for name in ("e", "u", "s_star"):
+            assert (rec.t, rec.loglik_t) == (ref.t, ref.loglik_t)
+            for name in ("f", "e", "u", "s_star", "scale", "terms"):
                 np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
-            for name in ("location", "scale", "covariance"):
-                np.testing.assert_array_equal(getattr(rec.forecast, name),
-                                              getattr(ref.forecast, name))
         for field in dataclasses.fields(state):
             np.testing.assert_array_equal(getattr(state, field.name),
                                           getattr(chained_state, field.name))
@@ -642,10 +672,9 @@ class TestTimeBlocks:
         with_ll, _ = filter_run(ys3, config3)
         without, _ = filter_run(ys3, config3, compute_loglik=False)
         for rec, ref in zip(without, with_ll):
-            for name in ("e", "u", "s_star"):
+            for name in ("f", "e", "u", "s_star", "scale"):
                 np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
-            np.testing.assert_array_equal(rec.forecast.location, ref.forecast.location)
-            assert math.isnan(rec.loglik_t) and rec.terms is None
+            assert math.isnan(rec.loglik_t) and np.isnan(rec.terms).all()
 
     def test_zero_error_step_first_in_second_block(self, ys3, config3):
         t_zero = _BLOCK + 1
@@ -654,7 +683,7 @@ class TestTimeBlocks:
         ys[t_zero - 1] = state.m  # plain mode: the forecast mean is m_{t-1}
         records, _ = filter_run(ys, config3)
         assert [r.t for r in records if r.loglik_t == -math.inf] == [t_zero]
-        assert records[t_zero - 1].terms is None
+        assert records[t_zero - 1].terms[2] == -math.inf
         chained, _ = self._chain(ys, config3)
         assert [r.loglik_t for r in records] == [r.loglik_t for r in chained]
         with pytest.raises(DomainError, match=f"t={t_zero}: transition matrix L_t"):
@@ -678,7 +707,7 @@ class TestPointEstimate:
         records, state = filter_run(ys, config)
         a = spd_inverse(steady_Q(config))
         # S_t is k times the next step's forecast scale S_t / k; S_N is the end state's
-        s_ts = [config.k * r.forecast.scale for r in records[1:]] + [state.S]
+        s_ts = [config.k * r.scale for r in records[1:]] + [state.S]
         for rec, s_t in zip(records, s_ts):
             ref = giw_estimator(a, s_t, config.posterior_dof)
             assert np.abs(rec.s_star - ref).max() <= 1e-12 * np.abs(ref).max(), rec.t

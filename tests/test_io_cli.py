@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,8 +148,8 @@ class TestWriters:
         # negative zero in the covariance and in the forecast error
         cov = np.array([[3.0, 3.0, -0.0], [3.0, 3.0, 0.0], [-0.0, 0.0, 1.0]])
         assert cov[1, 0] / (math.sqrt(3.0) * math.sqrt(3.0)) > 1.0
-        records[4] = replace(records[4], s_star=cov,
-                             e=np.array([-0.0, 0.25, 1e-300]))
+        records.s_star[4] = cov
+        records.e[4] = [-0.0, 0.25, 1e-300]
         return records
 
     def test_volatility_csv_bytes(self, records, tmp_path):
@@ -174,7 +173,7 @@ class TestWriters:
         assert b",1,1,1,-0,0,1\r\n" in got  # the clipped pair and the -0
 
     def test_forecast_csv_bytes(self, records, tmp_path):
-        rows = [[str(rec.t)] + [fmt17(v) for v in rec.forecast.location]
+        rows = [[str(rec.t)] + [fmt17(v) for v in rec.f]
                 + [fmt17(v) for v in rec.e] + [fmt17(v) for v in rec.u]
                 for rec in records]
         _reference_csv(tmp_path / "ref.csv",
@@ -519,6 +518,33 @@ def test_invalid_config_exits_2_before_out_dir(command, tmp_path):
         assert res.exit_code == 2, (change, res.output)
         assert f"error: {message}" in res.output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "simulate", "search"])
+@pytest.mark.parametrize("change, key", [
+    ({"po": 5}, "po"),
+    ({"modes": {"standardisation": "posterior_st"}}, "modes.standardisation"),
+])
+def test_unknown_config_key_exits_2(command, change, key, tmp_path):
+    # a misspelled key would leave the default it meant to replace in force
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], **change}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n" + "0.01\n-0.01\n0.02\n" * 4)  # search needs 10 rows
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert f"error: unknown config key '{key}'" in res.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw", [5, [1], "abc", None])
+def test_config_not_an_object_exits_2(raw, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(raw))
+    res = _invoke("simulate", cfg, None, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert f"error: config must be a JSON object, got {raw!r}" in res.output
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf"])

@@ -7,7 +7,7 @@ from scipy.stats import beta as beta_dist
 
 import seqvol.likelihood
 from seqvol.errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
-from seqvol.filtering import ModelConfig, StepRecord, filter_run, steady_Q
+from seqvol.filtering import ModelConfig, filter_run, steady_Q
 from seqvol.gwishart import RANK_REL_TOL, giw_estimator
 from seqvol.likelihood import (
     loglik_at_filter_path,
@@ -349,43 +349,41 @@ class TestIdentityBAccuracy:
             assert abs(records[t - 1].terms[2] - float(exact)) <= 2e-6, t
 
 
-def _record(e, u, t=1):
-    return StepRecord(t=t, forecast=None, e=np.asarray(e, dtype=float),
-                      u=np.asarray(u, dtype=float), s_star=np.eye(len(e)),
-                      loglik_t=0.0)
+def _run(es, us):
+    """A run with the two columns perf_metrics reads: ``e`` and ``u``, one row per step."""
+    es, us = np.asarray(es, dtype=float), np.asarray(us, dtype=float)
+    run = np.recarray(len(es), [("e", float, es.shape[1:]), ("u", float, us.shape[1:])])
+    run.e, run.u = es, us
+    return run
 
 
 class TestPerfMetrics:
     def test_zero_errors(self):
-        records = [_record([0.0, 0.0], [0.0, 0.0], t) for t in range(1, 5)]
-        report = perf_metrics(records)
+        report = perf_metrics(_run(np.zeros((4, 2)), np.zeros((4, 2))))
         np.testing.assert_array_equal(report.mse, [0.0, 0.0])
         np.testing.assert_array_equal(report.msse, [0.0, 0.0])
         np.testing.assert_array_equal(report.mad, [0.0, 0.0])
         np.testing.assert_array_equal(report.me, [0.0, 0.0])
 
     def test_single_observation(self):
-        report = perf_metrics([_record([1.0, -2.0], [0.5, 0.5])])
+        report = perf_metrics(_run([[1.0, -2.0]], [[0.5, 0.5]]))
         np.testing.assert_allclose(report.me, [1.0, -2.0])
         np.testing.assert_allclose(report.mse, [1.0, 4.0])
         np.testing.assert_allclose(report.mad, [1.0, 2.0])
         assert report.n_obs == 1
 
     def test_variance_decomposition_bound(self, rng):
-        records = [_record(rng.standard_normal(3), rng.standard_normal(3), t)
-                   for t in range(1, 60)]
-        report = perf_metrics(records)
+        draws = rng.standard_normal((59, 2, 3))  # e_t, then u_t, step by step
+        report = perf_metrics(_run(draws[:, 0], draws[:, 1]))
         assert np.all(report.mse >= report.me ** 2 - 1e-12)
         assert np.all(report.mad >= 0)
 
     def test_permutation_covariance(self, rng):
         es = rng.standard_normal((25, 3))
         us = rng.standard_normal((25, 3))
-        base = perf_metrics([_record(e, u, t) for t, (e, u) in
-                             enumerate(zip(es, us), 1)])
+        base = perf_metrics(_run(es, us))
         perm = [2, 0, 1]
-        permuted = perf_metrics([_record(e[perm], u[perm], t) for t, (e, u) in
-                                 enumerate(zip(es, us), 1)])
+        permuted = perf_metrics(_run(es[:, perm], us[:, perm]))
         np.testing.assert_allclose(permuted.mse, base.mse[perm])
         np.testing.assert_allclose(permuted.msse, base.msse[perm])
         np.testing.assert_allclose(permuted.mad, base.mad[perm])
@@ -393,7 +391,7 @@ class TestPerfMetrics:
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            perf_metrics([])
+            perf_metrics(_run(np.empty((0, 2)), np.empty((0, 2))))
 
     def test_well_specified_msse_near_one(self):
         # numerically tame regime; the matched prior scale makes the run

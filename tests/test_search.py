@@ -245,14 +245,10 @@ class TestNonFiniteObservations:
             coordinate_search(ys, config, SearchSpec(q=1, delta_candidates=(0.9,)))
 
 
-def _record_bits(records, state):
+def _record_bits(run, state):
     """Every value ``filter_run`` returns, as comparable bits."""
-    fields = [(r.t, r.loglik_t.hex(), r.terms, r.forecast.dof) for r in records]
-    arrays = [getattr(r, name) for r in records for name in ("e", "u", "s_star")]
-    arrays += [getattr(r.forecast, name) for r in records
-               for name in ("location", "scale", "covariance")]
-    arrays += [getattr(state, f.name) for f in dataclasses.fields(FilterState)] + [state.P]
-    return fields, [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
+    arrays = [getattr(state, f.name) for f in dataclasses.fields(FilterState)] + [state.P]
+    return run.tobytes(), [(np.shape(a), np.asarray(a).tobytes()) for a in arrays]
 
 
 def _shocked_stack(p=3, n=300, size=5):
