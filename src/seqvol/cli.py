@@ -8,7 +8,9 @@ writes machine-readable outputs into ``--out``.
 
 Every command runs a validation phase (config, data, seed, then creating
 ``--out``) and then its compute phase; :mod:`seqvol.io` writes every output
-file. Exit codes: 0 success, 2 validation error (config or data) or an
+file. ``filter``, ``loglik`` and ``metrics`` share one body
+(:func:`_filter_command`): a filter run, then the report the command asks
+for. Exit codes: 0 success, 2 validation error (config or data) or an
 output that cannot be written, 3 numerical failure (message carries the
 failing step index). Wall-clock timing goes to stderr so output files stay
 byte-identical across identical runs.
@@ -227,10 +229,31 @@ def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False
     return out, config, spec, table.values, manifest
 
 
-def _loglik_dict(breakdown) -> dict:
-    # its fields without per_step: asdict would deep-copy every per-step value
-    return {f.name: getattr(breakdown, f.name) for f in fields(breakdown)
-            if f.name != "per_step"}
+def _filter_command(command, config_path, out_dir, seed, input_path, levels, scale):
+    """The body of ``filter``, ``loglik`` and ``metrics``: one filter run, and its report.
+
+    ``report.json`` has ``perf`` (not for ``loglik``), ``loglik`` (not for
+    ``metrics``) and ``manifest``; ``filter`` also writes the two CSV files.
+    """
+    started = time.perf_counter()
+    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
+                                            levels, scale)
+    with _exit_on_error(NUMERICAL_EXIT):
+        run, _ = filter_run(ys, config, compute_loglik=command != "metrics")
+        breakdown = None if command == "metrics" else loglik_from_records(run, config)
+    report = {} if command == "loglik" else {"perf": asdict(perf_metrics(run))}
+    if breakdown is not None:
+        # its fields without per_step: asdict would deep-copy every per-step value
+        report["loglik"] = {f.name: getattr(breakdown, f.name) for f in fields(breakdown)
+                            if f.name != "per_step"}
+    report["manifest"] = manifest
+    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
+        if command == "filter":
+            write_volatility_csv(out / "volatility.csv", run)
+            write_forecast_csv(out / "forecast.csv", run)
+        write_json(out / "report.json", report)
+    done = f"total={breakdown.total:.6f}" if command == "loglik" else f"{len(run)} steps"
+    click.echo(f"{command}: {done} in {time.perf_counter() - started:.3f}s", err=True)
 
 
 common_options = [
@@ -242,7 +265,7 @@ common_options = [
                  help="Random seed (overrides the config)."),
 ]
 
-input_options = [
+input_options = common_options + [  # the options of the commands that read a series
     click.option("--input", "input_path", required=True,
                  type=click.Path(exists=False), help="Input CSV."),
     click.option("--levels/--returns", "levels", default=False,
@@ -267,24 +290,10 @@ def main():
 
 
 @main.command("filter")
-@add_options(common_options)
 @add_options(input_options)
-def filter_cmd(config_path, out_dir, seed, input_path, levels, scale):
+def filter_cmd(**options):
     """Filter a series: volatility path, forecasts, metrics and likelihood."""
-    started = time.perf_counter()
-    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
-                                            levels, scale)
-    with _exit_on_error(NUMERICAL_EXIT):
-        run, _ = filter_run(ys, config)
-        breakdown = loglik_from_records(run, config)
-    report = {"perf": asdict(perf_metrics(run)), "loglik": _loglik_dict(breakdown),
-              "manifest": manifest}
-    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
-        write_volatility_csv(out / "volatility.csv", run)
-        write_forecast_csv(out / "forecast.csv", run)
-        write_json(out / "report.json", report)
-    click.echo(f"filter: {len(run)} steps in "
-               f"{time.perf_counter() - started:.3f}s", err=True)
+    _filter_command("filter", **options)
 
 
 @main.command("simulate")
@@ -312,25 +321,13 @@ def simulate_cmd(config_path, out_dir, seed, n_steps):
 
 
 @main.command("loglik")
-@add_options(common_options)
 @add_options(input_options)
-def loglik_cmd(config_path, out_dir, seed, input_path, levels, scale):
+def loglik_cmd(**options):
     """Evaluate the plug-in log-likelihood of a series."""
-    started = time.perf_counter()
-    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
-                                            levels, scale)
-    with _exit_on_error(NUMERICAL_EXIT):
-        run, _ = filter_run(ys, config)
-        breakdown = loglik_from_records(run, config)
-    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
-        write_json(out / "report.json", {"loglik": _loglik_dict(breakdown),
-                                         "manifest": manifest})
-    click.echo(f"loglik: total={breakdown.total:.6f} in "
-               f"{time.perf_counter() - started:.3f}s", err=True)
+    _filter_command("loglik", **options)
 
 
 @main.command("search")
-@add_options(common_options)
 @add_options(input_options)
 def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
     """Grid-search the diagonal innovation scale and the discount factor."""
@@ -356,20 +353,10 @@ def search_cmd(config_path, out_dir, seed, input_path, levels, scale):
 
 
 @main.command("metrics")
-@add_options(common_options)
 @add_options(input_options)
-def metrics_cmd(config_path, out_dir, seed, input_path, levels, scale):
+def metrics_cmd(**options):
     """Compute the forecast performance measures of a filter run."""
-    started = time.perf_counter()
-    out, config, _, ys, manifest = _prepare(config_path, out_dir, seed, input_path,
-                                            levels, scale)
-    with _exit_on_error(NUMERICAL_EXIT):
-        run, _ = filter_run(ys, config, compute_loglik=False)
-    report = perf_metrics(run)
-    with _exit_on_error(VALIDATION_EXIT), _os_errors("write output"):
-        write_json(out / "report.json", {"perf": asdict(report), "manifest": manifest})
-    click.echo(f"metrics: {report.n_obs} steps in "
-               f"{time.perf_counter() - started:.3f}s", err=True)
+    _filter_command("metrics", **options)
 
 
 if __name__ == "__main__":

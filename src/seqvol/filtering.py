@@ -226,11 +226,17 @@ def filter_init(config: ModelConfig) -> FilterState:
 
 
 class _Setup:
-    """What ``B`` candidates ``(deltas[b], omegas[b])`` need that no observation changes."""
+    """What ``B`` candidates ``(deltas[b], omegas[b])`` need that no observation changes.
+
+    Of ``base`` it keeps ``phi``, ``p`` and the modes, not ``base``: a config
+    caches its setup, and that cycle would live until the cyclic collector ran.
+    """
 
     @np.errstate(invalid="ignore", divide="ignore", over="ignore")
     def __init__(self, base: ModelConfig, deltas: np.ndarray, omegas: np.ndarray):
-        self.base, self.deltas = base, deltas
+        self.deltas, self.phi, self.p = deltas, base.phi, base.p
+        self.forecast_mean_mode = base.forecast_mean_mode
+        self.standardization_mode = base.standardization_mode
         self.w, self.v = w, v = stacked_eigh(omegas)  # v is P_t's basis
         v.flags.writeable = False
         lam = _limit_eigs(base.phi, w)
@@ -296,21 +302,20 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     (``P_t`` goes on). So a failed candidate's values are meaningless, and
     NaN, which slows the stacked decompositions, at most until then.
     """
-    base = setup.base
     ys = np.asarray(ys, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    if ys.ndim != 2 or ys.shape[1] != base.p:
-        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {base.p})")
+    if ys.ndim != 2 or ys.shape[1] != setup.p:
+        raise DimensionMismatch(f"series has shape {ys.shape}, expected (N, {setup.p})")
     if not np.isfinite(ys).all():
         i = int(np.argmin(np.isfinite(ys).all(axis=1)))
         raise DomainError(f"t={start.t + i + 1}: observation {ys[i].tolist()} is not finite")
     k3 = setup.k[:, None, None]
-    phi, phi2 = base.phi, base.phi * base.phi
+    phi, phi2 = setup.phi, setup.phi * setup.phi
     vt_omega = setup.v.swapaxes(-1, -2)
     size = max(_MIN_STEPS, _BLOCK // len(setup.deltas))  # steps per block
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
-    whiten = slice(0, -1) if base.standardization_mode == "forecast_cov" else slice(1, None)
+    whiten = slice(0, -1) if setup.standardization_mode == "forecast_cov" else slice(1, None)
 
     def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
         s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
@@ -356,7 +361,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
                 p_mats = [*p_mats, *(cycle[t % 2][1]
                                      for t in range(lo + len(p_mats) + 1, lo + len(block) + 1))]
             for y, p_mat in zip(block, p_mats):
-                f = m if base.forecast_mean_mode == "plain" else phi * m
+                f = m if setup.forecast_mean_mode == "plain" else phi * m
                 e = y - f
                 s = s / k3 + e[:, :, None] * e[:, None, :]
                 ws, vs = stacked_eigh(s)

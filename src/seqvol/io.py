@@ -260,18 +260,19 @@ def write_returns_csv(path: str | Path, values: np.ndarray) -> None:
                len(values), lambda start, stop: map(tuple, values[start:stop].tolist()))
 
 
-def write_sim_truth_csv(path: str | Path, sigmas: Sequence[np.ndarray],
-                        thetas: np.ndarray) -> None:
+def write_sim_truth_csv(path: str | Path, sigmas: np.ndarray, thetas: np.ndarray) -> None:
     """Simulated truth: vech of each ``Sigma_t`` plus the signal ``theta_t``.
 
-    Row ``t = 0`` holds the prior seed matrix and an empty signal.
+    ``sigmas`` is the ``(N + 1, p, p)`` stack of ``Sigma_0 .. Sigma_N``
+    (:attr:`seqvol.simulate.SimPath.sigmas`), each block of lines a slice of
+    it. Row ``t = 0`` holds the prior seed matrix and an empty signal.
     """
+    sigmas = np.asarray(sigmas, dtype=float)
     p = thetas.shape[1]
     line = "%d" + ",%.17g" * (p * (p + 1) // 2)
 
     def rows(start, stop):
-        table = np.hstack([vech_lower(np.array(sigmas[start + 1:stop + 1])),
-                           thetas[start:stop]])
+        table = np.hstack([vech_lower(sigmas[start + 1:stop + 1]), thetas[start:stop]])
         return ((t, *row.tolist()) for t, row in enumerate(table, start + 1))
 
     head = ("# vech ordering: row-major lower triangle; "

@@ -51,15 +51,16 @@ class LikelihoodBreakdown:
     per_step: list[float]
 
     @classmethod
-    def from_terms(cls, constant: float, terms, per_step: list[float]
+    def from_terms(cls, c1: float, terms: np.ndarray, per_step: list[float]
                    ) -> "LikelihoodBreakdown":
-        """Sum per-step ``(quad, chol_logdet, lt, sigma_logdet)`` in time order."""
-        quad = chol = lt = sig = 0.0
-        for quad_t, chol_t, lt_t, sig_t in terms:
-            quad += quad_t
-            chol += chol_t
-            lt += lt_t
-            sig += sig_t
+        """Add up ``N`` steps: constant ``c1`` each, ``(N, 4)`` term groups in time order.
+
+        ``np.add.accumulate`` from a zero row adds one step at a time, as a
+        loop would, whatever the layout; ``np.sum`` adds pairwise down a
+        contiguous axis.
+        """
+        constant = len(terms) * c1 if len(terms) else 0.0
+        quad, chol, lt, sig = np.add.accumulate(np.vstack([np.zeros(4), terms]))[-1].tolist()
         return cls(total=constant + quad + chol + lt + sig, constant_c=constant,
                    quad_term=quad, chol_logdet_term=chol, lt_term=lt,
                    sigma_logdet_term=sig, per_step=per_step)
@@ -169,7 +170,6 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     q = np.asarray(q, dtype=float)
     q_inv = spd_inverse(q)
     c1 = loglik_constant(config, q, 1)  # per step, as a filter run's loglik_t has it
-    constant = n_obs * c1 if n_obs else 0.0
 
     spectra, failure = [], None
     try:
@@ -189,8 +189,7 @@ def loglik_path(sigmas: Sequence[np.ndarray], es: Sequence[np.ndarray],
     if failure is not None:
         raise failure
     return LikelihoodBreakdown.from_terms(
-        constant, zip(*(g.tolist() for g in (quad, chol, lt, sig))),
-        (c1 + quad + chol + lt + sig).tolist())
+        c1, np.stack([quad, chol, lt, sig], axis=-1), (c1 + quad + chol + lt + sig).tolist())
 
 
 def loglik_from_records(run: np.recarray, config: "ModelConfig") -> LikelihoodBreakdown:
@@ -208,8 +207,8 @@ def loglik_from_records(run: np.recarray, config: "ModelConfig") -> LikelihoodBr
             raise DomainError("records carry no likelihood terms: "
                               "filter_run ran with compute_loglik=False")
         raise DomainError(f"t={run.t[bad[0]]}: {_NO_POSITIVE_LT}")
-    constant = len(run) * config._solo_setup.c1[0] if len(run) else 0.0
-    return LikelihoodBreakdown.from_terms(constant, run.terms.tolist(), run.loglik_t.tolist())
+    return LikelihoodBreakdown.from_terms(config._solo_setup.c1[0], run.terms,
+                                          run.loglik_t.tolist())
 
 
 def loglik_at_filter_path(ys, config: "ModelConfig") -> LikelihoodBreakdown:

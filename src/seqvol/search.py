@@ -45,12 +45,16 @@ from .filtering import ModelConfig, _recursion, _Setup, filter_init
 
 logger = logging.getLogger(__name__)
 
+# the finest grid: a line stacks 10**q - 1 candidates per discount factor into
+# one pass, 999 at q = 3 (3,996 for the default four), ten times that at q = 4
+MAX_Q = 3
+
 
 @dataclass(frozen=True)
 class SearchSpec:
     """Grid resolution, discount candidates and objective of one search."""
 
-    q: int = 2
+    q: int = 2  # at most MAX_Q
     delta_candidates: tuple[float, ...] = (0.70, 0.75, 0.80, 0.85)
     max_sweeps: int = 10
     objective: str = "loglik"  # or "msse_distance"
@@ -58,6 +62,8 @@ class SearchSpec:
     def __post_init__(self):
         if self.q < 1:
             raise DomainError(f"grid resolution q={self.q} must be >= 1")
+        if self.q > MAX_Q:
+            raise DomainError(f"grid resolution q={self.q} must be <= {MAX_Q}")
         if not self.delta_candidates:
             raise DomainError("delta_candidates must be non-empty")
         for d in self.delta_candidates:

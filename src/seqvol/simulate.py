@@ -56,14 +56,15 @@ from .linalg import (
 class SimPath:
     """A simulated trajectory: observations, signal, and volatility matrices.
 
-    ``sigmas`` has one more entry than ``ys``: the time-0 matrix that seeded
-    the evolution. ``seed`` records the integer seed when one was supplied,
+    ``sigmas`` is the ``(N + 1, p, p)`` stack of ``Sigma_0 .. Sigma_N``, one
+    more than ``ys``: its row 0 is the time-0 matrix that seeded the
+    evolution. ``seed`` records the integer seed when one was supplied,
     making the path fully reproducible.
     """
 
     ys: np.ndarray
     thetas: np.ndarray
-    sigmas: list[np.ndarray]
+    sigmas: np.ndarray
     seed: int | None
 
     def __post_init__(self):
@@ -74,7 +75,7 @@ class SimPath:
 
 def _evolve(gen: np.random.Generator, sigma0: np.ndarray, config: ModelConfig,
             n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``Sigma_1 .. Sigma_n`` after ``sigma0``, with their spectra ``(w, V)``.
+    """The stack ``Sigma_0 .. Sigma_n`` from ``sigma0``, and the spectra ``(w, V)`` of 1..n.
 
     Draws the ``n_steps`` shocks in one call. The factors are checked before
     the stacked inverse, so that LAPACK never sees a singular member; the
@@ -92,8 +93,8 @@ def _evolve(gen: np.random.Generator, sigma0: np.ndarray, config: ModelConfig,
         sound = np.isfinite(us).all(axis=(-2, -1)) & (diag > 0.0).all(axis=-1)
         n_ok = n_steps if sound.all() else int(np.argmin(sound))
         inv_u = np.linalg.inv(us[:n_ok])
-        sigmas = sym(inv_u @ inv_u.swapaxes(-1, -2))
-        w, v = stacked_eigh(sigmas)
+        sigmas = np.concatenate([[sigma0], sym(inv_u @ inv_u.swapaxes(-1, -2))])
+        w, v = stacked_eigh(sigmas[1:])
     pd = positive_spectrum(w)
     if not pd.all():
         t = int(np.argmin(pd))
@@ -115,7 +116,7 @@ def evolve_precision(rng: np.random.Generator, sigma_prev: np.ndarray,
     ``B_t`` a rank-one-deficient singular beta draw: the one-step case of
     :func:`simulate_path`'s evolution, drawing one ``B_t`` per call.
     """
-    return _evolve(rng, sigma_prev, config, 1)[0][0]
+    return _evolve(rng, sigma_prev, config, 1)[0][1]
 
 
 def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
@@ -159,5 +160,4 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
     thetas = np.empty((n_steps, p))
     for t in range(n_steps):
         theta = thetas[t] = config.phi * theta + shocks[t, :, 0]
-    return SimPath(ys=thetas + shocks[..., 1], thetas=thetas,
-                   sigmas=[sigma0.copy(), *sigmas], seed=seed)
+    return SimPath(ys=thetas + shocks[..., 1], thetas=thetas, sigmas=sigmas, seed=seed)

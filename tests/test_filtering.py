@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import mmap
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -730,6 +732,19 @@ class TestRunMemory:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, peak
+
+    def test_config_freed_without_the_cyclic_collector(self):
+        # the config caches its setup; a setup that held the config back
+        # would make a cycle, freed only when the collector runs
+        config = ModelConfig(delta=0.8, phi=1.0, omega=np.diag([0.5, 1.5]))
+        filter_run(np.ones((5, 2)), config)
+        ref = weakref.ref(config)
+        gc.disable()
+        try:
+            del config
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestSimulatedPathFilter:

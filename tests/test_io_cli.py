@@ -624,14 +624,17 @@ def test_omega_diag_not_a_vector_exits_2(command, diag, tmp_path):
 
 
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "q": 0}))
     data = tmp_path / "d.csv"
     data.write_text("a\n0.01\n-0.01\n0.02\n")
-    res = _invoke("search", cfg, data, tmp_path / "out")
-    assert res.exit_code == 2
-    assert "error: grid resolution q=0 must be >= 1" in res.output
-    assert not (tmp_path / "out").exists()
+    # q above the bound would stack millions of candidates (q = 6) or more
+    for q, message in [(0, "must be >= 1"), (6, "must be <= 3"), (10 ** 30, "must be <= 3")]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "q": q}))
+        res = _invoke("search", cfg, data, tmp_path / "out")
+        assert res.exit_code == 2, (q, res.output)
+        assert f"error: grid resolution q={q} {message}" in res.output
+        assert "Traceback" not in res.output
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["filter", "simulate"])

@@ -1,11 +1,15 @@
-"""The CLI's output files, pinned bit for bit by their sha256 digests.
+"""The CLI's output files and the library's array outputs, pinned bit for bit.
 
-Each case runs one ``seqvol`` command on inputs made here from fixed seeds
-and compares the digest of each output file with the one below. A change
-that should move no output bit keeps every digest; one that moves a bit on
-purpose regenerates them, and says why. The one way to regenerate them is
-to run this file as a script, ``python tests/test_pinned_outputs.py``,
-which prints the current digests in the form of ``PINNED``.
+Each case of ``CASES`` runs one ``seqvol`` command on inputs made here from
+fixed seeds and compares the sha256 digest of each output file with the one
+in ``PINNED``; each case of ``ARRAY_CASES`` hashes the bytes of arrays a
+library call returns (the search's stacked evaluator, an on-line
+``filter_step`` chain, :func:`~seqvol.likelihood.loglik_path` on a
+simulated truth) and compares with ``PINNED_ARRAYS``. A change that should
+move no output bit keeps every digest; one that moves a bit on purpose
+regenerates them, and says why. The one way to regenerate them is to run
+this file as a script, ``python tests/test_pinned_outputs.py``, which prints
+the current digests in the form of ``PINNED`` and ``PINNED_ARRAYS``.
 
 The digests hold for one floating-point environment: a different numpy or
 BLAS may round differently, so a failure names both.
@@ -24,7 +28,11 @@ from click.testing import CliRunner
 if __name__ == "__main__":  # as a script: import the package from this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from seqvol.cli import main  # noqa: E402
+from seqvol.cli import load_model_config, main  # noqa: E402
+from seqvol.filtering import filter_init, filter_step, steady_Q  # noqa: E402
+from seqvol.likelihood import loglik_path  # noqa: E402
+from seqvol.search import evaluate_candidates  # noqa: E402
+from seqvol.simulate import simulate_path  # noqa: E402
 
 FILTER_OUTPUTS = ("volatility.csv", "forecast.csv", "report.json")
 
@@ -65,6 +73,17 @@ PINNED = {
     },
 }
 
+PINNED_ARRAYS = {
+    'evaluate_loglik_p3':
+        'b950d90496cd04eff79c8ad651bfdd90601a743ae4da8361e74db96b45eabfbc',
+    'evaluate_msse_p3':
+        '21be2b52000235e2a404bf6fb63b68aaf607d76e5895de5c827353b8a907e505',
+    'filter_step_chain_p3':
+        'fbba306d87b93fa694350d5eaeb1a13d1681f3e50e44ab8f73f4780c12887e49',
+    'loglik_path_truth_p3':
+        'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
+}
+
 
 def _write_returns(path, ys):
     """A returns CSV with 17-digit fields, written without seqvol's writers."""
@@ -84,8 +103,12 @@ def _p8_config():
     return {"delta": 0.7, "phi": 1.0, "omega_diag": [1.0] * 8}
 
 
+def _p3_series():
+    return 0.3 * np.random.default_rng(3).standard_normal((200, 3))
+
+
 def _p3_returns(path):
-    _write_returns(path, 0.3 * np.random.default_rng(3).standard_normal((200, 3)))
+    _write_returns(path, _p3_series())
 
 
 def _p3_dense_config():
@@ -100,14 +123,17 @@ def _p2_returns(path):
     _write_returns(path, np.exp(log_vol)[:, None] * rng.standard_normal((150, 2)))
 
 
+def _simulate_p3_config():
+    return {"delta": 0.95, "phi": 1.0, "omega_diag": [0.5, 1.0, 1.5]}
+
+
 # case: (command, config, input writer or None, extra arguments, output files)
 CASES = {
     "filter_p8": ("filter", _p8_config(), _p8_returns, [], FILTER_OUTPUTS),
     "filter_p3_dense": ("filter", _p3_dense_config(), _p3_returns, [], FILTER_OUTPUTS),
     "loglik_p8": ("loglik", _p8_config(), _p8_returns, [], ("report.json",)),
     "metrics_p8": ("metrics", _p8_config(), _p8_returns, [], ("report.json",)),
-    "simulate_p3": ("simulate", {"delta": 0.95, "phi": 1.0, "omega_diag": [0.5, 1.0, 1.5]},
-                    None, ["--n-steps", "700", "--seed", "7"],
+    "simulate_p3": ("simulate", _simulate_p3_config(), None, ["--n-steps", "700", "--seed", "7"],
                     ("returns.csv", "sim_truth.csv")),
     "search_p2": ("search", {"delta": 0.9, "phi": 1.0, "omega_diag": [1.0, 1.0], "q": 1,
                              "delta_candidates": [0.85, 0.95]},
@@ -131,6 +157,57 @@ def output_digests(case, workdir):
             for name in outputs}
 
 
+def _evaluate_stack(objective):
+    """``evaluate_candidates`` on 40 dense ``p = 3`` candidates over four discount factors."""
+    rng = np.random.default_rng(40)
+    a = rng.standard_normal((40, 3, 3))
+    omegas = a @ a.swapaxes(-1, -2) / 3.0 + 0.1 * np.eye(3)
+    deltas = np.resize([0.75, 0.8, 0.9, 0.95], 40)
+    return [evaluate_candidates(_p3_series(), load_model_config(_p3_dense_config()),
+                                deltas, omegas, objective)]
+
+
+def _step_chain():
+    """The rows of 30 ``filter_step`` calls on the dense ``p = 3`` case, and the end state."""
+    config = load_model_config(_p3_dense_config())
+    state, rows = filter_init(config), []
+    for y in _p3_series()[:30]:
+        state, row = filter_step(state, y, config)
+        rows.append(row)
+    return [np.array(rows), state.m, state.S, state.p_eigs]
+
+
+def _truth_loglik():
+    """``loglik_path`` on the ``simulate_p3`` case's simulated truth.
+
+    Its errors are ``y_t - phi theta_{t-1}``, the observation less the true
+    signal's one-step forecast.
+    """
+    config = load_model_config(_simulate_p3_config())
+    path = simulate_path(7, config, n_steps=700)
+    es = path.ys - config.phi * np.vstack([np.zeros(config.p), path.thetas[:-1]])
+    bd = loglik_path(path.sigmas, es, config, steady_Q(config))
+    return [np.array([bd.total, bd.constant_c, bd.quad_term, bd.chol_logdet_term,
+                      bd.lt_term, bd.sigma_logdet_term]), np.asarray(bd.per_step)]
+
+
+# case: the arrays it returns, hashed in order
+ARRAY_CASES = {
+    "evaluate_loglik_p3": lambda: _evaluate_stack("loglik"),
+    "evaluate_msse_p3": lambda: _evaluate_stack("msse_distance"),
+    "filter_step_chain_p3": _step_chain,
+    "loglik_path_truth_p3": _truth_loglik,
+}
+
+
+def array_digest(case):
+    """The sha256 digest of the bytes of every array ``case`` returns, in order."""
+    digest = hashlib.sha256()
+    for array in ARRAY_CASES[case]():
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
 def _environment():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -147,6 +224,13 @@ def test_outputs_match_pinned_digests(case, tmp_path):
         "regenerate with python tests/test_pinned_outputs.py")
 
 
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_arrays_match_pinned_digests(case):
+    assert array_digest(case) == PINNED_ARRAYS[case], (
+        f"{case}: array bytes moved under {_environment()}; if the move is intended, "
+        "regenerate with python tests/test_pinned_outputs.py")
+
+
 if __name__ == "__main__":
     print("PINNED = {")
     for case in CASES:
@@ -155,4 +239,8 @@ if __name__ == "__main__":
             for name, digest in output_digests(case, tmp).items():
                 print(f"        {name!r}:\n            {digest!r},")
             print("    },")
+    print("}")
+    print("PINNED_ARRAYS = {")
+    for case in ARRAY_CASES:
+        print(f"    {case!r}:\n        {array_digest(case)!r},")
     print("}")

@@ -85,6 +85,8 @@ class TestSearchSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
             SearchSpec(q=0)
+        with pytest.raises(DomainError, match="q=4 must be <= 3"):
+            SearchSpec(q=4)
         with pytest.raises(DomainError):
             SearchSpec(delta_candidates=(0.5,))
         with pytest.raises(DomainError):
