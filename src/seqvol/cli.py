@@ -44,7 +44,7 @@ from .io import (
 )
 from .likelihood import loglik_from_records, perf_metrics
 from .linalg import check_square
-from .search import SearchSpec, coordinate_search
+from .search import SearchSpec, check_search_length, coordinate_search
 from .simulate import simulate_path
 
 VALIDATION_EXIT = 2
@@ -210,9 +210,9 @@ def _manifest(raw: dict, config: ModelConfig, seed, input_path=None) -> dict:
 def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False):
     """Validation phase of the data-driven commands; exits 2 on failure.
 
-    Checks the config (and, for ``search``, its search settings) and the
-    input, settles the seed and builds the manifest; only then is ``--out``
-    created, and a failure to create it exits 2 too. Returns
+    Checks the config and the input (for ``search``, its search settings and
+    the series' length too), settles the seed and builds the manifest; only
+    then is ``--out`` created, and a failure to create it exits 2 too. Returns
     ``(out, config, spec, ys, manifest)``, ``spec`` None unless ``search``.
     """
     with _exit_on_error(VALIDATION_EXIT):
@@ -224,6 +224,8 @@ def _prepare(config_path, out_dir, seed, input_path, levels, scale, search=False
                 f"input has {table.values.shape[1]} series but omega is {config.p}x{config.p}"
             )
         spec = load_search_spec(raw) if search else None
+        if search:  # before --out exists, so that a short series leaves nothing behind
+            check_search_length(len(table.values), config.p)
         manifest = _manifest(raw, config, _seed(raw, seed), input_path)
         out = _make_out(out_dir)
     return out, config, spec, table.values, manifest

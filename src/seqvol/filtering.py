@@ -31,13 +31,20 @@ failed candidate restarts from its start state at the block's end.
 squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
 observation) copy the blocks into one record array per run (:func:`_filter`),
 which every consumer reads by column.
+
+At ``p = 2`` the step loop runs :func:`_step2`, the whole step in closed
+form on the lower triangles of its 2 x 2 matrices, over Python floats for
+one candidate and over ``(B,)`` arrays for a stack (``linalg``'s two
+evaluators, with the same bits), and each block rebuilds its columns from
+the steps' flat rows; at ``p >= 3`` it runs the matrix step. Everything
+else is the same code at every ``p``.
 """
 
 from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -50,7 +57,8 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .gwishart import giw_denominator, giw_estimate
-from .linalg import check_spd, positive_spectrum, spd_eigh, spectral, stacked_eigh, sym
+from .linalg import (_ARRAY_OPS, _FLOAT_OPS, _eigh2, check_spd, positive_spectrum, spd_eigh,
+                     spectral, stacked_eigh, sym)
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
@@ -61,7 +69,10 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
 # what the step loop keeps of each step of a block, in order
-_STEP = ("s", "ws", "vs", "w_star", "v_star", "f", "e", "s_star")
+_STEP = ("m", "s", "ws", "vs", "s_star", "w_star", "v_star")
+# where each _STEP field lies in a flat row of the closed-form p = 2 step, and its shape
+_ROW2 = {"m": (0, 2, (2,)), "s": (2, 6, (2, 2)), "ws": (6, 8, (2,)), "vs": (8, 12, (2, 2)),
+         "s_star": (12, 16, (2, 2)), "w_star": (16, 18, (2,)), "v_star": (18, 22, (2, 2))}
 # a run array this big or bigger gets its own mapping (glibc's default mmap
 # threshold, before its dynamic rise moves such blocks into the heap)
 _MAP_BYTES = 128 * 1024
@@ -258,6 +269,9 @@ class _Setup:
         self.c1 = np.empty(len(deltas))
         for i, config in enumerate(configs):
             self.c1[index == i] = _likelihood.loglik_constant(config, q[index == i], 1)
+        if base.p == 2:  # the closed-form step's k, Q^-1, Q^-1/2 and den, lower triangles
+            lower = [x[:, (0, 1, 1), (0, 0, 1)].T for x in (self.q_inv, self.q_inv_sqrt)]
+            self.const2 = np.vstack([self.k, *lower, self.denominator[:, 0, 0]])
 
 
 class _Block(NamedTuple):
@@ -278,6 +292,54 @@ class _Block(NamedTuple):
     p_eigs: np.ndarray
 
 
+def _congruence(xa, xb, xc, ya, yb, yc):  # the lower triangle of X Y X, X and Y symmetric
+    pa, pb = xa * ya + xb * yb, xa * yb + xb * yc
+    pc, pd = xb * ya + xc * yb, xb * yb + xc * yc
+    return pa * xa + pb * xb, pc * xa + pd * xb, pc * xb + pd * xc
+
+
+def _estimate2(a, b, c, const, ops):
+    """``S = [[a, b], [b, c]]``'s spectrum, ``S^*`` and its spectrum, as a row's flat tail.
+
+    ``S^* = (S^1/2 Q^-1 S^1/2 + Q^-1/2 S Q^-1/2) / den``, the estimate of
+    :func:`seqvol.gwishart.giw_estimate`, with ``const = (k, Q^-1's lower
+    triangle, Q^-1/2's, den)`` (``_Setup.const2``). The ``_ROW2`` fields
+    ``ws`` to ``v_star``.
+    """
+    _, qa, qb, qc, ra, rb, rc, den = const
+    w0, w1, v, u = _eigh2(a, b, c, ops, False)
+    r0, r1 = ops.sqrt(w0), ops.sqrt(w1)  # S^1/2 = V diag(r) V', V = [[v, u], [-u, v]]
+    ha, hb, hc = r0 * v * v + r1 * u * u, (r1 - r0) * u * v, r0 * u * u + r1 * v * v
+    xa, xb, xc = _congruence(ha, hb, hc, qa, qb, qc)
+    ya, yb, yc = _congruence(ra, rb, rc, a, b, c)
+    sa, sb, sc = (xa + ya) / den, (xb + yb) / den, (xc + yc) / den
+    x0, x1, xv, xu = _eigh2(sa, sb, sc, ops, False)
+    return w0, w1, v, u, -u, v, sa, sb, sb, sc, x0, x1, xv, xu, -xu, xv
+
+
+def _step2(row, y, p_mat, const, fscale, ops):
+    """The filter step at ``p = 2`` in closed form: the next ``_ROW2`` row, flat.
+
+    Forecast error, ``S_t = S_{t-1}/k + e e'`` and :func:`_estimate2` on lower
+    triangles, then ``m_t = m_{t-1} + S^*^1/2 P_t S^*^-1/2 e_t`` as products
+    of ``V^*``, ``diag(w^*)^{+-1/2}`` and ``P_t`` with vectors. ``ops`` is
+    ``_eigh2``'s: one formula over Python floats (one candidate) or over
+    ``(B,)`` arrays (a stack), with the same bits.
+    """
+    m0, m1, a, _, b, c = row[:6]
+    (y0, y1), (pa, _, pb, pc), k = y, p_mat, const[0]
+    e0, e1 = y0 - fscale * m0, y1 - fscale * m1
+    a, b, c = a / k + e0 * e0, b / k + e1 * e0, c / k + e1 * e1
+    est = _estimate2(a, b, c, const, ops)
+    x0, x1, xv, xu = est[10:14]  # S_t^*'s spectrum and V^* = [[xv, xu], [-xu, xv]]
+    r0, r1 = ops.sqrt(x0), ops.sqrt(x1)
+    z0, z1 = ops.div(xv * e0 - xu * e1, r0), ops.div(xu * e0 + xv * e1, r1)
+    g0, g1 = xv * z0 + xu * z1, xv * z1 - xu * z0
+    g0, g1 = pa * g0 + pb * g1, pb * g0 + pc * g1
+    z0, z1 = r0 * (xv * g0 - xu * g1), r1 * (xu * g0 + xv * g1)
+    return (m0 + (xv * z0 + xu * z1), m1 + (xv * z1 - xu * z0), a, b, b, c, *est)
+
+
 def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterator[_Block]:
     """The filter recursion for the ``B`` candidates of ``setup``, in lockstep.
 
@@ -289,11 +351,11 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
     their spectra, the gain and ``m_t``. ``P_t`` is built per block, before
     its steps, and reused by parity once periodic (see the module docstring).
-    Each block stacks ``failed``, the end state and the fields ``reads``
-    names (of ``f``, ``e``, ``u``, ``s_star``, ``s_prev`` and ``terms``;
-    ``e`` also for ``u`` or ``terms``) over all its steps, evaluating ``u_t``
-    and the terms (:func:`seqvol.likelihood.terms_from_spectra`) only if
-    named; the other fields are ``None``.
+    At ``p = 2`` the step is :func:`_step2`. Each block stacks ``failed``,
+    the end state, ``e`` and the fields ``reads`` names (of ``f``, ``u``,
+    ``s_star``, ``s_prev`` and ``terms``) over all its steps, evaluating
+    ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`)
+    only if named; the other fields are ``None``.
 
     A candidate's values depend neither on the rest of its stack nor on the
     block size, bit for bit. Callers silence floating-point warnings. Each
@@ -310,33 +372,78 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     if not np.isfinite(ys).all():
         i = int(np.argmin(np.isfinite(ys).all(axis=1)))
         raise DomainError(f"t={start.t + i + 1}: observation {ys[i].tolist()} is not finite")
-    k3 = setup.k[:, None, None]
-    phi, phi2 = setup.phi, setup.phi * setup.phi
+    nb, phi, phi2 = len(setup.deltas), setup.phi, setup.phi * setup.phi
+    fscale = 1.0 if setup.forecast_mean_mode == "plain" else phi  # f_t = fscale m_{t-1}
     vt_omega = setup.v.swapaxes(-1, -2)
-    size = max(_MIN_STEPS, _BLOCK // len(setup.deltas))  # steps per block
+    size = max(_MIN_STEPS, _BLOCK // nb)  # steps per block
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if setup.standardization_mode == "forecast_cov" else slice(1, None)
-
-    def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
-        s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
-        return giw_estimate(setup.q_inv, setup.q_inv_sqrt, s, s_sqrt, setup.denominator)
-
-    m0, s0, p_eigs0 = (np.broadcast_to(x, (len(setup.deltas),) + x.shape)
+    m0, s0, p_eigs0 = (np.broadcast_to(x, (nb,) + x.shape)
                        for x in (start.m, start.S, start.p_eigs))
-    initial = (m0, s0) + stacked_eigh(s0)
-    initial += stacked_eigh(estimate(s0, *initial[2:]))
+
+    if setup.p == 2:  # the closed form, over floats for one candidate, else over (B,) rows
+        ops, split = ((_FLOAT_OPS, lambda x: x[..., 0].tolist()) if nb == 1
+                      else (_ARRAY_OPS, list))
+        const = split(setup.const2)
+        ma, mb, a, _, b, c = split(np.hstack([m0, s0.reshape(nb, 4)]).T)
+        initial = (ma, mb, a, b, b, c, *_estimate2(a, b, c, const, ops))
+        step = partial(_step2, const=const, fscale=fscale, ops=ops)
+
+        def inputs(block, p_mats):
+            return zip(block.tolist(), split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1)))
+
+        def columns_of(rows):  # each _STEP field, (T + 1, B, ...), a view of the rows' stack
+            x = np.moveaxis(np.array(rows).reshape(len(rows), -1, nb), 1, -1)
+            return {name: x[..., i:j].reshape(x.shape[:2] + shape)
+                    for name, (i, j, shape) in _ROW2.items()}
+
+        def settle(row, failed):  # restart the failed candidates; the end state's m and S
+            last = np.reshape(row, (-1, nb)).T
+            if failed.any():
+                last = np.where(failed[:, None], np.reshape(initial, (-1, nb)).T, last)
+                row = split(last.T)
+            return row, last[:, :2], last[:, 2:6].reshape(nb, 2, 2)  # _ROW2's m and s
+    else:
+        k3 = setup.k[:, None, None]
+
+        def estimate(s, ws, vs):  # giw_estimator with A = Q^{-1}
+            s_sqrt = (vs * np.sqrt(ws)[:, None, :]) @ vs.swapaxes(-1, -2)
+            return giw_estimate(setup.q_inv, setup.q_inv_sqrt, s, s_sqrt, setup.denominator)
+
+        ws0, vs0 = stacked_eigh(s0)
+        s_star0 = estimate(s0, ws0, vs0)
+        initial = (m0, s0, ws0, vs0, s_star0, *stacked_eigh(s_star0))
+        inputs = zip
+
+        def step(row, y, p_mat):
+            m, s = row[:2]
+            e = y - fscale * m
+            s = s / k3 + e[:, :, None] * e[:, None, :]
+            ws, vs = stacked_eigh(s)
+            s_star = estimate(s, ws, vs)
+            w_star, v_star = stacked_eigh(s_star)
+            root = np.sqrt(w_star)[:, None, :]
+            vt_star = v_star.swapaxes(-1, -2)
+            gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
+            return m + (gain @ e[:, :, None])[:, :, 0], s, ws, vs, s_star, w_star, v_star
+
+        def columns_of(rows):  # each _STEP field's values, one per row
+            return dict(zip(_STEP, zip(*rows)))
+
+        def settle(row, failed):  # restart the failed candidates; the end state's m and S
+            if failed.any():
+                row = tuple(np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
+                            for x, x0 in zip(row, initial))
+            return row, row[0], row[1]
 
     def p_matrices(eigs):  # P_t = V diag(lambda_t) V' of a (T, B, p) stack of eigenvalues
         return (setup.v * np.array(eigs)[:, :, None, :]) @ vt_omega
 
     def blocks():
         def gather(name, rows=slice(1, None)):  # a column of the block's steps, stacked
-            return np.array(columns[name][rows])
+            return np.array(columns[name][rows], order="C")  # so the bits do not depend on B
 
-        m, s, ws, vs, w_star, v_star = initial
-        failed = setup.bad_q | ~(positive_spectrum(ws) & positive_spectrum(w_star))
-        # the step before the block, then its steps, as _STEP columns
-        steps = [(s, ws, vs, w_star, v_star, None, None, None)]
+        row, failed = initial, setup.bad_q  # the step before the block; failed candidates
         # P_t's eigenvalues at the last steps mapped, t counted from the run's
         # start. The map is deterministic: once the stack's bits equal those
         # of two steps before (bits, so a NaN member compares equal), P_t
@@ -360,32 +467,23 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
             if len(p_mats) < len(block):  # the cycle gives the rest of the block
                 p_mats = [*p_mats, *(cycle[t % 2][1]
                                      for t in range(lo + len(p_mats) + 1, lo + len(block) + 1))]
-            for y, p_mat in zip(block, p_mats):
-                f = m if setup.forecast_mean_mode == "plain" else phi * m
-                e = y - f
-                s = s / k3 + e[:, :, None] * e[:, None, :]
-                ws, vs = stacked_eigh(s)
-                s_star = estimate(s, ws, vs)
-                w_star, v_star = stacked_eigh(s_star)
-                root = np.sqrt(w_star)[:, None, :]
-                vt_star = v_star.swapaxes(-1, -2)
-                gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
-                m = m + (gain @ e[:, :, None])[:, :, 0]
-                steps.append((s, ws, vs, w_star, v_star, f, e, s_star))
+            rows = [row]
+            for y, p_in in inputs(block, p_mats):
+                row = step(row, y, p_in)
+                rows.append(row)
             p_eigs = lams[-1] if cycle is None else cycle[(lo + len(block)) % 2][0]
-            columns = dict(zip(_STEP, zip(*steps)))
+            columns = columns_of(rows)
+            del rows  # at p = 2 the columns hold a copy
             w_stars = gather("w_star", slice(None))
-            # a candidate stays failed from its first spectrum that is not positive definite
+            # a candidate stays failed from its first spectrum that is not positive
+            # definite. Row 0 is the start state's or a step already checked
             flags = failed | np.logical_or.accumulate(
-                ~(positive_spectrum(gather("ws")) & positive_spectrum(w_stars[1:])), axis=0)
+                ~(positive_spectrum(gather("ws", slice(None))) & positive_spectrum(w_stars)),
+                axis=0)[1:]
             failed = flags[-1]
-            if failed.any():  # rare: restart the failed candidates
-                m, s, ws, vs, w_star, v_star = (
-                    np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
-                    for x, x0 in zip((m, s, ws, vs, w_star, v_star), initial))
-            steps = [(s, ws, vs, w_star, v_star, None, None, None)]
-            e = gather("e") if reads & {"e", "u", "terms"} else None  # u and terms read e
-            u = terms = None
+            row, m, s = settle(row, failed)  # rare: restart the failed candidates
+            f = fscale * gather("m", slice(0, -1))
+            e, u, terms = block[:, None, :] - f, None, None
             if "u" in reads:
                 w_base, v_base = gather("ws", whiten), gather("vs", whiten)
                 vte = v_base.swapaxes(-1, -2) @ e[..., None]
@@ -393,7 +491,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
             if "terms" in reads:
                 terms = _likelihood.terms_from_spectra(
                     e, w_stars, gather("v_star", slice(None)), setup.q_inv, setup.k, setup.deltas)
-            yield _Block(gather("f") if "f" in reads else None, e, u,
+            yield _Block(f if "f" in reads else None, e, u,
                          gather("s_star") if "s_star" in reads else None,
                          gather("s", slice(0, -1)) if "s_prev" in reads else None,
                          flags, terms, m, s, p_eigs)
@@ -435,7 +533,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     run.t = np.arange(t + 1, t + n + 1)
     run.terms = run.loglik_t = np.nan
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        blocks = _recursion(ys, setup, state, {"f", "e", "u", "s_star", "s_prev"}
+        blocks = _recursion(ys, setup, state, {"f", "u", "s_star", "s_prev"}
                             | ({"terms"} if compute_loglik else set()))
         done = 0  # steps copied
         for block in blocks:

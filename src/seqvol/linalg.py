@@ -14,9 +14,13 @@ Conventions fixed across the package:
   definite ``R`` with ``R R = M``, computed by spectral mapping.
 * the filter, the search, the simulator and the likelihood decompose
   through :func:`stacked_eigh`: LAPACK's kernels at ``p >= 3``, called
-  without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form whose two
-  evaluators (numpy arrays for a stack, Python floats for one matrix) give
-  the same bits. A non-finite member gets a NaN spectrum, raising nothing.
+  without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form
+  (:func:`_eigh2`) whose two evaluators (numpy arrays for a stack, Python
+  floats for one matrix) give the same bits. A non-finite member gets a NaN
+  spectrum, raising nothing. The filter's closed-form ``p = 2`` step calls
+  :func:`_eigh2` itself, over the same evaluators, whose square root and
+  division give numpy's IEEE results (NaN, a signed inf) where Python's
+  would raise.
 """
 
 from __future__ import annotations
@@ -95,21 +99,22 @@ def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
 
 
 def _eigh2(a, b, c, ops, values_only: bool):
-    """Ascending spectrum of ``[[a, b], [b, c]]``, and ``V = [[v, u], [-u, v]]``.
+    """Ascending spectrum ``(w0, w1)`` of ``[[a, b], [b, c]]``, then ``V``'s ``(v, u)``.
 
-    Golub & Van Loan 8.5 with LAPACK's ``dlaev2``: ``big = mid + sign(mid) r``
-    (``mid = (a+c)/2``, ``r = hypot(h, b)``, ``h = (a-c)/2``) and ``det / big
-    = (a/big) c - (b/big) b``, not the cancelling ``mid - sign(mid) r``;
-    ``(h + sign(h) r, b)`` belongs to ``mid + sign(h) r``. Only IEEE ``+ -
-    * /``, comparisons and ``ops`` are used, so numpy arrays and Python
-    floats give the same bits. A non-finite entry gives NaN eigenvalues.
+    ``V = [[v, u], [-u, v]]``. Golub & Van Loan 8.5 with LAPACK's ``dlaev2``:
+    ``big = mid + sign(mid) r`` (``mid = (a+c)/2``, ``r = hypot(h, b)``, ``h =
+    (a-c)/2``) and ``det / big = (a/big) c - (b/big) b``, not the cancelling
+    ``mid - sign(mid) r``; ``(h + sign(h) r, b)`` belongs to ``mid + sign(h)
+    r``. Only IEEE ``+ - * /``, comparisons and ``ops`` are used, so numpy
+    arrays and Python floats give the same bits. A non-finite entry gives NaN
+    eigenvalues.
     """
     h, mid = (a - c) / 2, (a + c) / 2
     r = ops.hypot(h, b)
     big = mid + ops.copysign(r, mid)
     safe = ops.where(big == 0, 1.0, big)  # big == 0: a zero (or subnormal) matrix
     small = (a / safe) * c - (b / safe) * b
-    w = ops.pack(ops.where(big < small, big, small), ops.where(big >= small, big, small))
+    w = ops.where(big < small, big, small), ops.where(big >= small, big, small)
     if values_only:
         return w
     sr = ops.copysign(r, h)
@@ -118,8 +123,7 @@ def _eigh2(a, b, c, ops, values_only: bool):
     u, v, n = ops.where(up, t, b), ops.where(up, b, -t), ops.hypot(t, b)
     zero = n == 0  # a multiple of I: V = I
     v, n = ops.where(zero, 1.0, v), ops.where(zero, 1.0, n)
-    u, v = u / n, v / n
-    return w, ops.pack(v, u, -u, v)
+    return (*w, v / n, u / n)
 
 
 def _pack(*xs):  # np.stack(xs, axis=-1) of same-shape float arrays, without its checks
@@ -131,15 +135,25 @@ def _pack(*xs):  # np.stack(xs, axis=-1) of same-shape float arrays, without its
 
 def _hypot(x, y):  # libm's hypot, as np.hypot calls it, without numpy's scalar dispatch
     try:
-        return abs(complex(x, y))  # math.hypot differs from it in the last bit
+        r = abs(complex(x, y))  # math.hypot differs from it in the last bit
     except OverflowError:  # where hypot returns inf
         return math.inf
+    return x + y if r != r else r  # hypot's NaN is its first NaN argument, as x + y's is
 
 
-# the two evaluators of _eigh2
-_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot, pack=_pack)
+def _sqrt(x):  # np.sqrt: a negative gives the NaN that the hardware's square root gives
+    return math.inf - math.inf if x < 0 else math.sqrt(x)
+
+
+def _div(x, y):  # np.divide: x / 0 is x times a signed inf, which is IEEE's quotient
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+# the two evaluators of _eigh2 and of the filter's p = 2 step
+_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
+                             sqrt=np.sqrt, div=np.divide, pack=_pack)
 _FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
-                             copysign=math.copysign, hypot=_hypot,
+                             copysign=math.copysign, hypot=_hypot, sqrt=_sqrt, div=_div,
                              pack=lambda *xs: np.array(xs))
 
 
@@ -158,12 +172,12 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
     """
     if m.shape[-1] == 2:
         if m.size == 4:
-            a, _, b, c = m.ravel().tolist()
-            out = _eigh2(a, b, c, _FLOAT_OPS, values_only)
+            ops, (a, _, b, c) = _FLOAT_OPS, m.ravel().tolist()
         else:
-            out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
-        return (out.reshape(m.shape[:-1]) if values_only
-                else (out[0].reshape(m.shape[:-1]), out[1].reshape(m.shape)))
+            ops, a, b, c = _ARRAY_OPS, m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
+        out = _eigh2(a, b, c, ops, values_only)
+        w = ops.pack(*out[:2]).reshape(m.shape[:-1])
+        return w if values_only else (w, ops.pack(*out[2:], -out[3], out[2]).reshape(m.shape))
     if values_only:
         return _umath_linalg.eigvalsh_lo(m, signature="d->d")
     return _umath_linalg.eigh_lo(m, signature="d->dd")

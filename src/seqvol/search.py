@@ -142,6 +142,12 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     return out
 
 
+def check_search_length(n_obs: int, p: int) -> None:
+    """Raise :class:`DomainError` unless a search has at least ``10 p`` observations."""
+    if n_obs < 10 * p:
+        raise DomainError(f"need at least 10*p = {10 * p} observations, got {n_obs}")
+
+
 def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
                       jobs: int = 1
                       ) -> tuple[np.ndarray, float, list[TraceEntry]]:
@@ -156,10 +162,7 @@ def coordinate_search(ys, base_config: ModelConfig, spec: SearchSpec, *,
     """
     ys = np.asarray(ys, dtype=float)
     p = base_config.p
-    if ys.shape[0] < 10 * p:
-        raise DomainError(
-            f"need at least 10*p = {10 * p} observations, got {ys.shape[0]}"
-        )
+    check_search_length(ys.shape[0], p)
     grid = np.arange(1, 10 ** spec.q) / 10.0 ** spec.q
     deltas = spec.delta_candidates
     cache: dict[tuple, float] = {}  # (delta, z) -> objective

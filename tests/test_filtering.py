@@ -14,6 +14,7 @@ from seqvol.errors import (
     FilterNumericalError,
     NotPositiveDefinite,
 )
+import seqvol.filtering
 from seqvol.filtering import (
     _BLOCK,
     _MAP_BYTES,
@@ -21,6 +22,7 @@ from seqvol.filtering import (
     ModelConfig,
     _recursion,
     _Setup,
+    _step2,
     beta_dof_m,
     discount_k,
     filter_init,
@@ -29,9 +31,9 @@ from seqvol.filtering import (
     limit_P,
     steady_Q,
 )
-from seqvol.gwishart import giw_estimator
+from seqvol.gwishart import giw_estimate, giw_estimator
 from seqvol.likelihood import loglik_constant, loglik_from_records, perf_metrics
-from seqvol.linalg import spd_inverse
+from seqvol.linalg import _ARRAY_OPS, _FLOAT_OPS, spd_inverse
 from seqvol.simulate import simulate_path
 
 from conftest import (count_decompositions, iterate_P_to_convergence, p_recursion_step,
@@ -403,6 +405,22 @@ class TestPEigenvaluePath:
         assert scalar[-1] == scalar[-3] != scalar[-2]
 
 
+def _stacked_run(ys, base, omegas, deltas=None):
+    """Every field of a ``_recursion`` run, time first, its end state and its block sizes.
+
+    The candidates are ``omegas`` with ``deltas``, by default ``base.delta``.
+    """
+    deltas = np.full(len(omegas), base.delta) if deltas is None else np.asarray(deltas)
+    reads = {"f", "u", "s_star", "s_prev", "terms"}
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        blocks = list(_recursion(ys, _Setup(base, deltas, omegas), filter_init(base), reads))
+    fields = {name: np.concatenate([getattr(b, name) for b in blocks])
+              for name in ("f", "e", "u", "s_star", "s_prev", "failed")}
+    fields["terms"] = np.stack([np.concatenate([b.terms[i] for b in blocks])
+                                for i in range(4)], axis=-1)
+    return fields, [blocks[-1].m, blocks[-1].S, blocks[-1].p_eigs], [len(b.e) for b in blocks]
+
+
 class TestPCycle:
     """``P_t``'s eigenvalues are mapped per block until the stack's bits repeat
     those of two steps before; from then on each step takes one of the last
@@ -430,19 +448,6 @@ class TestPCycle:
             expected.append(lam)
         assert state.p_eigs.tolist() == expected
 
-    @staticmethod
-    def _run(ys, base, omegas):
-        """Every field of a ``_recursion`` run, time first, and its end state."""
-        setup = _Setup(base, np.full(len(omegas), base.delta), omegas)
-        reads = {"f", "e", "u", "s_star", "s_prev", "terms"}
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            blocks = list(_recursion(ys, setup, filter_init(base), reads))
-        fields = {name: np.concatenate([getattr(b, name) for b in blocks])
-                  for name in ("f", "e", "u", "s_star", "s_prev", "failed")}
-        fields["terms"] = np.stack([np.concatenate([b.terms[i] for b in blocks])
-                                    for i in range(4)], axis=-1)
-        return fields, [blocks[-1].m, blocks[-1].S, blocks[-1].p_eigs]
-
     @pytest.mark.parametrize("phi, bad", [(1.0, np.full((2, 2), np.nan)), (0.0, -np.eye(2))],
                              ids=["nan-omega", "negative-omega"])
     def test_stack_with_failed_member_equals_solo_runs(self, phi, bad):
@@ -451,10 +456,10 @@ class TestPCycle:
         base = ModelConfig(delta=0.9, phi=phi, omega=np.eye(2))
         omegas = np.array([np.eye(2), np.diag([self.W_CYCLE, 1.0]), bad, np.diag([0.5, 2.0])])
         ys = 0.3 * np.random.default_rng(4).standard_normal((600, 2))
-        fields, end = self._run(ys, base, omegas)
+        fields, end, _ = _stacked_run(ys, base, omegas)
         assert fields["failed"][:, 2].all() and not fields["failed"][:, [0, 1, 3]].any()
         for b in (0, 1, 3):
-            solo, solo_end = self._run(ys, base, omegas[b:b + 1])
+            solo, solo_end, _ = _stacked_run(ys, base, omegas[b:b + 1])
             for name, x in fields.items():
                 np.testing.assert_array_equal(x[:, b], solo[name][:, 0], err_msg=name)
             for x, ref in zip(end, solo_end):
@@ -475,6 +480,124 @@ class TestPCycle:
                 np.testing.assert_array_equal(getattr(rec, name), getattr(ref, name))
         for name in [f.name for f in dataclasses.fields(FilterState)] + ["P"]:
             np.testing.assert_array_equal(getattr(state, name), getattr(chained_state, name))
+
+
+MODES = [(mean, std) for mean in ("plain", "phi_scaled")
+         for std in ("forecast_cov", "posterior_st")]
+
+
+class TestClosedFormStep:
+    """At ``p = 2`` the step runs in closed form, over Python floats for one
+    candidate and over ``(B,)`` arrays for a stack: the same formula, so the
+    same bits, and IEEE semantics where a step fails."""
+
+    # (delta, omega): healthy members, one whose S_t turns singular in its
+    # third block (delta = 0.7 decays S's second direction fastest while the
+    # series has none), and one whose Omega fails it from the start
+    MEMBERS = [(0.9, np.diag([0.4, 1.5])), (0.95, np.array([[0.5, 0.1], [0.1, 1.2]])),
+               (0.7, np.diag([1e-3, 2.0])), (0.85, np.diag([1e-6, 1e-6])),
+               (0.75, np.full((2, 2), np.nan)), (0.99, np.eye(2))]
+    FAILING, BAD_OMEGA = 2, 4
+
+    @pytest.mark.parametrize("modes", MODES, ids="-".join)
+    def test_float_and_array_evaluators_give_the_same_bytes(self, monkeypatch, modes):
+        base = ModelConfig(delta=0.9, phi=0.95, omega=np.eye(2), forecast_mean_mode=modes[0],
+                           standardization_mode=modes[1])
+        deltas, omegas = map(np.array, zip(*self.MEMBERS))
+        ys = 0.3 * np.random.default_rng(9).standard_normal((300, 2))
+        ys[0] = 0.0  # m_0 = 0: a zero-error first step for every member
+        ys[:170, 1] = 0.0
+        stack, end, sizes = _stacked_run(ys, base, omegas, deltas)
+        failed = stack["failed"]
+        assert not failed[:, [0, 1, 3, 5]].any() and failed[:, self.BAD_OMEGA].all()
+        first = int(np.argmax(failed[:, self.FAILING]))
+        ends = np.cumsum(sizes)
+        assert 0 < first and not np.isin([first, first + 1], np.r_[0, ends]).any()  # mid-block
+        assert (stack["terms"][0, [0, 1, 3, 5], 2] == -np.inf).all()  # lt
+        # solo runs take the stack's blocks, so a failed member restarts when it does
+        monkeypatch.setattr(seqvol.filtering, "_BLOCK", sizes[0])
+        for b in range(len(deltas)):
+            solo, solo_end, solo_sizes = _stacked_run(ys, base, omegas[b:b + 1],
+                                                      deltas[b:b + 1])
+            assert solo_sizes == sizes
+            pairs = [(x[:, b], solo[name][:, 0], name) for name, x in stack.items()]
+            pairs += [(x[b], ref[0], "end state") for x, ref in zip(end, solo_end)]
+            for x, ref, name in pairs:
+                assert (np.ascontiguousarray(x).tobytes()
+                        == np.ascontiguousarray(ref).tobytes()), (b, name)
+
+    @pytest.mark.parametrize("modes", MODES, ids="-".join)
+    def test_closed_form_matches_the_matrix_step(self, modes):
+        config = ModelConfig(delta=0.95, phi=0.9, omega=np.array([[0.5, 0.1], [0.1, 1.2]]),
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        ys = 0.3 * np.random.default_rng(12).standard_normal((500, 2))
+        run, state = filter_run(ys, config)
+        # the matrix step, with LAPACK's eigh and matrix products
+        setup = config._solo_setup
+        w, v = np.linalg.eigh(config.omega)
+        m, s, lam = config.m0, config.s0, np.full(2, config.p0)
+        fscale = config.phi if modes[0] == "phi_scaled" else 1.0
+        f_ref, s_star_ref = [], []
+        for y in ys:
+            r = config.phi ** 2 * lam + w
+            lam = r / (r + 1.0)
+            e = y - fscale * m
+            s = s / config.k + np.outer(e, e)
+            ws, vs = np.linalg.eigh(s)
+            s_star = giw_estimate(setup.q_inv[0], setup.q_inv_sqrt[0], s,
+                                  (vs * np.sqrt(ws)) @ vs.T, setup.denominator[0])
+            ww, vv = np.linalg.eigh(s_star)
+            gain = (vv * np.sqrt(ww)) @ vv.T @ ((v * lam) @ v.T) @ (vv / np.sqrt(ww)) @ vv.T
+            f_ref.append(fscale * m)
+            s_star_ref.append(s_star)
+            m = m + gain @ e
+        for got, ref in [(run.f, f_ref), (run.s_star, s_star_ref), (state.m, m), (state.S, s)]:
+            ref = np.asarray(ref)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("modes", MODES[::3], ids="-".join)
+    @pytest.mark.parametrize("t, y", [
+        (1, [1e9, 3e9]),  # S_1 singular at machine level, finite
+        (40, [1e9, 0.0]),
+        (6, [1e200, 0.0]),  # overflows one entry of S_t
+        (257, [1e160, -1e160]),  # the first step of the second block
+    ])
+    def test_planted_failure_reports_its_step(self, modes, t, y):
+        config = ModelConfig(delta=0.9, phi=0.95, omega=np.diag([0.4, 1.5]),
+                             forecast_mean_mode=modes[0], standardization_mode=modes[1])
+        ys = 0.3 * np.random.default_rng(3).standard_normal((600, 2))
+        ys[t - 1] = y
+        with pytest.raises(FilterNumericalError, match=f"t={t}: S_t or S_t") as err:
+            filter_run(ys, config)
+        assert err.value.t == t
+
+    @pytest.mark.parametrize("S", [np.zeros((2, 2)), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]),
+                                   np.ones((2, 2)), np.full((2, 2), np.inf)],
+                             ids=["zero", "indefinite", "singular", "rank-one", "inf"])
+    def test_degenerate_state_fails_its_next_step(self, S):
+        # a zero S_t^* spectrum divides by zero, a negative one takes a negative root
+        config = ModelConfig(delta=0.9, phi=1.0, omega=np.eye(2))
+        state = dataclasses.replace(filter_init(config), S=S, t=10)
+        with pytest.raises(FilterNumericalError) as err:
+            filter_step(state, np.zeros(2), config)
+        assert err.value.t == 11
+
+    def test_kernel_is_ieee_over_floats(self):
+        # the float evaluator raises nothing, and gives the array evaluator's bytes
+        special = [0.0, -0.0, 1.0, -1.0, 0.3, 5e-324, 1e-300, 1e300, np.inf, -np.inf, np.nan]
+        grid = np.random.default_rng(1).choice(special, size=(22 + 2 + 4, 2000))
+        const = np.abs(np.random.default_rng(2).standard_normal((8, 2000))) + 0.5
+        grid[:6, :11] = 0.0  # a zero state and a zero error: 0 / 0 in the gain
+        grid[22:24, :11] = 0.0
+        rows, y, p_mat = grid[:22], grid[22:24], grid[24:]
+        with np.errstate(all="ignore"):
+            stacked = _step2(tuple(rows), tuple(y), tuple(p_mat), tuple(const), 0.95, _ARRAY_OPS)
+        stacked = np.array(stacked)
+        for i in range(grid.shape[1]):
+            one = _step2(rows[:, i].tolist(), y[:, i].tolist(), p_mat[:, i].tolist(),
+                         const[:, i].tolist(), 0.95, _FLOAT_OPS)
+            assert np.array(one).tobytes() == np.ascontiguousarray(stacked[:, i]).tobytes(), i
 
 
 class TestFilterRun:

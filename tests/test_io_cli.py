@@ -637,6 +637,19 @@ def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def test_search_on_a_short_series_exits_2_before_out_dir(tmp_path):
+    # a search needs 10 p observations: an input error, found before --out is made
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n0.01,0.02\n-0.01,0.01\n0.02,0.0\n0.01,-0.01\n")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0, 1.0]}))
+    res = _invoke("search", cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert "error: need at least 10*p = 20 observations, got 4" in res.output
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["filter", "simulate"])
 def test_out_naming_a_file_exits_2(command, tmp_path):
     cfg = tmp_path / "config.json"

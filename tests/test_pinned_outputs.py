@@ -3,9 +3,10 @@
 Each case of ``CASES`` runs one ``seqvol`` command on inputs made here from
 fixed seeds and compares the sha256 digest of each output file with the one
 in ``PINNED``; each case of ``ARRAY_CASES`` hashes the bytes of arrays a
-library call returns (the search's stacked evaluator, an on-line
-``filter_step`` chain, :func:`~seqvol.likelihood.loglik_path` on a
-simulated truth) and compares with ``PINNED_ARRAYS``. A change that should
+library call returns (the search's stacked evaluator and an on-line
+``filter_step`` chain, each at ``p = 3`` and at ``p = 2``, where the step runs
+in closed form; :func:`~seqvol.likelihood.loglik_path` on a simulated truth)
+and compares with ``PINNED_ARRAYS``. A change that should
 move no output bit keeps every digest; one that moves a bit on purpose
 regenerates them, and says why. The one way to regenerate them is to run
 this file as a script, ``python tests/test_pinned_outputs.py``, which prints
@@ -53,6 +54,14 @@ PINNED = {
         'report.json':
             '28d5a5d2dc2707b226009da4dd4c0bc9dd9a46441c613813f5c67596adf2866e',
     },
+    'filter_p2_dense': {
+        'volatility.csv':
+            'dad2e5ade170ce2f54cba78b03976113051e072cbfe30aaa137c2cb1db9a9827',
+        'forecast.csv':
+            '60e44efc858905a5dbb79e2939bff9f8c500c4fb21e0b7b481a4828119b54921',
+        'report.json':
+            'b8fb971a4c022d8d40362a1084de72bfe3d81d6f0b840839772fa4fe95835be2',
+    },
     'loglik_p8': {
         'report.json':
             'c2dad23086067d31c289540ae408d146fcd9887874802b2b7b7f4bc5171119fb',
@@ -69,7 +78,7 @@ PINNED = {
     },
     'search_p2': {
         'search_trace.csv':
-            '6f5813763cc4c8f236162f38b5e4c0cb4fc432caf656d06e646773729f452f53',
+            '8a954ee67956afb7d9c46a78df8a8eefcf6030c55a42859c24f0dcedb495c2aa',
     },
 }
 
@@ -80,6 +89,10 @@ PINNED_ARRAYS = {
         '21be2b52000235e2a404bf6fb63b68aaf607d76e5895de5c827353b8a907e505',
     'filter_step_chain_p3':
         'fbba306d87b93fa694350d5eaeb1a13d1681f3e50e44ab8f73f4780c12887e49',
+    'evaluate_loglik_p2':
+        'b6296a819a041b1e31f7e6c705c6306856012ef2b782d2236e0bd9762a7141b4',
+    'filter_step_chain_p2':
+        'dafaf536684f6a857dc80bf6d5ce44b5a609b8776c18fac2bcf66f0aefd5f528',
     'loglik_path_truth_p3':
         'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
 }
@@ -117,10 +130,19 @@ def _p3_dense_config():
             "modes": {"forecast_mean": "phi_scaled", "standardization": "posterior_st"}}
 
 
-def _p2_returns(path):
+def _p2_series():
     rng = np.random.default_rng(2)
     log_vol = np.cumsum(0.05 * rng.standard_normal(150))
-    _write_returns(path, np.exp(log_vol)[:, None] * rng.standard_normal((150, 2)))
+    return np.exp(log_vol)[:, None] * rng.standard_normal((150, 2))
+
+
+def _p2_returns(path):
+    _write_returns(path, _p2_series())
+
+
+def _p2_dense_config():
+    return {"delta": 0.9, "phi": 0.95, "omega_matrix": [[0.5, 0.1], [0.1, 1.2]],
+            "modes": {"forecast_mean": "phi_scaled", "standardization": "posterior_st"}}
 
 
 def _simulate_p3_config():
@@ -131,6 +153,7 @@ def _simulate_p3_config():
 CASES = {
     "filter_p8": ("filter", _p8_config(), _p8_returns, [], FILTER_OUTPUTS),
     "filter_p3_dense": ("filter", _p3_dense_config(), _p3_returns, [], FILTER_OUTPUTS),
+    "filter_p2_dense": ("filter", _p2_dense_config(), _p2_returns, [], FILTER_OUTPUTS),
     "loglik_p8": ("loglik", _p8_config(), _p8_returns, [], ("report.json",)),
     "metrics_p8": ("metrics", _p8_config(), _p8_returns, [], ("report.json",)),
     "simulate_p3": ("simulate", _simulate_p3_config(), None, ["--n-steps", "700", "--seed", "7"],
@@ -157,21 +180,31 @@ def output_digests(case, workdir):
             for name in outputs}
 
 
-def _evaluate_stack(objective):
-    """``evaluate_candidates`` on 40 dense ``p = 3`` candidates over four discount factors."""
+def _evaluate_stack(objective, p=3):
+    """``evaluate_candidates`` on 40 dense candidates over four discount factors.
+
+    At ``p = 3`` on the dense ``p = 3`` case; at ``p = 2`` on the dense ``p = 2``
+    case, the closed-form step over a stack.
+    """
     rng = np.random.default_rng(40)
-    a = rng.standard_normal((40, 3, 3))
-    omegas = a @ a.swapaxes(-1, -2) / 3.0 + 0.1 * np.eye(3)
+    a = rng.standard_normal((40, p, p))
+    omegas = a @ a.swapaxes(-1, -2) / p + 0.1 * np.eye(p)
     deltas = np.resize([0.75, 0.8, 0.9, 0.95], 40)
-    return [evaluate_candidates(_p3_series(), load_model_config(_p3_dense_config()),
-                                deltas, omegas, objective)]
+    series, config = (_p3_series(), _p3_dense_config()) if p == 3 else (_p2_series(),
+                                                                        _p2_dense_config())
+    return [evaluate_candidates(series, load_model_config(config), deltas, omegas, objective)]
 
 
-def _step_chain():
-    """The rows of 30 ``filter_step`` calls on the dense ``p = 3`` case, and the end state."""
-    config = load_model_config(_p3_dense_config())
+def _step_chain(p=3):
+    """The rows of 30 ``filter_step`` calls on a dense case, and the end state.
+
+    At ``p = 2`` the closed-form step over Python floats.
+    """
+    series, config = (_p3_series(), _p3_dense_config()) if p == 3 else (_p2_series(),
+                                                                        _p2_dense_config())
+    config = load_model_config(config)
     state, rows = filter_init(config), []
-    for y in _p3_series()[:30]:
+    for y in series[:30]:
         state, row = filter_step(state, y, config)
         rows.append(row)
     return [np.array(rows), state.m, state.S, state.p_eigs]
@@ -196,6 +229,8 @@ ARRAY_CASES = {
     "evaluate_loglik_p3": lambda: _evaluate_stack("loglik"),
     "evaluate_msse_p3": lambda: _evaluate_stack("msse_distance"),
     "filter_step_chain_p3": _step_chain,
+    "evaluate_loglik_p2": lambda: _evaluate_stack("loglik", p=2),
+    "filter_step_chain_p2": lambda: _step_chain(p=2),
     "loglik_path_truth_p3": _truth_loglik,
 }
 
