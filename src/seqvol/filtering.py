@@ -22,11 +22,11 @@ settings (each :class:`ModelConfig` caches its own); :func:`_recursion`, the
 only code that runs a filter step, runs them in lockstep along a leading axis
 and yields blocks of consecutive steps with time as the leading axis: 256
 steps at ``B = 1``, at least 8 for any stack. Only the part of a step that
-depends on the step before runs in the step loop; each block stacks only the
-fields its caller names, evaluating the standardized errors or the likelihood
-terms (:func:`seqvol.likelihood.terms_from_spectra`) over its steps if named.
-Failure is flagged per block too, from the spectra the block keeps, and a
-failed candidate restarts from its start state at the block's end.
+depends on the step before runs in the step loop; each block stacks its steps
+as columns, and evaluates the standardized errors or the likelihood terms
+(:func:`seqvol.likelihood.terms_from_spectra`) over them if its caller names
+them. Failure is flagged per block too, from the spectra the block keeps, and
+a failed candidate restarts from its start state at the block's end.
 :func:`seqvol.search.evaluate_candidates` adds up each block's terms or
 squared errors; :func:`filter_run` (``B = 1``) and :func:`filter_step` (one
 observation) copy the blocks into one record array per run (:func:`_filter`),
@@ -35,9 +35,10 @@ which every consumer reads by column.
 At ``p = 2`` the step loop runs :func:`_step2`, the whole step in closed
 form on the lower triangles of its 2 x 2 matrices, over Python floats for
 one candidate and over ``(B,)`` arrays for a stack (``linalg``'s two
-evaluators, with the same bits), and each block rebuilds its columns from
-the steps' flat rows; at ``p >= 3`` it runs the matrix step. Everything
-else is the same code at every ``p``.
+evaluators, with the same bits); at ``p >= 3`` it runs the matrix step. A
+kernel gives only its step and its row layout (the steps' rows as the seven
+``_ROW2`` columns, end values as a row); the block body on those columns
+(flags, restarts, ``f``, ``e``, ``u``, terms, end state) is written once.
 """
 
 from __future__ import annotations
@@ -68,9 +69,8 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 # block's kernels over many steps, and bounds the memory of the block's arrays
 _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
-# what the step loop keeps of each step of a block, in order
-_STEP = ("m", "s", "ws", "vs", "s_star", "w_star", "v_star")
-# where each _STEP field lies in a flat row of the closed-form p = 2 step, and its shape
+# what the step loop keeps of each step of a block, in order (a block's columns), and
+# where each field lies in a flat row of the closed-form p = 2 step, and its shape
 _ROW2 = {"m": (0, 2, (2,)), "s": (2, 6, (2, 2)), "ws": (6, 8, (2,)), "vs": (8, 12, (2, 2)),
          "s_star": (12, 16, (2, 2)), "w_star": (16, 18, (2,)), "v_star": (18, 22, (2, 2))}
 # a run array this big or bigger gets its own mapping (glibc's default mmap
@@ -275,7 +275,10 @@ class _Setup:
 
 
 class _Block(NamedTuple):
-    """``T`` steps of ``B`` stacked candidates, time first; unread fields are ``None``."""
+    """``T`` steps of ``B`` stacked candidates, time first.
+
+    ``u`` and ``terms`` are ``None`` unless read; the other fields always hold.
+    """
 
     f: np.ndarray  # forecast mean, (T, B, p)
     e: np.ndarray  # forecast error, (T, B, p)
@@ -351,11 +354,13 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
     their spectra, the gain and ``m_t``. ``P_t`` is built per block, before
     its steps, and reused by parity once periodic (see the module docstring).
-    At ``p = 2`` the step is :func:`_step2`. Each block stacks ``failed``,
-    the end state, ``e`` and the fields ``reads`` names (of ``f``, ``u``,
-    ``s_star``, ``s_prev`` and ``terms``) over all its steps, evaluating
-    ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`)
-    only if named; the other fields are ``None``.
+    Each kernel (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``)
+    gives its start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
+    ``columns_of`` (a block's rows as the seven ``_ROW2`` columns, C-order
+    ``(T + 1, B, ...)``) and ``row_of`` (end values as a row). Each block
+    stacks ``f``, ``e``, ``s_star``, ``s_prev``, ``failed`` and the end state;
+    of ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`),
+    the two that cost work, only those ``reads`` names, the other ``None``.
 
     A candidate's values depend neither on the rest of its stack nor on the
     block size, bit for bit. Callers silence floating-point warnings. Each
@@ -392,17 +397,14 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
         def inputs(block, p_mats):
             return zip(block.tolist(), split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1)))
 
-        def columns_of(rows):  # each _STEP field, (T + 1, B, ...), a view of the rows' stack
-            x = np.moveaxis(np.array(rows).reshape(len(rows), -1, nb), 1, -1)
-            return {name: x[..., i:j].reshape(x.shape[:2] + shape)
-                    for name, (i, j, shape) in _ROW2.items()}
+        def columns_of(rows):  # the _ROW2 fields, C order: the products' bits depend on layout
+            x = np.array(rows).reshape(len(rows), -1, nb)
+            rows.clear()  # frees the flat rows before the fields' copies
+            return [np.ascontiguousarray(x[:, i:j].transpose(0, 2, 1)).reshape(
+                x.shape[:1] + (nb,) + shape) for i, j, shape in _ROW2.values()]
 
-        def settle(row, failed):  # restart the failed candidates; the end state's m and S
-            last = np.reshape(row, (-1, nb)).T
-            if failed.any():
-                last = np.where(failed[:, None], np.reshape(initial, (-1, nb)).T, last)
-                row = split(last.T)
-            return row, last[:, :2], last[:, 2:6].reshape(nb, 2, 2)  # _ROW2's m and s
+        def row_of(values):  # the (B, ...) values of the _ROW2 fields, as one flat row
+            return split(np.vstack([x.reshape(nb, -1).T for x in values]))
     else:
         k3 = setup.k[:, None, None]
 
@@ -413,7 +415,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
         ws0, vs0 = stacked_eigh(s0)
         s_star0 = estimate(s0, ws0, vs0)
         initial = (m0, s0, ws0, vs0, s_star0, *stacked_eigh(s_star0))
-        inputs = zip
+        inputs, row_of = zip, tuple
 
         def step(row, y, p_mat):
             m, s = row[:2]
@@ -427,22 +429,15 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
             gain = (v_star * root) @ vt_star @ p_mat @ ((v_star / root) @ vt_star)
             return m + (gain @ e[:, :, None])[:, :, 0], s, ws, vs, s_star, w_star, v_star
 
-        def columns_of(rows):  # each _STEP field's values, one per row
-            return dict(zip(_STEP, zip(*rows)))
-
-        def settle(row, failed):  # restart the failed candidates; the end state's m and S
-            if failed.any():
-                row = tuple(np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0, x)
-                            for x, x0 in zip(row, initial))
-            return row, row[0], row[1]
+        def columns_of(rows):  # each field's values, stacked, then the rows freed
+            columns = [np.array(x) for x in zip(*rows)]
+            rows.clear()
+            return columns
 
     def p_matrices(eigs):  # P_t = V diag(lambda_t) V' of a (T, B, p) stack of eigenvalues
         return (setup.v * np.array(eigs)[:, :, None, :]) @ vt_omega
 
     def blocks():
-        def gather(name, rows=slice(1, None)):  # a column of the block's steps, stacked
-            return np.array(columns[name][rows], order="C")  # so the bits do not depend on B
-
         row, failed = initial, setup.bad_q  # the step before the block; failed candidates
         # P_t's eigenvalues at the last steps mapped, t counted from the run's
         # start. The map is deterministic: once the stack's bits equal those
@@ -472,30 +467,27 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
                 row = step(row, y, p_in)
                 rows.append(row)
             p_eigs = lams[-1] if cycle is None else cycle[(lo + len(block)) % 2][0]
-            columns = columns_of(rows)
-            del rows  # at p = 2 the columns hold a copy
-            w_stars = gather("w_star", slice(None))
+            m, s, ws, vs, s_star, w_star, v_star = columns = columns_of(rows)
             # a candidate stays failed from its first spectrum that is not positive
             # definite. Row 0 is the start state's or a step already checked
             flags = failed | np.logical_or.accumulate(
-                ~(positive_spectrum(gather("ws", slice(None))) & positive_spectrum(w_stars)),
-                axis=0)[1:]
+                ~(positive_spectrum(ws) & positive_spectrum(w_star)), axis=0)[1:]
             failed = flags[-1]
-            row, m, s = settle(row, failed)  # rare: restart the failed candidates
-            f = fscale * gather("m", slice(0, -1))
+            end = [x[-1].copy() for x in columns]  # copies, which do not keep the block
+            if failed.any():  # rare: restart the failed candidates from the start row
+                end = [np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0[0], x)
+                       for x, x0 in zip(end, columns_of([initial]))]
+            row = row_of(end)
+            f = fscale * m[:-1]
             e, u, terms = block[:, None, :] - f, None, None
             if "u" in reads:
-                w_base, v_base = gather("ws", whiten), gather("vs", whiten)
-                vte = v_base.swapaxes(-1, -2) @ e[..., None]
-                u = (v_base @ (vte / np.sqrt(w_base)[..., None]))[..., 0] / setup.root_cov
+                vte = vs[whiten].swapaxes(-1, -2) @ e[..., None]
+                u = (vs[whiten] @ (vte / np.sqrt(ws[whiten])[..., None]))[..., 0] / setup.root_cov
             if "terms" in reads:
                 terms = _likelihood.terms_from_spectra(
-                    e, w_stars, gather("v_star", slice(None)), setup.q_inv, setup.k, setup.deltas)
-            yield _Block(f if "f" in reads else None, e, u,
-                         gather("s_star") if "s_star" in reads else None,
-                         gather("s", slice(0, -1)) if "s_prev" in reads else None,
-                         flags, terms, m, s, p_eigs)
-            del columns  # frees the block's steps before the next block's
+                    e, w_star, v_star, setup.q_inv, setup.k, setup.deltas)
+            yield _Block(f, e, u, s_star[1:], s[:-1], flags, terms, *end[:2], p_eigs)
+            del m, s, ws, vs, s_star, w_star, v_star, columns, end  # frees the block's steps
 
     return blocks()
 
@@ -516,8 +508,9 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     has ``lt = loglik_t = -inf``. Raises at the first failed step.
     """
     p, t, setup = config.p, state.t, config._solo_setup
-    if np.shape(state.basis) != (p, p):
-        raise DimensionMismatch(f"state basis has shape {np.shape(state.basis)}, not {(p, p)}")
+    for name, shape in (("basis", (p, p)), ("m", (p,)), ("S", (p, p)), ("p_eigs", (p,))):
+        if (got := np.shape(getattr(state, name))) != shape:
+            raise DimensionMismatch(f"state {name} has shape {got}, not {shape}")
     if not np.array_equal(state.basis, setup.v[0]):
         raise DomainError("state P is not held in this config's Omega eigenbasis")
     n, vec, mat = len(ys), (float, (p,)), (float, (p, p))
@@ -533,8 +526,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     run.t = np.arange(t + 1, t + n + 1)
     run.terms = run.loglik_t = np.nan
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        blocks = _recursion(ys, setup, state, {"f", "u", "s_star", "s_prev"}
-                            | ({"terms"} if compute_loglik else set()))
+        blocks = _recursion(ys, setup, state, {"u", "terms"} if compute_loglik else {"u"})
         done = 0  # steps copied
         for block in blocks:
             if block.failed[-1, 0]:

@@ -15,12 +15,12 @@ Conventions fixed across the package:
 * the filter, the search, the simulator and the likelihood decompose
   through :func:`stacked_eigh`: LAPACK's kernels at ``p >= 3``, called
   without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form
-  (:func:`_eigh2`) whose two evaluators (numpy arrays for a stack, Python
-  floats for one matrix) give the same bits. A non-finite member gets a NaN
-  spectrum, raising nothing. The filter's closed-form ``p = 2`` step calls
-  :func:`_eigh2` itself, over the same evaluators, whose square root and
-  division give numpy's IEEE results (NaN, a signed inf) where Python's
-  would raise.
+  (:func:`_eigh2`) over numpy arrays, one matrix being a 0-d stack. A
+  non-finite member gets a NaN spectrum, raising nothing. The filter's
+  closed-form ``p = 2`` step calls :func:`_eigh2` itself, over two
+  evaluators with the same bits (numpy arrays for a stack, Python floats
+  for one candidate), whose square root and division give numpy's IEEE
+  results (NaN, a signed inf) where Python's would raise.
 """
 
 from __future__ import annotations
@@ -149,35 +149,29 @@ def _div(x, y):  # np.divide: x / 0 is x times a signed inf, which is IEEE's quo
     return x / y if y else x * math.copysign(math.inf, y)
 
 
-# the two evaluators of _eigh2 and of the filter's p = 2 step
+# the two evaluators of the filter's p = 2 step; stacked_eigh runs the array one
 _ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
-                             sqrt=np.sqrt, div=np.divide, pack=_pack)
+                             sqrt=np.sqrt, div=np.divide)
 _FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
-                             copysign=math.copysign, hypot=_hypot, sqrt=_sqrt, div=_div,
-                             pack=lambda *xs: np.array(xs))
+                             copysign=math.copysign, hypot=_hypot, sqrt=_sqrt, div=_div)
 
 
 def stacked_eigh(m: np.ndarray, values_only: bool = False):
     """``np.linalg.eigh`` (``eigvalsh`` with ``values_only``) of a stack.
 
     Reads the lower triangle. At ``p = 2`` a closed form (:func:`_eigh2`)
-    replaces LAPACK, over numpy arrays for a stack and over Python floats
-    for one matrix (where numpy costs more per call than LAPACK), with the
-    same bits: a member's result never depends on its stack. At ``p >= 3``
-    it calls the LAPACK kernels under ``np.linalg``'s wrapper, with its
-    bits. At every ``p`` a member with non-finite entries gets a NaN
-    spectrum, which :func:`positive_spectrum` rejects, and the others are
-    decomposed as usual. Nothing is raised, and callers silence the
-    floating-point warnings that the kernels then give.
+    replaces LAPACK, over numpy arrays (one matrix is a 0-d stack), so a
+    member's result never depends on its stack. At ``p >= 3`` it calls
+    the LAPACK kernels under ``np.linalg``'s wrapper, with its bits. At
+    every ``p`` a member with non-finite entries gets a NaN spectrum, which
+    :func:`positive_spectrum` rejects, and the others are decomposed as
+    usual. Nothing is raised, and callers silence the floating-point
+    warnings that the kernels then give.
     """
     if m.shape[-1] == 2:
-        if m.size == 4:
-            ops, (a, _, b, c) = _FLOAT_OPS, m.ravel().tolist()
-        else:
-            ops, a, b, c = _ARRAY_OPS, m[..., 0, 0], m[..., 1, 0], m[..., 1, 1]
-        out = _eigh2(a, b, c, ops, values_only)
-        w = ops.pack(*out[:2]).reshape(m.shape[:-1])
-        return w if values_only else (w, ops.pack(*out[2:], -out[3], out[2]).reshape(m.shape))
+        out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
+        w = _pack(*out[:2])
+        return w if values_only else (w, _pack(*out[2:], -out[3], out[2]).reshape(m.shape))
     if values_only:
         return _umath_linalg.eigvalsh_lo(m, signature="d->d")
     return _umath_linalg.eigh_lo(m, signature="d->dd")

@@ -120,9 +120,9 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
     want_loglik = objective == "loglik"
     # sums of the term groups (quad, chol_logdet, lt, sigma_logdet), or of u^2
     sums = np.zeros((4, nb)) if want_loglik else np.zeros((nb, p))
-    n_obs, failed = 0, np.zeros(nb, dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         setup = _Setup(base_config, deltas, omegas)
+        n_obs, failed = 0, setup.bad_q  # an empty series runs no block
         blocks = _recursion(ys, setup, filter_init(base_config),
                             {"terms"} if want_loglik else {"u"})
         for block in blocks:
@@ -134,6 +134,7 @@ def evaluate_candidates(ys, base_config: ModelConfig, deltas, omegas: np.ndarray
             else:
                 for row in block.u ** 2:
                     sums += row
+            del block  # frees the block's columns before the next block's
         if want_loglik:
             out = n_obs * setup.c1 + sums[0] + sums[1] + sums[2] + sums[3]
         else:

@@ -327,6 +327,16 @@ class TestStateP:
         with pytest.raises(DomainError, match="not held in this config's Omega eigenbasis"):
             filter_step(state, np.zeros(2), config)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name", ["m", "S", "p_eigs"])
+    def test_misshapen_field_rejected(self, p, name):
+        # a field one entry too big is a seqvol error naming it, not numpy's
+        config = ModelConfig(delta=0.8, phi=0.9, omega=np.eye(p))
+        value = np.eye(p + 1) if name == "S" else np.ones(p + 1)
+        state = dataclasses.replace(filter_init(config), **{name: value})
+        with pytest.raises(DimensionMismatch, match=f"state {name} has shape"):
+            filter_step(state, np.zeros(p), config)
+
     def test_P_of_wrong_shape_rejected(self, config):
         state = filter_init(ModelConfig(delta=0.8, phi=0.9, omega=np.eye(3)))
         with pytest.raises(DimensionMismatch, match="state basis has shape"):
@@ -411,9 +421,9 @@ def _stacked_run(ys, base, omegas, deltas=None):
     The candidates are ``omegas`` with ``deltas``, by default ``base.delta``.
     """
     deltas = np.full(len(omegas), base.delta) if deltas is None else np.asarray(deltas)
-    reads = {"f", "u", "s_star", "s_prev", "terms"}
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        blocks = list(_recursion(ys, _Setup(base, deltas, omegas), filter_init(base), reads))
+        blocks = list(_recursion(ys, _Setup(base, deltas, omegas), filter_init(base),
+                                 {"u", "terms"}))
     fields = {name: np.concatenate([getattr(b, name) for b in blocks])
               for name in ("f", "e", "u", "s_star", "s_prev", "failed")}
     fields["terms"] = np.stack([np.concatenate([b.terms[i] for b in blocks])

@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from seqvol.cli import load_search_spec, main
+from seqvol.cli import load_model_config, load_search_spec, main
 from seqvol.errors import DomainError, NonPositivePrice, ParseError
 from seqvol.filtering import ModelConfig, filter_run
 from seqvol.io import (
@@ -22,7 +25,7 @@ from seqvol.io import (
     write_volatility_csv,
 )
 from seqvol.likelihood import loglik_at_filter_path
-from seqvol.search import TraceEntry
+from seqvol.search import SearchSpec, TraceEntry
 from seqvol.simulate import simulate_path
 
 
@@ -735,3 +738,86 @@ def test_simulate_failure_names_its_step(tmp_path):
     t = int(res.output.split("step t=")[1].split(":")[0])
     assert 1 <= t <= 1500
     assert "Traceback" not in res.output and "Warning" not in res.output
+
+
+# any JSON value: numbers, bools, null, strings, nested lists and objects
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+# under each config key, a value that can run
+_RUNNABLE = {
+    "delta": st.sampled_from([0.8, 0.95]),
+    "phi": st.floats(-1.0, 1.0),
+    "omega_diag": st.lists(st.floats(0.1, 2.0), min_size=2, max_size=2),
+    "omega_matrix": st.just([[1.0, 0.2], [0.2, 1.0]]),
+    "m0": st.sampled_from([0.0, [0.1, -0.1]]),
+    "p0": st.floats(1.0, 1e4),
+    "s0": st.sampled_from([1.0, [1.0, 2.0], [[1.0, 0.1], [0.1, 1.0]]]),
+    "q": st.integers(1, 2),  # inside MAX_Q, so that no example builds a big grid
+    "delta_candidates": st.lists(st.sampled_from([0.8, 0.9]), min_size=1, max_size=2),
+    "seed": st.integers(0, 2**32),
+    "modes": st.fixed_dictionaries({}, optional={
+        "forecast_mean": st.sampled_from(["plain", "phi_scaled"]),
+        "standardization": st.sampled_from(["forecast_cov", "posterior_st"])}),
+}
+
+
+@st.composite
+def _configs(draw):
+    """A config dict: each key absent or any JSON value (1 in 10 each), else runnable."""
+    raw = {}
+    for key, runnable in _RUNNABLE.items():
+        kind = draw(st.integers(0, 9))
+        if kind:
+            raw[key] = draw(_JSON if kind == 1 else runnable)
+    return raw
+
+
+@pytest.fixture(scope="module")
+def returns_p2(tmp_path_factory):
+    data = tmp_path_factory.mktemp("fuzz") / "returns.csv"
+    write_returns_csv(data, 0.3 * np.random.default_rng(12).standard_normal((30, 2)))
+    return data
+
+
+@settings(max_examples=100)
+@given(raw=_configs())
+def test_any_config_dict_exits_0_2_or_3(raw, returns_p2):
+    # every command, on any JSON value under every key: a run or a seqvol
+    # error, never a traceback; a run echoes in its manifest what it ran
+    with tempfile.TemporaryDirectory(dir=returns_p2.parent) as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(raw))
+        for command in COMMANDS:
+            out = Path(tmp) / command
+            args = ["--n-steps", "5"] if command == "simulate" else ["--input", str(returns_p2)]
+            res = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)]
+                                     + args)
+            assert res.exit_code in (0, 2, 3), (command, raw, res.output)
+            assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+            if res.exit_code:
+                continue
+            config = load_model_config(raw)
+            report = json.loads((out / "report.json").read_text())
+            echo = report["manifest"]["config"]
+            assert (echo["delta"], echo["phi"], echo["p0"]) == (
+                float(raw["delta"]), float(raw["phi"]), config.p0)
+            for name in ("omega", "m0", "s0"):
+                np.testing.assert_array_equal(echo[name], getattr(config, name))
+            assert echo["modes"] == {"forecast_mean": config.forecast_mean_mode,
+                                     "standardization": config.standardization_mode}
+            assert (echo["q"], echo["delta_candidates"]) == (
+                raw.get("q"), raw.get("delta_candidates"))
+            if command == "search":  # it searched the echoed grid and discount factors
+                spec = SearchSpec()
+                q = spec.q if echo["q"] is None else echo["q"]
+                assert not isinstance(q, bool) and q == int(q), q
+                grid = np.multiply(report["best_z"], 10 ** int(q))
+                np.testing.assert_allclose(grid, np.round(grid), rtol=1e-12)
+                assert report["best_delta"] in (echo["delta_candidates"]
+                                                or spec.delta_candidates)

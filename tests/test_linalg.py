@@ -259,7 +259,7 @@ class TestStackedEigh:
                           elements=_entries),
            values_only=st.booleans())
     def test_member_equals_itself_alone(self, abc, values_only):
-        # one matrix runs the Python-float evaluator, a stack the numpy one
+        # a member alone, as a stack of one and as one matrix, gives its bits in the stack
         m = np.empty((len(abc), 2, 2))
         m[:, 0, 0], m[:, 1, 0], m[:, 1, 1] = abc.T
         m[:, 0, 1] = m[:, 1, 0]

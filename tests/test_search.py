@@ -122,6 +122,16 @@ class TestFastpathEquivalence:
         assert out[0] == -np.inf
         assert np.isfinite(out[1])
 
+    def test_failed_setup_is_minus_inf_on_an_empty_series(self):
+        # a non-PD or non-finite Omega fails its candidate before the first
+        # step, so it scores -inf on a series of no steps too
+        base = ModelConfig(delta=0.9, phi=1.0, omega=np.eye(2))
+        omegas = np.array([np.eye(2), -np.eye(2), np.diag([1.0, np.nan])])
+        for n in (0, 1):
+            out = evaluate_candidates(np.full((n, 2), 0.01), base, 0.9, omegas, "loglik")
+            assert np.isfinite(out[0]) and (n or out[0] == 0.0)
+            assert out[1] == out[2] == -np.inf, (n, out)
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("p", [2, 3, 8])
     @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
