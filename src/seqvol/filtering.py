@@ -8,14 +8,14 @@ volatility matrix used both as output and to form the adaptive gain.
 
 The gain's ``P_t = V diag(lambda_t) V'`` never reads the data: ``P_0 = p0 I``
 commutes with ``Omega = V diag(w) V'``, and ``lambda <- r / (r + 1)``, ``r =
-phi^2 lambda + w``. So each block of steps maps its eigenvalues before its
-step loop and builds its ``P_t`` with one stacked product; once they repeat
-those of two steps before (a fixed point, or two adjacent doubles, within a
-few hundred steps on the search's grids), each step takes one of the last two
-``P_t`` by parity, and nothing is computed. The forecast precision ``Q`` is
-frozen at the limit ``P + Omega + I = V diag(lam(w) + w + 1) V'``,
-``lam(w)`` the map's limit (:func:`_limit_eigs`). ``S_t^*`` is the paper's estimator
-:func:`seqvol.gwishart.giw_estimate` with ``A = Q^{-1}``.
+phi^2 lambda + w``. So one generator per run maps the eigenvalues until they
+repeat those of two steps before (a fixed point, or two adjacent doubles,
+within a few hundred steps on the search's grids), and then cycles the last
+two pairs of eigenvalues and ``P_t``, built once; a block that starts before
+then builds all of its ``P_t`` with one stacked product. The forecast
+precision ``Q`` is frozen at the limit ``P + Omega + I = V diag(lam(w) + w +
+1) V'``, ``lam(w)`` the map's limit (:func:`_limit_eigs`). ``S_t^*`` is the
+paper's estimator :func:`seqvol.gwishart.giw_estimate` with ``A = Q^{-1}``.
 
 :class:`_Setup` holds what depends only on ``B`` candidate ``(delta, Omega)``
 settings (each :class:`ModelConfig` caches its own); :func:`_recursion`, the
@@ -46,6 +46,7 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
+from itertools import cycle, islice
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -133,10 +134,7 @@ class ModelConfig:
     def __post_init__(self):
         omega = check_spd(self.omega, name="omega")
         p = omega.shape[0]
-        if not 2.0 / 3.0 < self.delta < 1.0:
-            raise DomainError(
-                f"delta={self.delta} violates the 2/3 < delta < 1 requirement"
-            )
+        discount_k(self.delta, p)  # checks delta
         if not np.isfinite(self.phi):
             raise DomainError(f"phi={self.phi} must be finite")
         if not 0.0 < self.p0 < np.inf:
@@ -352,8 +350,8 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     :class:`DomainError` naming its step) and returns an iterator of blocks
     (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. The
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
-    their spectra, the gain and ``m_t``. ``P_t`` is built per block, before
-    its steps, and reused by parity once periodic (see the module docstring).
+    their spectra, the gain and ``m_t``. ``P_t`` comes from one generator per
+    run: built per block until periodic, then cached (see the module docstring).
     Each kernel (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``)
     gives its start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
     ``columns_of`` (a block's rows as the seven ``_ROW2`` columns, C-order
@@ -437,36 +435,31 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     def p_matrices(eigs):  # P_t = V diag(lambda_t) V' of a (T, B, p) stack of eigenvalues
         return (setup.v * np.array(eigs)[:, :, None, :]) @ vt_omega
 
+    def p_path():  # (P_t's eigenvalues, P_t or None until periodic) at t = 1, 2, ... of the run
+        # The map is deterministic: once the stack's bits equal those of two
+        # steps before (bits, so a NaN member compares equal), P_t repeats with
+        # period 1 or 2, and the last two pairs cycle, their P_t built once
+        lams = [p_eigs0]
+        while True:
+            r = phi2 * lams[-1] + setup.w
+            lams = [*lams[-2:], r / (r + 1.0)]
+            if len(lams) == 3 and lams[2].tobytes() == lams[0].tobytes():
+                yield from cycle(list(zip(lams[:0:-1], p_matrices(lams[:0:-1]))))
+            yield lams[-1], None
+
     def blocks():
-        row, failed = initial, setup.bad_q  # the step before the block; failed candidates
-        # P_t's eigenvalues at the last steps mapped, t counted from the run's
-        # start. The map is deterministic: once the stack's bits equal those
-        # of two steps before (bits, so a NaN member compares equal), P_t
-        # repeats with period 1 or 2, and cycle holds (eigenvalues, P_t) at
-        # even and at odd t
-        lams, cycle = [p_eigs0], None
+        # the step before the block, the failed candidates, and the run's P_t
+        row, failed, path = initial, setup.bad_q, p_path()
         for lo in range(0, len(ys), size):
             block = ys[lo:lo + size]
-            p_mats = ()
-            if cycle is None:
-                lams = lams[-2:]
-                known = len(lams)
-                for t in range(lo + 1, lo + len(block) + 1):
-                    r = phi2 * lams[-1] + setup.w
-                    lams.append(r / (r + 1.0))
-                    if len(lams) > 2 and lams[-1].tobytes() == lams[-3].tobytes():
-                        pair = list(zip(lams[-2:], p_matrices(lams[-2:])))
-                        cycle = pair if t % 2 else pair[::-1]
-                        break
-                p_mats = p_matrices(lams[known:])
-            if len(p_mats) < len(block):  # the cycle gives the rest of the block
-                p_mats = [*p_mats, *(cycle[t % 2][1]
-                                     for t in range(lo + len(p_mats) + 1, lo + len(block) + 1))]
+            items = list(islice(path, len(block)))  # (eigenvalues, P_t or None) per step
+            p_mats = [p for _, p in items]
+            if p_mats[0] is None:  # not yet periodic: the block's P_t in one stacked product
+                p_mats = p_matrices([lam for lam, _ in items])
             rows = [row]
             for y, p_in in inputs(block, p_mats):
                 row = step(row, y, p_in)
                 rows.append(row)
-            p_eigs = lams[-1] if cycle is None else cycle[(lo + len(block)) % 2][0]
             m, s, ws, vs, s_star, w_star, v_star = columns = columns_of(rows)
             # a candidate stays failed from its first spectrum that is not positive
             # definite. Row 0 is the start state's or a step already checked
@@ -486,7 +479,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
             if "terms" in reads:
                 terms = _likelihood.terms_from_spectra(
                     e, w_star, v_star, setup.q_inv, setup.k, setup.deltas)
-            yield _Block(f, e, u, s_star[1:], s[:-1], flags, terms, *end[:2], p_eigs)
+            yield _Block(f, e, u, s_star[1:], s[:-1], flags, terms, *end[:2], items[-1][0])
             del m, s, ws, vs, s_star, w_star, v_star, columns, end  # frees the block's steps
 
     return blocks()
@@ -505,12 +498,24 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     step's log-likelihood contribution ``loglik_t``. Each field is filled
     from each block's slice. Without ``compute_loglik`` ``terms`` and
     ``loglik_t`` are NaN. A step whose ``L_t`` has no positive eigenvalue
-    has ``lt = loglik_t = -inf``. Raises at the first failed step.
+    has ``lt = loglik_t = -inf``. Raises at the first failed step. Checks
+    ``state`` first: a negative ``t``, a non-finite ``m`` or ``p_eigs``, or a
+    ``p_eigs`` not positive is a :class:`DomainError` naming the field, and a
+    non-finite ``S`` fails the next step.
     """
     p, t, setup = config.p, state.t, config._solo_setup
     for name, shape in (("basis", (p, p)), ("m", (p,)), ("S", (p, p)), ("p_eigs", (p,))):
         if (got := np.shape(getattr(state, name))) != shape:
             raise DimensionMismatch(f"state {name} has shape {got}, not {shape}")
+    if t < 0:
+        raise DomainError(f"state t={t} is negative")
+    for name in ("m", "p_eigs"):
+        if not np.isfinite(getattr(state, name)).all():
+            raise DomainError(f"state {name} is not finite")
+    if not (state.p_eigs > 0.0).all():
+        raise DomainError("state p_eigs is not positive")
+    if not np.isfinite(state.S).all():  # fails its next step, as a zero or indefinite S does
+        raise FilterNumericalError(t + 1, DomainError("state S is not finite"))
     if not np.array_equal(state.basis, setup.v[0]):
         raise DomainError("state P is not held in this config's Omega eigenbasis")
     n, vec, mat = len(ys), (float, (p,)), (float, (p, p))

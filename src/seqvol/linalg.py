@@ -126,13 +126,6 @@ def _eigh2(a, b, c, ops, values_only: bool):
     return (*w, v / n, u / n)
 
 
-def _pack(*xs):  # np.stack(xs, axis=-1) of same-shape float arrays, without its checks
-    out = np.empty(xs[0].shape + (len(xs),))
-    for i, x in enumerate(xs):
-        out[..., i] = x
-    return out
-
-
 def _hypot(x, y):  # libm's hypot, as np.hypot calls it, without numpy's scalar dispatch
     try:
         r = abs(complex(x, y))  # math.hypot differs from it in the last bit
@@ -170,8 +163,9 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
     """
     if m.shape[-1] == 2:
         out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
-        w = _pack(*out[:2])
-        return w if values_only else (w, _pack(*out[2:], -out[3], out[2]).reshape(m.shape))
+        w = np.stack(out[:2], axis=-1)
+        return w if values_only else (
+            w, np.stack([*out[2:], -out[3], out[2]], axis=-1).reshape(m.shape))
     if values_only:
         return _umath_linalg.eigvalsh_lo(m, signature="d->d")
     return _umath_linalg.eigh_lo(m, signature="d->dd")

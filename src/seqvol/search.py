@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .filtering import ModelConfig, _recursion, _Setup, filter_init
+from .filtering import ModelConfig, _recursion, _Setup, discount_k, filter_init
 
 logger = logging.getLogger(__name__)
 
@@ -67,8 +67,7 @@ class SearchSpec:
         if not self.delta_candidates:
             raise DomainError("delta_candidates must be non-empty")
         for d in self.delta_candidates:
-            if not 2.0 / 3.0 < d < 1.0:
-                raise DomainError(f"delta candidate {d} violates 2/3 < delta < 1")
+            discount_k(d, 1)  # checks d
         if self.max_sweeps < 1:
             raise DomainError("max_sweeps must be >= 1")
         if self.objective not in ("loglik", "msse_distance"):

@@ -337,6 +337,33 @@ class TestStateP:
         with pytest.raises(DimensionMismatch, match=f"state {name} has shape"):
             filter_step(state, np.zeros(p), config)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("name, value, message", [
+        ("m", np.nan, "state m is not finite"),
+        ("S", np.inf, "state S is not finite"),
+        ("p_eigs", np.nan, "state p_eigs is not finite"),
+        ("p_eigs", np.inf, "state p_eigs is not finite"),
+        ("p_eigs", 0.0, "state p_eigs is not positive"),
+        ("p_eigs", -1.0, "state p_eigs is not positive"),
+        ("t", -5, "state t=-5 is negative"),
+    ], ids=["m-nan", "S-inf", "p_eigs-nan", "p_eigs-inf", "p_eigs-zero", "p_eigs-negative",
+            "t-negative"])
+    def test_bad_field_value_rejected(self, p, name, value, message):
+        # checked before the step, naming the field: a NaN m or p_eigs gave m = NaN
+        # with no error, and t = -5 a row with t = -4. An infinite S fails its next
+        # step, as any degenerate S does (TestClosedFormStep)
+        config = ModelConfig(delta=0.9, phi=1.0, omega=np.eye(p))
+        state = filter_init(config)
+        if name != "t":  # the field's first entry
+            value, bad = getattr(state, name).copy(), value
+            value.flat[0] = bad
+        state = dataclasses.replace(state, **{name: value})
+        error = FilterNumericalError if name == "S" else DomainError
+        with pytest.raises(error, match=message) as err:
+            filter_step(state, np.full(p, 0.1), config)
+        if name == "S":
+            assert err.value.t == 1 and isinstance(err.value.cause, DomainError)
+
     def test_P_of_wrong_shape_rejected(self, config):
         state = filter_init(ModelConfig(delta=0.8, phi=0.9, omega=np.eye(3)))
         with pytest.raises(DimensionMismatch, match="state basis has shape"):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from seqvol.cli import load_model_config, load_search_spec, main
 from seqvol.errors import DomainError, NonPositivePrice, ParseError
-from seqvol.filtering import ModelConfig, filter_run
+from seqvol.filtering import ModelConfig, discount_k, filter_run
 from seqvol.io import (
     correlation_from_cov,
     fmt17,
@@ -638,6 +639,37 @@ def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
         assert f"error: grid resolution q={q} {message}" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("delta", [2 / 3, 1.0, math.nan, 0.5],
+                         ids=["two-thirds", "one", "nan", "half"])
+@pytest.mark.parametrize("entry", ["discount_k", "ModelConfig", "SearchSpec",
+                                   "cli-delta", "cli-delta_candidates"])
+def test_one_admissible_delta_rule(entry, delta, tmp_path):
+    # discount_k holds the rule 2/3 < delta < 1: every entry point raises its message
+    message = f"delta={delta} violates the 2/3 < delta < 1 requirement"
+    if entry.startswith("cli-"):
+        raw = {"delta": 0.8, "phi": 1.0, "omega_diag": [1.0]}
+        if entry == "cli-delta":
+            raw["delta"] = delta
+        else:
+            raw["delta_candidates"] = [0.8, delta]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(raw))
+        data = tmp_path / "d.csv"
+        data.write_text("a\n" + "0.01\n-0.01\n" * 10)
+        res = _invoke("search", cfg, data, tmp_path / "out")
+        assert res.exit_code == 2, res.output
+        assert f"error: {message}" in res.output
+        assert not (tmp_path / "out").exists()
+        return
+    with pytest.raises(DomainError, match=re.escape(message)):
+        if entry == "discount_k":
+            discount_k(delta, 2)
+        elif entry == "ModelConfig":
+            ModelConfig(delta=delta, phi=1.0, omega=np.eye(2))
+        else:
+            SearchSpec(delta_candidates=(0.8, delta))
 
 
 def test_search_on_a_short_series_exits_2_before_out_dir(tmp_path):
