@@ -39,6 +39,13 @@ evaluators, with the same bits); at ``p >= 3`` it runs the matrix step. A
 kernel gives only its step and its row layout (the steps' rows as the seven
 ``_ROW2`` columns, end values as a row); the block body on those columns
 (flags, restarts, ``f``, ``e``, ``u``, terms, end state) is written once.
+At ``p = 2`` the block's terms run in closed form too
+(:func:`seqvol.likelihood.terms_from_spectra`, which reads the block's
+``S_t^*`` spectra, ``e`` and ``Q^{-1}``'s lower triangle), with no 2 x 2
+matrix product. For :func:`_filter`, which raises at the first failed
+block, a block checks ``m`` every ``_CHECK`` steps and ends at the first
+check that finds it non-finite, so a failed run raises within a few steps
+of its failure.
 """
 
 from __future__ import annotations
@@ -46,7 +53,8 @@ from __future__ import annotations
 import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -70,6 +78,9 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 # block's kernels over many steps, and bounds the memory of the block's arrays
 _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
+# steps between checks of m in a run that stops at its first failure: a failed step
+# makes m non-finite, and the block ends at the check, not a block's worth of NaN later
+_CHECK = 16
 # what the step loop keeps of each step of a block, in order (a block's columns), and
 # where each field lies in a flat row of the closed-form p = 2 step, and its shape
 _ROW2 = {"m": (0, 2, (2,)), "s": (2, 6, (2, 2)), "ws": (6, 8, (2,)), "vs": (8, 12, (2, 2)),
@@ -341,14 +352,19 @@ def _step2(row, y, p_mat, const, fscale, ops):
     return (m0 + (xv * z0 + xu * z1), m1 + (xv * z1 - xu * z0), a, b, b, c, *est)
 
 
-def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterator[_Block]:
+def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
+               stop_at_failure: bool = False) -> Iterator[_Block]:
     """The filter recursion for the ``B`` candidates of ``setup``, in lockstep.
 
     Every candidate starts from ``start``, its ``p_eigs`` read in the
     candidate's basis ``setup.v[b]`` (``P_0 = p0 I`` is the same in every
     basis). Checks the series (a non-finite observation raises
     :class:`DomainError` naming its step) and returns an iterator of blocks
-    (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. The
+    (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. A
+    caller that stops at the first failed block (``stop_at_failure``, as
+    :func:`_filter`) gets a block that ends at the first of every ``_CHECK``
+    steps whose ``m`` is not finite, not a block's worth of NaN steps later;
+    were it not to stop, the next block would start after it. The
     step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
     their spectra, the gain and ``m_t``. ``P_t`` comes from one generator per
     run: built per block until periodic, then cached (see the module docstring).
@@ -379,6 +395,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
     fscale = 1.0 if setup.forecast_mean_mode == "plain" else phi  # f_t = fscale m_{t-1}
     vt_omega = setup.v.swapaxes(-1, -2)
     size = max(_MIN_STEPS, _BLOCK // nb)  # steps per block
+    chunk = _CHECK if stop_at_failure else size  # steps between checks of m
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if setup.standardization_mode == "forecast_cov" else slice(1, None)
     m0, s0, p_eigs0 = (np.broadcast_to(x, (nb,) + x.shape)
@@ -391,6 +408,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
         ma, mb, a, _, b, c = split(np.hstack([m0, s0.reshape(nb, 4)]).T)
         initial = (ma, mb, a, b, b, c, *_estimate2(a, b, c, const, ops))
         step = partial(_step2, const=const, fscale=fscale, ops=ops)
+        m_of = itemgetter(0, 1)  # a row's m
 
         def inputs(block, p_mats):
             return zip(block.tolist(), split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1)))
@@ -413,7 +431,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
         ws0, vs0 = stacked_eigh(s0)
         s_star0 = estimate(s0, ws0, vs0)
         initial = (m0, s0, ws0, vs0, s_star0, *stacked_eigh(s_star0))
-        inputs, row_of = zip, tuple
+        inputs, row_of, m_of = zip, tuple, itemgetter(0)
 
         def step(row, y, p_mat):
             m, s = row[:2]
@@ -449,17 +467,24 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterat
 
     def blocks():
         # the step before the block, the failed candidates, and the run's P_t
-        row, failed, path = initial, setup.bad_q, p_path()
-        for lo in range(0, len(ys), size):
+        row, failed, path, lo = initial, setup.bad_q, p_path(), 0
+        while lo < len(ys):
             block = ys[lo:lo + size]
             items = list(islice(path, len(block)))  # (eigenvalues, P_t or None) per step
             p_mats = [p for _, p in items]
             if p_mats[0] is None:  # not yet periodic: the block's P_t in one stacked product
                 p_mats = p_matrices([lam for lam, _ in items])
-            rows = [row]
-            for y, p_in in inputs(block, p_mats):
-                row = step(row, y, p_in)
-                rows.append(row)
+            rows, steps = [row], inputs(block, p_mats)
+            for _ in range(0, len(block), chunk):
+                for y, p_in in islice(steps, chunk):
+                    row = step(row, y, p_in)
+                    rows.append(row)
+                if stop_at_failure and not np.isfinite(m_of(row)).all():
+                    break
+            if len(rows) <= len(block):  # ended early: the rest of it starts the next block
+                path = chain(items[len(rows) - 1:], path)
+                block, items = block[:len(rows) - 1], items[:len(rows) - 1]
+            lo += len(block)
             m, s, ws, vs, s_star, w_star, v_star = columns = columns_of(rows)
             # a candidate stays failed from its first spectrum that is not positive
             # definite. Row 0 is the start state's or a step already checked
@@ -528,21 +553,26 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     # allocated above it can pin, and its resident size jumps by a run.
     nbytes = n * dtype.itemsize
     run = np.recarray(n, dtype, buf=mmap.mmap(-1, nbytes) if nbytes >= _MAP_BYTES else None)
-    run.t = np.arange(t + 1, t + n + 1)
-    run.terms = run.loglik_t = np.nan
+    # fields are written through a plain view: np.recarray's attribute access and
+    # slicing cost several microseconds a call, a share of an on-line step
+    fields = run.view(np.ndarray)
+    fields["t"] = np.arange(t + 1, t + n + 1)
+    fields["terms"] = fields["loglik_t"] = np.nan
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        blocks = _recursion(ys, setup, state, {"u", "terms"} if compute_loglik else {"u"})
+        blocks = _recursion(ys, setup, state, {"u", "terms"} if compute_loglik else {"u"},
+                            stop_at_failure=True)
         done = 0  # steps copied
         for block in blocks:
             if block.failed[-1, 0]:
                 i = done + int(np.argmax(block.failed[:, 0]))
                 raise FilterNumericalError(t + i + 1, NotPositiveDefinite(
                     "S_t or S_t^* is not positive definite at machine precision"))
-            rows = run[done:done + len(block.e)]
-            rows.f, rows.e, rows.u, rows.s_star = (x[:, 0] for x in block[:4])
-            rows.scale = block.s_prev[:, 0] / config.k
+            rows = fields[done:done + len(block.e)]
+            for name, x in zip(("f", "e", "u", "s_star"), block):
+                rows[name] = x[:, 0]
+            rows["scale"] = block.s_prev[:, 0] / config.k
             if compute_loglik:
-                rows.terms = np.stack(block.terms, axis=-1)[:, 0]
+                rows["terms"] = np.stack(block.terms, axis=-1)[:, 0]
             done += len(rows)
     if n == 0:
         return run, state
@@ -550,8 +580,8 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
         # a zero-error step puts the plug-in path on the boundary of the
         # transition's support (L_t = 0): the state update is still defined,
         # so the step contributes lt = -inf
-        quad, chol, lt, sig = run.terms.T
-        run.loglik_t = setup.c1[0] + (quad + chol + lt + sig)
+        quad, chol, lt, sig = fields["terms"].T
+        fields["loglik_t"] = setup.c1[0] + (quad + chol + lt + sig)
     return run, FilterState(t + n, *(x[0] for x in block[-3:]), setup.v[0])
 
 

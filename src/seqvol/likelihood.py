@@ -11,7 +11,9 @@ fixed time order, so results are deterministic and reproducible.
 
 :func:`terms_from_spectra` is the one place the term groups are computed,
 from the eigendecompositions of a path ``Sigma_{t-1}, Sigma_t, ...``, one
-path or a stack. The filter calls it on blocks of time steps and the
+path or a stack: at ``p >= 3`` as stacked matrix products, and at ``p = 2``
+in closed form, elementwise over the entries of the spectra, ``e_t`` and
+``Q^{-1}``'s lower triangle. The filter calls it on blocks of time steps and the
 search on stacks of candidates, and :func:`loglik_from_records` sums a filter
 run's ``terms`` column. :func:`loglik_path` and :func:`step_terms` score a
 given path (say a simulated truth) with the same term math, so the
@@ -29,7 +31,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
 from .gwishart import RANK_REL_TOL
-from .linalg import log_multigamma_ratio, rank_cut, spd_eigh, spd_inverse, stacked_eigh, sym
+from .linalg import (_ARRAY_OPS, _eigh2, log_multigamma_ratio, rank_cut, rank_floor, spd_eigh,
+                     spd_inverse, stacked_eigh, sym)
 
 if TYPE_CHECKING:  # import would be circular at runtime
     from .filtering import ModelConfig
@@ -114,14 +117,28 @@ def terms_from_spectra(e, w, v, q_inv, k, delta):
       ``B = diag(w_t^{-1/2}) V_t' V_{t-1} diag(w_{t-1}^{1/2})``, since ``XY`` and
       ``YX`` share their nonzero eigenvalues (Horn & Johnson, *Matrix
       Analysis*, Thm 1.3.22). ``lt`` is ``-inf`` when none is kept.
+
+    At ``p = 2`` ``quad``, ``B B'`` and ``L_t``'s spectrum run in closed form
+    (:func:`_quad_lt2`), elementwise over the ``(T, ...)`` entries with no
+    matrix product: it reads the four entries of each ``V``, ``Q^{-1}``'s
+    lower triangle, and takes ``L_t``'s two eigenvalues from
+    :func:`~seqvol.linalg._eigh2`. At ``p >= 3`` they are stacked matrix
+    products and :func:`~seqvol.linalg.stacked_eigh` (:func:`_quad_lt`).
     """
     k = np.asarray(k, dtype=float)
+    quad, log_det, lt = (_quad_lt2 if w.shape[-1] == 2 else _quad_lt)(e, w, v, q_inv, k)
+    log_u = -0.5 * log_det[:-1]
+    chol = -(2.0 * delta - 1.0) / (1.0 - delta) * log_u
+    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * log_det[1:]
+    return quad, chol, lt, sig
+
+
+def _quad_lt(e, w, v, q_inv, k):
+    """``quad``, ``log |Sigma_t|`` along the path and ``lt``, as stacked matrix products."""
     root, log_det = np.sqrt(w), np.log(w).sum(axis=-1)
     vt = v[1:].swapaxes(-1, -2)
     x = v[1:] @ ((vt @ e[..., None]) / root[1:, ..., None])
     quad = -0.5 * (x.swapaxes(-1, -2) @ q_inv @ x)[..., 0, 0]
-    log_u = -0.5 * log_det[:-1]
-    chol = -(2.0 * delta - 1.0) / (1.0 - delta) * log_u
 
     b = (vt @ v[:-1]) * (root[:-1, ..., None, :] / root[1:, ..., None])
     # a copy of B', not a view: numpy multiplies an operand by its own
@@ -131,10 +148,45 @@ def terms_from_spectra(e, w, v, q_inv, k, delta):
     l_eigs = stacked_eigh(np.eye(w.shape[-1]) - bbt / k[..., None, None], values_only=True)
     kept = rank_cut(l_eigs, RANK_REL_TOL)  # ascending: the largest is kept if any is
     lt = -0.5 * w.shape[-1] * np.log(np.where(kept, l_eigs, 1.0)).sum(axis=-1)
-    lt = np.where(kept[..., -1], lt, -np.inf)
+    return quad, log_det, np.where(kept[..., -1], lt, -np.inf)
 
-    sig = -(3.0 * delta - 2.0) / (2.0 * (1.0 - delta)) * log_det[1:]
-    return quad, chol, lt, sig
+
+def _quad_lt2(e, w, v, q_inv, k):
+    """:func:`_quad_lt` at ``p = 2``, elementwise over the entries of each 2 x 2 matrix.
+
+    Reads all four entries of each ``V`` and assumes nothing of its form
+    (``np.linalg.eigh`` may give a reflection where
+    :func:`~seqvol.linalg._eigh2` gives a rotation). Only ``Q^{-1}``'s lower
+    triangle is read.
+    """
+    w0, w1 = w[..., 0], w[..., 1]
+    r0, r1 = np.sqrt(w0), np.sqrt(w1)
+    log_det = np.log(w0) + np.log(w1)
+    v00, v01, v10, v11 = v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1]
+    a00, a01, a10, a11 = v00[1:], v01[1:], v10[1:], v11[1:]  # V_t
+    e0, e1 = e[..., 0], e[..., 1]
+    # x = V_t diag(r_t)^-1 V_t' e_t, and quad = -x' Q^-1 x / 2
+    z0, z1 = (a00 * e0 + a10 * e1) / r0[1:], (a01 * e0 + a11 * e1) / r1[1:]
+    x0, x1 = a00 * z0 + a01 * z1, a10 * z0 + a11 * z1
+    qa, qb, qc = q_inv[..., 0, 0], q_inv[..., 1, 0], q_inv[..., 1, 1]
+    quad = -0.5 * (x0 * (qa * x0 + qb * x1) + x1 * (qb * x0 + qc * x1))
+    # numpy's loops may return either NaN operand of a sum of two NaNs, by the
+    # array's layout: one canonical NaN gives a failed member the bytes of its
+    # solo run
+    quad = np.where(quad == quad, quad, np.nan)
+
+    # B = V_t' V_{t-1} diag(r_{t-1}) / r_t, each entry a product, then B B'
+    s0, s1 = r0[:-1], r1[:-1]
+    b00 = (a00 * v00[:-1] + a10 * v10[:-1]) * s0 / r0[1:]
+    b01 = (a00 * v01[:-1] + a10 * v11[:-1]) * s1 / r0[1:]
+    b10 = (a01 * v00[:-1] + a11 * v10[:-1]) * s0 / r1[1:]
+    b11 = (a01 * v01[:-1] + a11 * v11[:-1]) * s1 / r1[1:]
+    c00, c10, c11 = b00 * b00 + b01 * b01, b10 * b00 + b11 * b01, b10 * b10 + b11 * b11
+    l0, l1 = _eigh2(1.0 - c00 / k, -c10 / k, 1.0 - c11 / k, _ARRAY_OPS, values_only=True)
+    floor = rank_floor(l0, l1, RANK_REL_TOL)  # rank_cut's rule on the pair
+    kept = l1 > floor  # ascending: the larger is kept if any is
+    lt = -(np.log(np.where(l0 > floor, l0, 1.0)) + np.log(np.where(kept, l1, 1.0)))
+    return quad, log_det, np.where(kept, lt, -np.inf)
 
 
 def step_terms(sigma_prev: np.ndarray, sigma_t: np.ndarray, e: np.ndarray,

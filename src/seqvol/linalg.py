@@ -16,8 +16,10 @@ Conventions fixed across the package:
   through :func:`stacked_eigh`: LAPACK's kernels at ``p >= 3``, called
   without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form
   (:func:`_eigh2`) over numpy arrays, one matrix being a 0-d stack. A
-  non-finite member gets a NaN spectrum, raising nothing. The filter's
-  closed-form ``p = 2`` step calls :func:`_eigh2` itself, over two
+  non-finite member gets a NaN spectrum, raising nothing. The likelihood's
+  closed-form ``p = 2`` terms call :func:`_eigh2` over arrays for
+  eigenvalues only, and the filter's closed-form ``p = 2`` step calls it
+  itself, over two
   evaluators with the same bits (numpy arrays for a stack, Python floats
   for one candidate), whose square root and division give numpy's IEEE
   results (NaN, a signed inf) where Python's would raise.
@@ -142,7 +144,8 @@ def _div(x, y):  # np.divide: x / 0 is x times a signed inf, which is IEEE's quo
     return x / y if y else x * math.copysign(math.inf, y)
 
 
-# the two evaluators of the filter's p = 2 step; stacked_eigh runs the array one
+# the two evaluators of the filter's p = 2 step; stacked_eigh and the likelihood's
+# p = 2 terms run the array one
 _ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
                              sqrt=np.sqrt, div=np.divide)
 _FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
@@ -264,7 +267,15 @@ def rank_cut(w: np.ndarray, rel_tol: float) -> np.ndarray:
     ``w`` holds one ascending spectrum, or a stack of them along the last
     axis (as :func:`positive_spectrum`), so ``max |lam|`` is read from its ends.
     """
-    return w > rel_tol * np.maximum(1.0, np.maximum(-w[..., :1], w[..., -1:]))
+    return w > rank_floor(w[..., :1], w[..., -1:], rel_tol)
+
+
+def rank_floor(lo, hi, rel_tol: float):
+    """``rel_tol * max(1, max |lam|)`` of ascending spectra whose ends are ``lo`` and ``hi``.
+
+    :func:`rank_cut` keeps the eigenvalues above it.
+    """
+    return rel_tol * np.maximum(1.0, np.maximum(-lo, hi))
 
 
 def positive_eigenvalues(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:

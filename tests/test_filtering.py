@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import mmap
+import time
 import tracemalloc
 import weakref
 
@@ -850,6 +851,46 @@ class TestTimeBlocks:
         assert [r.loglik_t for r in records] == [r.loglik_t for r in chained]
         with pytest.raises(DomainError, match=f"t={t_zero}: transition matrix L_t"):
             loglik_from_records(records, config3)
+
+
+class TestFailingBlockEndsEarly:
+    """A one-candidate block checks ``m`` every ``_CHECK`` steps and ends at the
+    first check after a failed step, so a run raises soon after it fails."""
+
+    @staticmethod
+    def _series(p):
+        ys = 0.01 * np.random.default_rng(8).standard_normal((1000, p))
+        shocked = ys.copy()
+        shocked[150] = 1e160  # e e' overflows at t = 151
+        return ys, shocked
+
+    @pytest.mark.parametrize("p", [2, 3, 8])
+    def test_planted_failure_raises_its_step(self, p):
+        _, ys = self._series(p)
+        with pytest.raises(FilterNumericalError) as info:
+            filter_run(ys, ModelConfig(delta=0.95, phi=1.0, omega=np.eye(p)))
+        assert info.value.t == 151
+        assert str(info.value) == ("numerical failure at step t=151: S_t or S_t^* is not "
+                                   "positive definite at machine precision")
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_time_to_raise_is_near_the_clean_prefix(self, p):
+        # without the check the run went on for the rest of its 256-step
+        # block, on NaN: 4x the clean prefix's time at p = 8
+        config = ModelConfig(delta=0.95, phi=1.0, omega=np.eye(p))
+        clean, shocked = self._series(p)
+
+        def seconds(ys):
+            start = time.process_time()
+            try:
+                filter_run(ys, config)
+            except FilterNumericalError:
+                pass
+            return time.process_time() - start
+
+        times = [(seconds(shocked), seconds(clean[:151])) for _ in range(7)]
+        to_raise, prefix = map(min, zip(*times))
+        assert to_raise < 2 * prefix
 
 
 class TestPointEstimate:

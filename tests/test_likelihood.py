@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import sqrtm
 from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
@@ -16,7 +17,7 @@ from seqvol.likelihood import (
     loglik_path,
     perf_metrics,
 )
-from seqvol.linalg import chol_upper, spd_inverse
+from seqvol.linalg import chol_upper, spd_inverse, stacked_eigh
 from seqvol.simulate import evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -246,6 +247,46 @@ class TestTermsFromSpectra:
         for group, got in zip(path, zip(*steps)):
             assert group.tobytes() == np.concatenate(got).tobytes()
 
+    @pytest.mark.parametrize("decompose", ["closed_form", "lapack"])
+    def test_p2_closed_form_against_the_definition(self, rng, decompose):
+        # the p = 2 closed form against the term groups computed here from
+        # their definition, U the upper Cholesky factor of Sigma_{t-1}^{-1}, on
+        # the eigenvectors of the closed-form eigensolver (rotations) and on
+        # LAPACK's (which may be reflections)
+        n_steps, n_members, p = 40, 6, 2
+        sigmas = np.array([[random_spd(rng, p) for _ in range(n_members)]
+                           for _ in range(n_steps + 1)])
+        deltas = np.linspace(0.75, 0.95, n_members)
+        k = np.array([ModelConfig(delta=d, phi=1.0, omega=np.eye(p)).k for d in deltas])
+        e = rng.standard_normal((n_steps, n_members, p))
+        q_inv = np.array([random_spd(rng, p) for _ in range(n_members)])
+        w, v = stacked_eigh(sigmas) if decompose == "closed_form" else np.linalg.eigh(sigmas)
+        quad, chol, lt, sig = seqvol.likelihood.terms_from_spectra(e, w, v, q_inv, k, deltas)
+
+        path = (v * w[..., None, :]) @ v.swapaxes(-1, -2)  # the spectra's own matrices
+        compared = 0
+        for t in range(1, n_steps + 1):
+            for b in range(n_members):
+                d, prev, cur = deltas[b], path[t - 1, b], path[t, b]
+                u = np.linalg.cholesky(np.linalg.inv(prev)).T
+                x = np.linalg.solve(sqrtm(cur), e[t - 1, b])
+                want = (-0.5 * x @ q_inv[b] @ x,
+                        -(2 * d - 1) / (1 - d) * np.log(np.diag(u)).sum(),
+                        -(3 * d - 2) / (2 * (1 - d)) * np.linalg.slogdet(cur)[1])
+                got = (quad[t - 1, b], chol[t - 1, b], sig[t - 1, b])
+                assert got == pytest.approx(want, rel=1e-13), (t, b)
+                u_inv = np.linalg.inv(u)
+                inner = np.eye(p) - u_inv.T @ np.linalg.inv(cur) @ u_inv / k[b]
+                eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+                cut = RANK_REL_TOL * max(1.0, np.abs(eigs).max())
+                if np.abs(eigs - cut).min() < 1e-6:
+                    continue  # an eigenvalue this near the cut may fall either side of it
+                compared += 1
+                kept = eigs > cut
+                want_lt = -0.5 * p * np.log(eigs[kept]).sum() if kept.any() else -np.inf
+                assert lt[t - 1, b] == pytest.approx(want_lt, rel=1e-12, abs=1e-12), (t, b)
+        assert compared == n_steps * n_members
+
 
 class TestLoglikAtFilterPath:
     def test_deterministic(self, rng, config2):
@@ -307,18 +348,28 @@ class TestLoglikFromRecords:
 
 class TestIdentityBAccuracy:
     def test_lt_against_extended_precision_definition(self):
+        self._check_lt(8, (3e-4, 4e-4, 6e-4, 1e-3))
+
+    def test_p2_lt_against_extended_precision_definition(self):
+        # the same at p = 2, where B B' and L_t's spectrum run in closed form;
+        # half the p = 8 shocks put its smallest kept eigenvalue below 1e-7
+        self._check_lt(2, (1.5e-4, 2e-4, 3e-4, 5e-4))
+
+    @staticmethod
+    def _check_lt(p, scales):
         # The filter takes L_t from the spectrum of I - B B'/k (identity B).
-        # Check its lt term at the 4 steps of a p=8 run with the smallest kept
-        # L_t eigenvalues against the definition, U = upper Cholesky factor
-        # of Sigma_{t-1}^{-1}, evaluated with 50 digits. Observations planted
-        # next to their forecast mean put kept eigenvalues near the 1e-8 cut.
+        # Check its lt term at the 4 steps of a p-variate run with the smallest
+        # kept L_t eigenvalues against the definition, U = upper Cholesky
+        # factor of Sigma_{t-1}^{-1}, evaluated with 50 digits. Observations
+        # planted next to their forecast mean put kept eigenvalues near the
+        # 1e-8 cut.
         import mpmath
-        p, n_obs = 8, 200
+        n_obs = 200
         rng = np.random.default_rng(8)
         corr = 0.3 + 0.7 * np.eye(p)
         ys = 0.01 * rng.standard_normal((n_obs, p)) @ np.linalg.cholesky(corr).T
         config = ModelConfig(delta=0.7, phi=1.0, omega=np.eye(p))
-        for t, scale in zip((50, 90, 130, 170), (3e-4, 4e-4, 6e-4, 1e-3)):
+        for t, scale in zip((50, 90, 130, 170), scales):
             _, state = filter_run(ys[:t], config, compute_loglik=False)
             ys[t] = state.m + scale * ys[t]
         records, _ = filter_run(ys, config)

@@ -60,7 +60,7 @@ PINNED = {
         'forecast.csv':
             '60e44efc858905a5dbb79e2939bff9f8c500c4fb21e0b7b481a4828119b54921',
         'report.json':
-            'b8fb971a4c022d8d40362a1084de72bfe3d81d6f0b840839772fa4fe95835be2',
+            'da69e76b4922f91ff6975553ac4c0de23c5def5889057a351e9a7fc4d4190185',
     },
     'loglik_p8': {
         'report.json':
@@ -78,7 +78,7 @@ PINNED = {
     },
     'search_p2': {
         'search_trace.csv':
-            '8a954ee67956afb7d9c46a78df8a8eefcf6030c55a42859c24f0dcedb495c2aa',
+            '087b4eb5bee6bfe3536173c4936d0bce98ead34623c65c932ce1ace25acb1c5e',
     },
 }
 
@@ -90,9 +90,9 @@ PINNED_ARRAYS = {
     'filter_step_chain_p3':
         'fbba306d87b93fa694350d5eaeb1a13d1681f3e50e44ab8f73f4780c12887e49',
     'evaluate_loglik_p2':
-        'b6296a819a041b1e31f7e6c705c6306856012ef2b782d2236e0bd9762a7141b4',
+        'd08e29ad5fb968d07d0fc9a616573c29af230ad0d1420970056285f67ce6b1a8',
     'filter_step_chain_p2':
-        'dafaf536684f6a857dc80bf6d5ce44b5a609b8776c18fac2bcf66f0aefd5f528',
+        '3196acdfcc7a2cc8e022cc2c911c59a3c83119bbc563f20d8a987468c14b83ff',
     'loglik_path_truth_p3':
         'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
 }
