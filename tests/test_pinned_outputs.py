@@ -5,7 +5,8 @@ fixed seeds and compares the sha256 digest of each output file with the one
 in ``PINNED``; each case of ``ARRAY_CASES`` hashes the bytes of arrays a
 library call returns (the search's stacked evaluator and an on-line
 ``filter_step`` chain, each at ``p = 3`` and at ``p = 2``, where the step runs
-in closed form; :func:`~seqvol.likelihood.loglik_path` on a simulated truth)
+in closed form; :func:`~seqvol.likelihood.loglik_path` on a simulated truth,
+at ``p = 3`` and at ``p = 2``)
 and compares with ``PINNED_ARRAYS``. A change that should
 move no output bit keeps every digest; one that moves a bit on purpose
 regenerates them, and says why. The one way to regenerate them is to run
@@ -76,6 +77,12 @@ PINNED = {
         'sim_truth.csv':
             'bd2e87abe3fbf4e363b9031122cba5f8292a4f34b20efeffa578613b1ce996c9',
     },
+    'simulate_p2': {
+        'returns.csv':
+            'd38c53aa6feb71f9318bd1d399860346caa458619570d4b978587cdcb23f39a2',
+        'sim_truth.csv':
+            '03584cd6a9a0cc1187a62a97112db15797751c07ca94f88b8b210bd5138e05d1',
+    },
     'search_p2': {
         'search_trace.csv':
             '087b4eb5bee6bfe3536173c4936d0bce98ead34623c65c932ce1ace25acb1c5e',
@@ -95,6 +102,8 @@ PINNED_ARRAYS = {
         '3196acdfcc7a2cc8e022cc2c911c59a3c83119bbc563f20d8a987468c14b83ff',
     'loglik_path_truth_p3':
         'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
+    'loglik_path_truth_p2':
+        '1e9af0fd975a6afd150f748737e8f6607243343dfd0d8529ebcd864b0baff1c4',
 }
 
 
@@ -149,6 +158,10 @@ def _simulate_p3_config():
     return {"delta": 0.95, "phi": 1.0, "omega_diag": [0.5, 1.0, 1.5]}
 
 
+def _simulate_p2_config():
+    return {"delta": 0.95, "phi": 0.9, "omega_matrix": [[0.5, 0.1], [0.1, 1.2]]}
+
+
 # case: (command, config, input writer or None, extra arguments, output files)
 CASES = {
     "filter_p8": ("filter", _p8_config(), _p8_returns, [], FILTER_OUTPUTS),
@@ -157,6 +170,8 @@ CASES = {
     "loglik_p8": ("loglik", _p8_config(), _p8_returns, [], ("report.json",)),
     "metrics_p8": ("metrics", _p8_config(), _p8_returns, [], ("report.json",)),
     "simulate_p3": ("simulate", _simulate_p3_config(), None, ["--n-steps", "700", "--seed", "7"],
+                    ("returns.csv", "sim_truth.csv")),
+    "simulate_p2": ("simulate", _simulate_p2_config(), None, ["--n-steps", "700", "--seed", "5"],
                     ("returns.csv", "sim_truth.csv")),
     "search_p2": ("search", {"delta": 0.9, "phi": 1.0, "omega_diag": [1.0, 1.0], "q": 1,
                              "delta_candidates": [0.85, 0.95]},
@@ -210,14 +225,14 @@ def _step_chain(p=3):
     return [np.array(rows), state.m, state.S, state.p_eigs]
 
 
-def _truth_loglik():
-    """``loglik_path`` on the ``simulate_p3`` case's simulated truth.
+def _truth_loglik(p=3):
+    """``loglik_path`` on the ``simulate_p3`` (or ``simulate_p2``) case's simulated truth.
 
     Its errors are ``y_t - phi theta_{t-1}``, the observation less the true
     signal's one-step forecast.
     """
-    config = load_model_config(_simulate_p3_config())
-    path = simulate_path(7, config, n_steps=700)
+    config = load_model_config(_simulate_p3_config() if p == 3 else _simulate_p2_config())
+    path = simulate_path(7 if p == 3 else 5, config, n_steps=700)
     es = path.ys - config.phi * np.vstack([np.zeros(config.p), path.thetas[:-1]])
     bd = loglik_path(path.sigmas, es, config, steady_Q(config))
     return [np.array([bd.total, bd.constant_c, bd.quad_term, bd.chol_logdet_term,
@@ -232,6 +247,7 @@ ARRAY_CASES = {
     "evaluate_loglik_p2": lambda: _evaluate_stack("loglik", p=2),
     "filter_step_chain_p2": lambda: _step_chain(p=2),
     "loglik_path_truth_p3": _truth_loglik,
+    "loglik_path_truth_p2": lambda: _truth_loglik(p=2),
 }
 
 
