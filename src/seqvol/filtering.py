@@ -67,8 +67,8 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .gwishart import giw_denominator, giw_estimate
-from .linalg import (_ARRAY_OPS, _FLOAT_OPS, _eigh2, check_spd, positive_spectrum, spd_eigh,
-                     spectral, stacked_eigh, sym)
+from .linalg import (_ARRAY_OPS, _FLOAT_OPS, check_spd, positive_spectrum, spd_eigh, spectral,
+                     stacked_eigh, sym)
 from .linalg import sym_sqrt_pair  # noqa: F401  (bench/tracer.py patches this name)
 
 FORECAST_MEAN_MODES = ("plain", "phi_scaled")
@@ -81,10 +81,6 @@ _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread thei
 # steps between checks of m in a run that stops at its first failure: a failed step
 # makes m non-finite, and the block ends at the check, not a block's worth of NaN later
 _CHECK = 16
-# what the step loop keeps of each step of a block, in order (a block's columns), and
-# where each field lies in a flat row of the closed-form p = 2 step, and its shape
-_ROW2 = {"m": (0, 2, (2,)), "s": (2, 6, (2, 2)), "ws": (6, 8, (2,)), "vs": (8, 12, (2, 2)),
-         "s_star": (12, 16, (2, 2)), "w_star": (16, 18, (2,)), "v_star": (18, 22, (2, 2))}
 # a run array this big or bigger gets its own mapping (glibc's default mmap
 # threshold, before its dynamic rise moves such blocks into the heap)
 _MAP_BYTES = 128 * 1024
@@ -310,46 +306,56 @@ def _congruence(xa, xb, xc, ya, yb, yc):  # the lower triangle of X Y X, X and Y
     return pa * xa + pb * xb, pc * xa + pd * xb, pc * xb + pd * xc
 
 
+def _root2(a, b, c, ops):
+    """``S = [[a, b], [b, c]]``'s square root in closed form, on ``S / t``, ``t = tr S``.
+
+    ``S^1/2 = (S + d I) / tau``, ``d = sqrt(det S) = det S^1/2`` and ``tau^2 =
+    tr S + 2 d`` (Levinger 1980; Higham, *Functions of Matrices*, 2008, ch.
+    6). On the entries divided by ``t``, so that ``det`` neither overflows nor
+    underflows: returns ``t``, the lower triangle of ``M = S / t + d' I`` and
+    ``d' = d / t``. Then ``S^1/2 = sqrt(t) M / sqrt(tr M)`` and ``det M = d' tr M``.
+    """
+    t = a + c
+    a, b, c = ops.div(a, t), ops.div(b, t), ops.div(c, t)
+    d = ops.sqrt(a * c - b * b)
+    return t, a + d, b, c + d, d
+
+
 def _estimate2(a, b, c, const, ops):
-    """``S = [[a, b], [b, c]]``'s spectrum, ``S^*`` and its spectrum, as a row's flat tail.
+    """``S^*`` of ``S = [[a, b], [b, c]]``, its lower triangle.
 
     ``S^* = (S^1/2 Q^-1 S^1/2 + Q^-1/2 S Q^-1/2) / den``, the estimate of
     :func:`seqvol.gwishart.giw_estimate`, with ``const = (k, Q^-1's lower
-    triangle, Q^-1/2's, den)`` (``_Setup.const2``). The ``_ROW2`` fields
-    ``ws`` to ``v_star``.
+    triangle, Q^-1/2's, den)`` (``_Setup.const2``) and ``S^1/2 Q^-1 S^1/2 = t
+    M Q^-1 M / tr M`` (:func:`_root2`).
     """
     _, qa, qb, qc, ra, rb, rc, den = const
-    w0, w1, v, u = _eigh2(a, b, c, ops, False)
-    r0, r1 = ops.sqrt(w0), ops.sqrt(w1)  # S^1/2 = V diag(r) V', V = [[v, u], [-u, v]]
-    ha, hb, hc = r0 * v * v + r1 * u * u, (r1 - r0) * u * v, r0 * u * u + r1 * v * v
-    xa, xb, xc = _congruence(ha, hb, hc, qa, qb, qc)
+    t, ma, mb, mc, _ = _root2(a, b, c, ops)
+    xa, xb, xc = _congruence(ma, mb, mc, qa, qb, qc)
     ya, yb, yc = _congruence(ra, rb, rc, a, b, c)
-    sa, sb, sc = (xa + ya) / den, (xb + yb) / den, (xc + yc) / den
-    x0, x1, xv, xu = _eigh2(sa, sb, sc, ops, False)
-    return w0, w1, v, u, -u, v, sa, sb, sb, sc, x0, x1, xv, xu, -xu, xv
+    f = ops.div(t, ma + mc)
+    return (f * xa + ya) / den, (f * xb + yb) / den, (f * xc + yc) / den
 
 
 def _step2(row, y, p_mat, const, fscale, ops):
-    """The filter step at ``p = 2`` in closed form: the next ``_ROW2`` row, flat.
+    """The filter step at ``p = 2`` in closed form: the next row, ``(m, S, S^*)`` flat.
 
     Forecast error, ``S_t = S_{t-1}/k + e e'`` and :func:`_estimate2` on lower
-    triangles, then ``m_t = m_{t-1} + S^*^1/2 P_t S^*^-1/2 e_t`` as products
-    of ``V^*``, ``diag(w^*)^{+-1/2}`` and ``P_t`` with vectors. ``ops`` is
-    ``_eigh2``'s: one formula over Python floats (one candidate) or over
-    ``(B,)`` arrays (a stack), with the same bits.
+    triangles, then ``m_t = m_{t-1} + S^*^1/2 P_t S^*^-1/2 e_t``, whose gain
+    is ``M P_t adj(M) / det M`` with ``M`` of :func:`_root2` on ``S_t^*``:
+    no spectrum. ``ops`` holds ``sqrt`` and ``div``: one formula over Python
+    floats (one candidate) or over ``(B,)`` arrays (a stack), with the same bits.
     """
     m0, m1, a, _, b, c = row[:6]
     (y0, y1), (pa, _, pb, pc), k = y, p_mat, const[0]
     e0, e1 = y0 - fscale * m0, y1 - fscale * m1
     a, b, c = a / k + e0 * e0, b / k + e1 * e0, c / k + e1 * e1
-    est = _estimate2(a, b, c, const, ops)
-    x0, x1, xv, xu = est[10:14]  # S_t^*'s spectrum and V^* = [[xv, xu], [-xu, xv]]
-    r0, r1 = ops.sqrt(x0), ops.sqrt(x1)
-    z0, z1 = ops.div(xv * e0 - xu * e1, r0), ops.div(xu * e0 + xv * e1, r1)
-    g0, g1 = xv * z0 + xu * z1, xv * z1 - xu * z0
-    g0, g1 = pa * g0 + pb * g1, pb * g0 + pc * g1
-    z0, z1 = r0 * (xv * g0 - xu * g1), r1 * (xu * g0 + xv * g1)
-    return (m0 + (xv * z0 + xu * z1), m1 + (xv * z1 - xu * z0), a, b, b, c, *est)
+    sa, sb, sc = _estimate2(a, b, c, const, ops)
+    _, ma, mb, mc, d = _root2(sa, sb, sc, ops)
+    det = d * (ma + mc)
+    z0, z1 = ops.div(mc * e0 - mb * e1, det), ops.div(ma * e1 - mb * e0, det)
+    g0, g1 = pa * z0 + pb * z1, pb * z0 + pc * z1
+    return m0 + (ma * g0 + mb * g1), m1 + (mb * g0 + mc * g1), a, b, b, c, sa, sb, sb, sc
 
 
 def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
@@ -365,13 +371,16 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
     :func:`_filter`) gets a block that ends at the first of every ``_CHECK``
     steps whose ``m`` is not finite, not a block's worth of NaN steps later;
     were it not to stop, the next block would start after it. The
-    step loop runs only what the next step needs: ``S_t``, ``S_t^*`` and
-    their spectra, the gain and ``m_t``. ``P_t`` comes from one generator per
-    run: built per block until periodic, then cached (see the module docstring).
-    Each kernel (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``)
-    gives its start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
-    ``columns_of`` (a block's rows as the seven ``_ROW2`` columns, C-order
-    ``(T + 1, B, ...)``) and ``row_of`` (end values as a row). Each block
+    step loop runs only what the next step needs: ``S_t``, ``S_t^*``, the
+    gain and ``m_t``, and at ``p >= 3`` the spectra that the matrix step
+    roots. ``P_t`` comes from one generator per run: built per block until
+    periodic, then cached (see the module docstring). Each kernel
+    (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``) gives its
+    start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
+    ``columns_of`` (a block's rows as seven C-order ``(T + 1, B, ...)``
+    columns: ``m``, ``S`` and its spectrum ``(w, V)``, ``S^*`` and its; at
+    ``p = 2`` one :func:`~seqvol.linalg.stacked_eigh` call takes both
+    spectra) and ``row_of`` (end values as a row). Each block
     stacks ``f``, ``e``, ``s_star``, ``s_prev``, ``failed`` and the end state;
     of ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`),
     the two that cost work, only those ``reads`` names, the other ``None``.
@@ -406,21 +415,24 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
                       else (_ARRAY_OPS, list))
         const = split(setup.const2)
         ma, mb, a, _, b, c = split(np.hstack([m0, s0.reshape(nb, 4)]).T)
-        initial = (ma, mb, a, b, b, c, *_estimate2(a, b, c, const, ops))
+        sa, sb, sc = _estimate2(a, b, c, const, ops)
+        initial = (ma, mb, a, b, b, c, sa, sb, sb, sc)
         step = partial(_step2, const=const, fscale=fscale, ops=ops)
         m_of = itemgetter(0, 1)  # a row's m
 
         def inputs(block, p_mats):
             return zip(block.tolist(), split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1)))
 
-        def columns_of(rows):  # the _ROW2 fields, C order: the products' bits depend on layout
-            x = np.array(rows).reshape(len(rows), -1, nb)
+        def columns_of(rows):  # the seven columns, C order (for the products' bits)
+            x = np.array(rows).reshape(len(rows), 10, nb)
             rows.clear()  # frees the flat rows before the fields' copies
-            return [np.ascontiguousarray(x[:, i:j].transpose(0, 2, 1)).reshape(
-                x.shape[:1] + (nb,) + shape) for i, j, shape in _ROW2.values()]
+            m = x[:, :2].transpose(0, 2, 1).copy()
+            pair = x[:, 2:].reshape(-1, 2, 2, 2, nb).transpose(1, 0, 4, 2, 3).copy()  # S, S^*
+            w, v = stacked_eigh(pair)  # both spectra in one call
+            return [m, pair[0], w[0], v[0], pair[1], w[1], v[1]]
 
-        def row_of(values):  # the (B, ...) values of the _ROW2 fields, as one flat row
-            return split(np.vstack([x.reshape(nb, -1).T for x in values]))
+        def row_of(values):  # m, S and S^* of the seven (B, ...) end values, as one flat row
+            return split(np.vstack([values[i].reshape(nb, -1).T for i in (0, 1, 4)]))
     else:
         k3 = setup.k[:, None, None]
 
@@ -466,8 +478,9 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             yield lams[-1], None
 
     def blocks():
-        # the step before the block, the failed candidates, and the run's P_t
-        row, failed, path, lo = initial, setup.bad_q, p_path(), 0
+        # the step before the block, the failed candidates, the run's P_t, and
+        # the start row's columns, taken at the first restart
+        row, failed, path, lo, restart = initial, setup.bad_q, p_path(), 0, None
         while lo < len(ys):
             block = ys[lo:lo + size]
             items = list(islice(path, len(block)))  # (eigenvalues, P_t or None) per step
@@ -491,11 +504,13 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             flags = failed | np.logical_or.accumulate(
                 ~(positive_spectrum(ws) & positive_spectrum(w_star)), axis=0)[1:]
             failed = flags[-1]
-            end = [x[-1].copy() for x in columns]  # copies, which do not keep the block
+            end = [x[-1] for x in columns]  # else the last row starts the next block
             if failed.any():  # rare: restart the failed candidates from the start row
+                restart = restart or columns_of([initial])
                 end = [np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0[0], x)
-                       for x, x0 in zip(end, columns_of([initial]))]
-            row = row_of(end)
+                       for x, x0 in zip(end, restart)]
+                row = row_of(end)
+            end = [x.copy() for x in end[:2]]  # m and S: copies, which do not keep the block
             f = fscale * m[:-1]
             e, u, terms = block[:, None, :] - f, None, None
             if "u" in reads:
@@ -504,7 +519,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             if "terms" in reads:
                 terms = _likelihood.terms_from_spectra(
                     e, w_star, v_star, setup.q_inv, setup.k, setup.deltas)
-            yield _Block(f, e, u, s_star[1:], s[:-1], flags, terms, *end[:2], items[-1][0])
+            yield _Block(f, e, u, s_star[1:], s[:-1], flags, terms, *end, items[-1][0])
             del m, s, ws, vs, s_star, w_star, v_star, columns, end  # frees the block's steps
 
     return blocks()

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, EmptyInput, NotPositiveDefinite
 from .gwishart import RANK_REL_TOL
-from .linalg import (_ARRAY_OPS, _eigh2, log_multigamma_ratio, rank_cut, rank_floor, spd_eigh,
+from .linalg import (_eigh2, log_multigamma_ratio, rank_cut, rank_floor, spd_eigh,
                      spd_inverse, stacked_eigh, sym)
 
 if TYPE_CHECKING:  # import would be circular at runtime
@@ -182,7 +182,7 @@ def _quad_lt2(e, w, v, q_inv, k):
     b10 = (a01 * v00[:-1] + a11 * v10[:-1]) * s0 / r1[1:]
     b11 = (a01 * v01[:-1] + a11 * v11[:-1]) * s1 / r1[1:]
     c00, c10, c11 = b00 * b00 + b01 * b01, b10 * b00 + b11 * b01, b10 * b10 + b11 * b11
-    l0, l1 = _eigh2(1.0 - c00 / k, -c10 / k, 1.0 - c11 / k, _ARRAY_OPS, values_only=True)
+    l0, l1 = _eigh2(1.0 - c00 / k, -c10 / k, 1.0 - c11 / k, values_only=True)
     floor = rank_floor(l0, l1, RANK_REL_TOL)  # rank_cut's rule on the pair
     kept = l1 > floor  # ascending: the larger is kept if any is
     lt = -(np.log(np.where(l0 > floor, l0, 1.0)) + np.log(np.where(kept, l1, 1.0)))

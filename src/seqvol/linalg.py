@@ -15,14 +15,14 @@ Conventions fixed across the package:
 * the filter, the search, the simulator and the likelihood decompose
   through :func:`stacked_eigh`: LAPACK's kernels at ``p >= 3``, called
   without ``np.linalg``'s wrapper, and at ``p = 2`` a closed form
-  (:func:`_eigh2`) over numpy arrays, one matrix being a 0-d stack. A
-  non-finite member gets a NaN spectrum, raising nothing. The likelihood's
-  closed-form ``p = 2`` terms call :func:`_eigh2` over arrays for
-  eigenvalues only, and the filter's closed-form ``p = 2`` step calls it
-  itself, over two
-  evaluators with the same bits (numpy arrays for a stack, Python floats
-  for one candidate), whose square root and division give numpy's IEEE
-  results (NaN, a signed inf) where Python's would raise.
+  (:func:`_eigh2`) over numpy arrays, elementwise, one matrix being a 0-d
+  stack. A non-finite member gets a NaN spectrum, raising nothing. The
+  likelihood's closed-form ``p = 2`` terms call :func:`_eigh2` for
+  ``L_t``'s eigenvalues. The filter's closed-form ``p = 2`` step takes no
+  spectrum: its 2 x 2 square roots need only ``+ - * /`` and a square
+  root, run over two evaluators with the same bits (numpy arrays for a
+  stack, Python floats for one candidate), whose square root and division
+  give numpy's IEEE results (NaN, a signed inf) where Python's would raise.
 """
 
 from __future__ import annotations
@@ -100,40 +100,31 @@ def positive_spectrum(w: np.ndarray, rel_tol: float | None = None):
     return w[..., 0] > rel_tol * w[..., -1]
 
 
-def _eigh2(a, b, c, ops, values_only: bool):
+def _eigh2(a, b, c, values_only: bool):
     """Ascending spectrum ``(w0, w1)`` of ``[[a, b], [b, c]]``, then ``V``'s ``(v, u)``.
 
     ``V = [[v, u], [-u, v]]``. Golub & Van Loan 8.5 with LAPACK's ``dlaev2``:
     ``big = mid + sign(mid) r`` (``mid = (a+c)/2``, ``r = hypot(h, b)``, ``h =
     (a-c)/2``) and ``det / big = (a/big) c - (b/big) b``, not the cancelling
     ``mid - sign(mid) r``; ``(h + sign(h) r, b)`` belongs to ``mid + sign(h)
-    r``. Only IEEE ``+ - * /``, comparisons and ``ops`` are used, so numpy
-    arrays and Python floats give the same bits. A non-finite entry gives NaN
-    eigenvalues.
+    r``. Elementwise over numpy arrays, so a member's bits do not depend on
+    its stack. A non-finite entry gives NaN eigenvalues.
     """
     h, mid = (a - c) / 2, (a + c) / 2
-    r = ops.hypot(h, b)
-    big = mid + ops.copysign(r, mid)
-    safe = ops.where(big == 0, 1.0, big)  # big == 0: a zero (or subnormal) matrix
+    r = np.hypot(h, b)
+    big = mid + np.copysign(r, mid)
+    safe = np.where(big == 0, 1.0, big)  # big == 0: a zero (or subnormal) matrix
     small = (a / safe) * c - (b / safe) * b
-    w = ops.where(big < small, big, small), ops.where(big >= small, big, small)
+    w = np.where(big < small, big, small), np.where(big >= small, big, small)
     if values_only:
         return w
-    sr = ops.copysign(r, h)
+    sr = np.copysign(r, h)
     t = h + sr
     up = sr > 0  # (t, b) belongs to the larger eigenvalue
-    u, v, n = ops.where(up, t, b), ops.where(up, b, -t), ops.hypot(t, b)
+    u, v, n = np.where(up, t, b), np.where(up, b, -t), np.hypot(t, b)
     zero = n == 0  # a multiple of I: V = I
-    v, n = ops.where(zero, 1.0, v), ops.where(zero, 1.0, n)
+    v, n = np.where(zero, 1.0, v), np.where(zero, 1.0, n)
     return (*w, v / n, u / n)
-
-
-def _hypot(x, y):  # libm's hypot, as np.hypot calls it, without numpy's scalar dispatch
-    try:
-        r = abs(complex(x, y))  # math.hypot differs from it in the last bit
-    except OverflowError:  # where hypot returns inf
-        return math.inf
-    return x + y if r != r else r  # hypot's NaN is its first NaN argument, as x + y's is
 
 
 def _sqrt(x):  # np.sqrt: a negative gives the NaN that the hardware's square root gives
@@ -144,12 +135,9 @@ def _div(x, y):  # np.divide: x / 0 is x times a signed inf, which is IEEE's quo
     return x / y if y else x * math.copysign(math.inf, y)
 
 
-# the two evaluators of the filter's p = 2 step; stacked_eigh and the likelihood's
-# p = 2 terms run the array one
-_ARRAY_OPS = SimpleNamespace(where=np.where, copysign=np.copysign, hypot=np.hypot,
-                             sqrt=np.sqrt, div=np.divide)
-_FLOAT_OPS = SimpleNamespace(where=lambda cond, x, y: x if cond else y,
-                             copysign=math.copysign, hypot=_hypot, sqrt=_sqrt, div=_div)
+# the two evaluators of the filter's p = 2 step
+_ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, div=np.divide)
+_FLOAT_OPS = SimpleNamespace(sqrt=_sqrt, div=_div)
 
 
 def stacked_eigh(m: np.ndarray, values_only: bool = False):
@@ -165,10 +153,15 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
     warnings that the kernels then give.
     """
     if m.shape[-1] == 2:
-        out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], _ARRAY_OPS, values_only)
-        w = np.stack(out[:2], axis=-1)
-        return w if values_only else (
-            w, np.stack([*out[2:], -out[3], out[2]], axis=-1).reshape(m.shape))
+        out = _eigh2(m[..., 0, 0], m[..., 1, 0], m[..., 1, 1], values_only)
+        w = np.empty(m.shape[:-1])  # filled, not np.stack-ed: a few calls fewer
+        w[..., 0], w[..., 1] = out[:2]
+        if values_only:
+            return w
+        v = np.empty(m.shape)
+        v[..., 0, 0] = v[..., 1, 1] = out[2]
+        v[..., 0, 1], v[..., 1, 0] = out[3], -out[3]
+        return w, v
     if values_only:
         return _umath_linalg.eigvalsh_lo(m, signature="d->d")
     return _umath_linalg.eigh_lo(m, signature="d->dd")

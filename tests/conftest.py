@@ -1,3 +1,4 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,12 +49,25 @@ def iterate_P_to_convergence(phi, omega, p0, max_iter=200_000, tol=1e-13):
 
 def count_decompositions(monkeypatch, omega=None):
     """Count eigendecompositions where they happen: the LAPACK kernels that
-    ``stacked_eigh`` calls directly, and ``np.linalg.eigh``/``eigvalsh``.
+    ``stacked_eigh`` calls directly, ``np.linalg.eigh``/``eigvalsh``, and the
+    closed-form 2 x 2 solver ``_eigh2`` in every ``seqvol`` module that holds
+    the name (``stacked_eigh`` and the likelihood's ``p = 2`` terms): ``"eigh2"``
+    counts its calls and ``"eigh2 matrices"`` the matrices they solve.
 
     With ``omega``, ``"eigh of omega"`` counts the ``eigh`` calls with
     ``omega`` among the matrices they decompose.
     """
-    counts = {"eigh": 0, "eigvalsh": 0} | ({} if omega is None else {"eigh of omega": 0})
+    counts = ({"eigh": 0, "eigvalsh": 0, "eigh2": 0, "eigh2 matrices": 0}
+              | ({} if omega is None else {"eigh of omega": 0}))
+
+    def eigh2(a, b, c, values_only, _call=seqvol.linalg._eigh2):
+        counts["eigh2"] += 1
+        counts["eigh2 matrices"] += np.size(a)
+        return _call(a, b, c, values_only)
+
+    for name, module in list(sys.modules.items()):  # each module that holds the name
+        if name.startswith("seqvol.") and hasattr(module, "_eigh2"):
+            monkeypatch.setattr(module, "_eigh2", eigh2)
 
     def counted(name, call):
         def wrapper(a, *args, **kwargs):

@@ -57,11 +57,11 @@ PINNED = {
     },
     'filter_p2_dense': {
         'volatility.csv':
-            'dad2e5ade170ce2f54cba78b03976113051e072cbfe30aaa137c2cb1db9a9827',
+            '3d19ecee0a3d29383818b3acce15d3ae0358ae1bb66b2468c7165cd82bfc7a97',
         'forecast.csv':
-            '60e44efc858905a5dbb79e2939bff9f8c500c4fb21e0b7b481a4828119b54921',
+            '41f15f6a4a468689d772ac4f56fbb5daefbd5baed58537b7af7b930327fdfab9',
         'report.json':
-            'da69e76b4922f91ff6975553ac4c0de23c5def5889057a351e9a7fc4d4190185',
+            '8045ca3bed27885d583b28e2878904ee2beaf547fe067520dcddb7b9181b5d86',
     },
     'loglik_p8': {
         'report.json':
@@ -85,7 +85,7 @@ PINNED = {
     },
     'search_p2': {
         'search_trace.csv':
-            '087b4eb5bee6bfe3536173c4936d0bce98ead34623c65c932ce1ace25acb1c5e',
+            'f1bd15f304459817e34b662e4af32650265aa52c72a49a43191428718c840338',
     },
 }
 
@@ -97,9 +97,9 @@ PINNED_ARRAYS = {
     'filter_step_chain_p3':
         'fbba306d87b93fa694350d5eaeb1a13d1681f3e50e44ab8f73f4780c12887e49',
     'evaluate_loglik_p2':
-        'd08e29ad5fb968d07d0fc9a616573c29af230ad0d1420970056285f67ce6b1a8',
+        '1a96cd7f4ec630de5e7ee53a9148dda0dd2c4f29680bdea7131069a028e69299',
     'filter_step_chain_p2':
-        '3196acdfcc7a2cc8e022cc2c911c59a3c83119bbc563f20d8a987468c14b83ff',
+        '1fd1d9cf9b1f34191caba8a7c81271bfdc098ec2891a8306c05e5afe5195692f',
     'loglik_path_truth_p3':
         'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
     'loglik_path_truth_p2':

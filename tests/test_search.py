@@ -165,7 +165,7 @@ class TestFastpathEquivalence:
         finite_counts = dict(counts)
         bad = omegas.copy()
         bad[7] = 1e308 * np.eye(p)
-        counts.update(eigh=0, eigvalsh=0)
+        counts.update(dict.fromkeys(counts, 0))
         out = evaluate_candidates(ys, base, 0.8, bad, objective)
         assert counts == finite_counts
         assert out[7] == -np.inf
@@ -190,7 +190,7 @@ class TestFastpathEquivalence:
         counts = self._count_decompositions(monkeypatch)
         assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
         finite_counts = dict(counts)
-        counts.update(eigh=0, eigvalsh=0)
+        counts.update(dict.fromkeys(counts, 0))
         out = evaluate_candidates(ys, base, deltas, omegas, objective)
         assert counts == finite_counts
         assert np.all(out[:3] == -np.inf)
@@ -207,7 +207,7 @@ class TestFastpathEquivalence:
         counts = self._count_decompositions(monkeypatch)
         filter_run(stationary_ys2, base)
         evaluate_candidates(stationary_ys2, base, 0.8, omegas, "loglik")
-        assert counts == {"eigh": 0, "eigvalsh": 0}
+        assert counts["eigh"] == counts["eigvalsh"] == 0
 
 
 class TestSingleKernel:
@@ -356,9 +356,11 @@ class TestFailureAtBlockEdges:
         counts = TestFastpathEquivalence._count_decompositions(monkeypatch)
         assert np.all(np.isfinite(evaluate_candidates(calm, base, deltas, omegas, objective)))
         calm_counts = dict(counts)
-        counts.update(eigh=0, eigvalsh=0)
+        counts.update(dict.fromkeys(counts, 0))
         out = evaluate_candidates(ys, base, deltas, omegas, objective)
-        assert counts == calm_counts
+        # at p = 2 the restarts take the start row's S and S^* spectra, once a pass
+        extra = {"eigh2": 1, "eigh2 matrices": 2 * size} if p == 2 else {}
+        assert counts == {name: n + extra.get(name, 0) for name, n in calm_counts.items()}
         assert np.all(out[first > 0] == -np.inf)
         for i in np.flatnonzero(first == 0):
             alone = evaluate_candidates(ys, base, deltas[i], omegas[i:i + 1], objective)
