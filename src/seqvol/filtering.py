@@ -33,13 +33,15 @@ observation) copy the blocks into one record array per run (:func:`_filter`),
 which every consumer reads by column.
 
 At ``p = 2`` the step loop runs :func:`_step2`, the whole step in closed
-form on the lower triangles of its 2 x 2 matrices, over Python floats for
-one candidate and over ``(B,)`` arrays for a stack (``linalg``'s two
-evaluators, with the same bits); at ``p >= 3`` it runs the matrix step. A
-kernel gives only its step and its row layout (the steps' rows as the seven
-``_ROW2`` columns, end values as a row); the block body on those columns
-(flags, restarts, ``f``, ``e``, ``u``, terms, end state) is written once.
-At ``p = 2`` the block's terms run in closed form too
+form on the lower triangles of its 2 x 2 matrices with no spectrum (square
+roots ``(S + d I) / tau``, :func:`_root2`), over Python floats for one
+candidate and over ``(B,)`` arrays for a stack (``linalg``'s two
+evaluators, with the same bits); each block takes ``S``'s and ``S^*``'s
+spectra in one stacked call. At ``p >= 3`` it runs the matrix step. A
+kernel gives only its step and its row layout (a block's rows as seven
+columns, end values as a row); the block body on those columns (flags,
+restarts, ``f``, ``e``, ``u``, terms, end state) is written once. At
+``p = 2`` the block's terms run in closed form too
 (:func:`seqvol.likelihood.terms_from_spectra`, which reads the block's
 ``S_t^*`` spectra, ``e`` and ``Q^{-1}``'s lower triangle), with no 2 x 2
 matrix product. For :func:`_filter`, which raises at the first failed
@@ -309,11 +311,11 @@ def _congruence(xa, xb, xc, ya, yb, yc):  # the lower triangle of X Y X, X and Y
 def _root2(a, b, c, ops):
     """``S = [[a, b], [b, c]]``'s square root in closed form, on ``S / t``, ``t = tr S``.
 
-    ``S^1/2 = (S + d I) / tau``, ``d = sqrt(det S) = det S^1/2`` and ``tau^2 =
-    tr S + 2 d`` (Levinger 1980; Higham, *Functions of Matrices*, 2008, ch.
-    6). On the entries divided by ``t``, so that ``det`` neither overflows nor
-    underflows: returns ``t``, the lower triangle of ``M = S / t + d' I`` and
-    ``d' = d / t``. Then ``S^1/2 = sqrt(t) M / sqrt(tr M)`` and ``det M = d' tr M``.
+    ``S^1/2 = (S + d I) / tau``, ``d = sqrt(det S)`` and ``tau^2 = tr S + 2 d``
+    (Levinger 1980; Higham, *Functions of Matrices*, 2008, ch. 6), on entries
+    divided by ``t`` so that ``det`` neither overflows nor underflows: ``t``,
+    ``M = S / t + d' I``'s lower triangle and ``d' = d / t``, so ``S^1/2 =
+    sqrt(t) M / sqrt(tr M)`` and ``det M = d' tr M``.
     """
     t = a + c
     a, b, c = ops.div(a, t), ops.div(b, t), ops.div(c, t)
@@ -378,9 +380,8 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
     (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``) gives its
     start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
     ``columns_of`` (a block's rows as seven C-order ``(T + 1, B, ...)``
-    columns: ``m``, ``S`` and its spectrum ``(w, V)``, ``S^*`` and its; at
-    ``p = 2`` one :func:`~seqvol.linalg.stacked_eigh` call takes both
-    spectra) and ``row_of`` (end values as a row). Each block
+    columns: ``m``, ``S`` and its spectrum ``(w, V)``, ``S^*`` and its) and
+    ``row_of`` (end values as a row). Each block
     stacks ``f``, ``e``, ``s_star``, ``s_prev``, ``failed`` and the end state;
     of ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`),
     the two that cost work, only those ``reads`` names, the other ``None``.
@@ -504,12 +505,12 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             flags = failed | np.logical_or.accumulate(
                 ~(positive_spectrum(ws) & positive_spectrum(w_star)), axis=0)[1:]
             failed = flags[-1]
-            end = [x[-1] for x in columns]  # else the last row starts the next block
+            end = [x[-1] for x in columns]
             if failed.any():  # rare: restart the failed candidates from the start row
                 restart = restart or columns_of([initial])
                 end = [np.where(failed.reshape((-1,) + (1,) * (x.ndim - 1)), x0[0], x)
                        for x, x0 in zip(end, restart)]
-                row = row_of(end)
+                row = row_of(end)  # else the last step's row starts the next block
             end = [x.copy() for x in end[:2]]  # m and S: copies, which do not keep the block
             f = fscale * m[:-1]
             e, u, terms = block[:, None, :] - f, None, None

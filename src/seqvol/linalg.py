@@ -159,8 +159,7 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
         if values_only:
             return w
         v = np.empty(m.shape)
-        v[..., 0, 0] = v[..., 1, 1] = out[2]
-        v[..., 0, 1], v[..., 1, 0] = out[3], -out[3]
+        v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = out[2], out[3], -out[3], out[2]
         return w, v
     if values_only:
         return _umath_linalg.eigvalsh_lo(m, signature="d->d")
