@@ -102,6 +102,49 @@ class TestLoadPricesCsv:
         with pytest.raises(ParseError):
             load_prices_csv(f)
 
+    @pytest.mark.parametrize("lines, message", [
+        # the earliest bad line wins, whatever its kind
+        (["0.1,nan", "0.2,0.3", "0.3,x"], "line 3: missing value in column 'b'"),
+        (["0.1,x", "0.2,0.3", "0.3,nan"], "line 3: cannot parse 'x' in column 'b'"),
+        (["0.1", "0.2,0.3", "nan,x"], "line 3: expected 2 fields, got 1"),
+        (["nan,0.1", "0.2,0.3", "0.3"], "line 3: missing value in column 'a'"),
+        (["x,0.1", "0.2,0.3", "0.3,0.4,0.5"], "line 3: cannot parse 'x' in column 'a'"),
+        # on one line, the first bad field wins
+        (["inf,x", "0.2,0.3"], "line 3: missing value in column 'a'"),
+        (["x,nan", "0.2,0.3"], "line 3: cannot parse 'x' in column 'a'"),
+        # a whitespace-only field and a non-finite one are both missing values
+        (["0.1,  ", "0.2,0.3"], "line 3: missing value in column 'b'"),
+        (["0.1,\t", "0.2,0.3"], "line 3: missing value in column 'b'"),
+        (["0.1,inf", "0.2,0.3"], "line 3: missing value in column 'b'"),
+        (["0.1, -Infinity ", "0.2,0.3"], "line 3: missing value in column 'b'"),
+        (["0.1,0.2", "0.2,0.3", "0.3, NaN"], "line 5: missing value in column 'b'"),
+    ])
+    def test_first_bad_line_wins(self, tmp_path, lines, message):
+        f = tmp_path / "bad.csv"
+        f.write_text("a,b\n0.0,0.0\n" + "\n".join(lines) + "\n0.4,0.5\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            load_prices_csv(f)
+
+    def test_first_bad_line_wins_with_dates(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("date,a\nd1,0.1\nd2,nan\nd3,x\nd4\n")
+        with pytest.raises(ParseError, match=r"^line 3: missing value in column 'a'$"):
+            load_prices_csv(f)
+        f.write_text("date,a\nd1,0.1\nd2\nd3,nan\n")
+        with pytest.raises(ParseError, match=r"^line 3: expected 2 fields, got 1$"):
+            load_prices_csv(f)
+
+    def test_values_are_float_of_the_field(self, tmp_path):
+        fields = [" 0.1", "0.1 ", "\t-2.5e-3\t", "+1.5", " +7", "1e-300", "-4.9E-324",
+                  "+1.7976931348623157e+308", "3.14159265358979323846", "1_000.5",
+                  "0.30000000000000004", "-0", "+0.0", "12345678901234567890"]
+        f = tmp_path / "r.csv"
+        f.write_text("a,b\n" + "".join(f"{x},{y}\n" for x, y in zip(fields, fields[1:])))
+        values = load_prices_csv(f).values
+        expected = np.array([[float(x), float(y)] for x, y in zip(fields, fields[1:])])
+        assert values.dtype == np.float64
+        assert values.tobytes() == expected.tobytes()
+
 
 class TestSerialization:
     def test_fmt17_roundtrips_doubles(self, rng):
@@ -247,6 +290,139 @@ class TestWriters:
         assert got == (tmp_path / "ref.csv").read_bytes()
         assert b"\r\n0.80000000000000004,0,,-inf,1,0.25;0.5\r\n" in got
         assert b",-0,0," in got
+
+
+# Row counts around the writers' block size, and the dimensions of the
+# paper's cases; every field of the reference is one format(x, ".17g").
+BLOCK_ROWS = (1, 255, 256, 257, 600)
+BLOCK_DIMS = (1, 2, 3, 8)
+
+
+def _g(x) -> str:
+    return format(x, ".17g")
+
+
+def _expected(head: str, rows) -> bytes:
+    return (head + "".join(",".join(row) + "\r\n" for row in rows)).encode()
+
+
+def _pairs(p: int):
+    return [(i, j) for i in range(p) for j in range(i + 1)]
+
+
+def _specials(n: int) -> list[int]:
+    """Rows on either side of each block boundary, and the last row."""
+    return sorted({k for k in (0, 254, 255, 256, 511, 512, n - 1) if k < n})
+
+
+class TestWriterBlocks:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        runs = {}
+        for p in BLOCK_DIMS:
+            config = ModelConfig(delta=0.9, phi=1.0, omega=np.diag(np.linspace(0.5, 1.5, p)))
+            ys = 0.3 * np.random.default_rng(p).standard_normal((max(BLOCK_ROWS), p))
+            runs[p], _ = filter_run(ys, config, compute_loglik=False)
+        return runs
+
+    def _run(self, runs, p, n):
+        run = runs[p][:n].copy()
+        for k in _specials(n):
+            run.e[k, 0] = -0.0
+            run.f[k, -1] = 1e-300
+            run.u[k, 0] = -1.5e300
+            if p > 1:  # a perfectly correlated pair, and a negative-zero covariance
+                run.s_star[k, 1, 1] = run.s_star[k, 0, 0] = 3.0
+                run.s_star[k, 1, 0] = run.s_star[k, 0, 1] = 3.0
+            if p > 2:
+                run.s_star[k, -1, 0] = run.s_star[k, 0, -1] = -0.0
+        return run
+
+    @pytest.mark.parametrize("n", BLOCK_ROWS)
+    @pytest.mark.parametrize("p", BLOCK_DIMS)
+    def test_volatility(self, runs, p, n, tmp_path):
+        run = self._run(runs, p, n)
+        rows = []
+        for t, s in zip(run.t, run.s_star):
+            d = np.sqrt(np.diag(s))
+            rows.append([str(t)] + [_g(s[i, j]) for i, j in _pairs(p)]
+                        + ["1" if i == j else _g(min(1.0, max(-1.0, s[i, j] / (d[i] * d[j]))))
+                           for i, j in _pairs(p)])
+        labels = [f"{i}_{j}" for i, j in _pairs(p)]
+        head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
+                "corr diagonal is exactly 1\n"
+                + ",".join(["t"] + [f"cov_{x}" for x in labels]
+                           + [f"corr_{x}" for x in labels]) + "\r\n")
+        write_volatility_csv(tmp_path / "v.csv", run)
+        got = (tmp_path / "v.csv").read_bytes()
+        assert got == _expected(head, rows)
+        assert b",1,1,1" in got if p > 1 else b",1\r\n" in got
+        assert b",-0," in got or p < 3
+
+    @pytest.mark.parametrize("n", BLOCK_ROWS)
+    @pytest.mark.parametrize("p", BLOCK_DIMS)
+    def test_forecast(self, runs, p, n, tmp_path):
+        run = self._run(runs, p, n)
+        rows = [[str(t)] + [_g(x) for x in (*f, *e, *u)]
+                for t, f, e, u in zip(run.t, run.f, run.e, run.u)]
+        head = ",".join(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
+                                 for j in range(p)]) + "\r\n"
+        write_forecast_csv(tmp_path / "f.csv", run)
+        got = (tmp_path / "f.csv").read_bytes()
+        assert got == _expected(head, rows)
+        assert b",-0," in got and b"1e-300," in got and b",-1.5000000000000001e+300" in got
+
+    @pytest.mark.parametrize("n", BLOCK_ROWS)
+    @pytest.mark.parametrize("p", BLOCK_DIMS)
+    def test_returns(self, p, n, tmp_path):
+        values = 0.3 * np.random.default_rng(n + p).standard_normal((n, p))
+        values[_specials(n), 0] = -0.0
+        values[_specials(n), -1] = 1e-300
+        head = ",".join(f"y{j}" for j in range(p)) + "\r\n"
+        write_returns_csv(tmp_path / "r.csv", values)
+        got = (tmp_path / "r.csv").read_bytes()
+        assert got == _expected(head, [[_g(x) for x in row] for row in values])
+
+    @pytest.mark.parametrize("n", BLOCK_ROWS)
+    @pytest.mark.parametrize("p", BLOCK_DIMS)
+    def test_sim_truth(self, p, n, tmp_path):
+        rng = np.random.default_rng(10 * n + p)
+        sigmas = rng.standard_normal((n + 1, p, p)) * 10.0 ** rng.integers(-5, 5, (n + 1, p, p))
+        thetas = rng.standard_normal((n, p))
+        for k in _specials(n):
+            sigmas[k + 1, -1, 0] = -0.0
+            thetas[k, 0] = -0.0
+            thetas[k, -1] = -1.5e300
+        rows = [[str(t)] + [_g(sigmas[t, i, j]) for i, j in _pairs(p)]
+                + ([""] * p if t == 0 else [_g(x) for x in thetas[t - 1]])
+                for t in range(n + 1)]
+        head = ("# vech ordering: row-major lower triangle; "
+                "sigma at t=0 is the prior seed matrix\n"
+                + ",".join(["t"] + [f"sigma_{i}_{j}" for i, j in _pairs(p)]
+                           + [f"theta_{j}" for j in range(p)]) + "\r\n")
+        write_sim_truth_csv(tmp_path / "s.csv", sigmas, thetas)
+        got = (tmp_path / "s.csv").read_bytes()
+        assert got == _expected(head, rows)
+
+    @pytest.mark.parametrize("n", BLOCK_ROWS)
+    @pytest.mark.parametrize("p", BLOCK_DIMS)
+    def test_search_trace(self, p, n, tmp_path):
+        rng = np.random.default_rng(100 * n + p)
+        trace = []
+        for k in range(n):
+            start = k % 7 == 0 or k in _specials(n)  # a start point has no coordinate
+            z = tuple(rng.uniform(0.0, 1.0, p).tolist())
+            objective = [-math.inf, -0.0, 1e-300][k % 3] if k % 5 == 0 else -1e3 * rng.random()
+            trace.append(TraceEntry(0.8 + 0.05 * (k % 4), z, None if start else k % p,
+                                    k // 9, objective, k % 2 == 0))
+        rows = [[_g(e.delta), str(e.sweep), "" if e.coordinate is None else str(e.coordinate),
+                 _g(e.objective), str(int(e.accepted)), ";".join(_g(x) for x in e.z)]
+                for e in trace]
+        head = "delta,sweep,coordinate,objective,accepted,z\r\n"
+        write_search_trace_csv(tmp_path / "t.csv", trace)
+        got = (tmp_path / "t.csv").read_bytes()
+        assert got == _expected(head, rows)
+        assert b",,-inf,1," in got
 
 
 @pytest.fixture
