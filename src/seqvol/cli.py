@@ -181,8 +181,8 @@ def load_search_spec(raw: dict) -> SearchSpec:
 
 def _read_config(config_path: str) -> dict:
     try:
-        return json.loads(Path(config_path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        return json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {config_path}: {exc}") from exc
 
 

@@ -62,6 +62,16 @@ def _parse_float(field: str, line: int, column: str) -> float:
     return value
 
 
+def _raise_first_bad_line(data_rows, columns: list[str], has_dates: bool) -> None:
+    """Raise the error of the first data line with a wrong field count or a bad value."""
+    for line, row in data_rows:
+        if len(row) != has_dates + len(columns):
+            raise ParseError(f"expected {has_dates + len(columns)} fields, got {len(row)}",
+                             line)
+        for field, column in zip(row[has_dates:], columns):
+            _parse_float(field, line, column)
+
+
 def load_prices_csv(path: str | Path, *, levels: bool = False,
                     scale: float = 1.0) -> ReturnsTable:
     """Load a CSV of price levels or returns into a :class:`ReturnsTable`.
@@ -75,9 +85,9 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
         raise DomainError(f"scale={scale} must be finite")
     path = Path(path)
     try:
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     rows = [(i + 1, r) for i, r in enumerate(rows) if r and any(f.strip() for f in r)]
     if not rows:
@@ -98,20 +108,13 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
     if not columns:
         raise ParseError("no numeric columns found", header_line)
 
-    times: list[str] | None = [] if has_dates else None
-    raw = np.empty((len(data_rows), len(columns)))
-    for out_idx, (line, row) in enumerate(data_rows):
-        if len(row) != len(header):
-            raise ParseError(
-                f"expected {len(header)} fields, got {len(row)}", line
-            )
-        if has_dates:
-            times.append(row[0].strip())
-            fields = row[1:]
-        else:
-            fields = row
-        for j, field in enumerate(fields):
-            raw[out_idx, j] = _parse_float(field, line, columns[j])
+    try:
+        raw = np.array([[float(f) for f in row[has_dates:]] for _, row in data_rows])
+    except ValueError:  # a field float() rejects, or rows of different lengths
+        raw = None
+    if raw is None or raw.shape[1:] != (len(columns),) or not np.isfinite(raw).all():
+        _raise_first_bad_line(data_rows, columns, has_dates)
+    times = [row[0].strip() for _, row in data_rows] if has_dates else None
 
     if levels:
         if np.any(raw <= 0.0):
@@ -206,34 +209,47 @@ def _header(labels: Sequence[str]) -> str:
 def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> None:
     """Write ``head``, then ``n_rows`` data lines in blocks of ``_BLOCK`` rows.
 
-    ``rows(start, start + _BLOCK)`` yields the argument tuples of a block's
-    lines, and each line is one ``line % args`` whose float fields are
-    ``%.17g``: one call per line, not one per field. Lines end in ``\\r\\n``,
-    as ``csv.writer``'s do.
+    ``rows(start, stop)`` returns the fields of lines ``start`` to ``stop``
+    (at most ``n_rows``) as one flat sequence, and the block is one
+    ``%`` of ``line`` repeated once per row: one format call per block, not
+    one per line or per field. Float fields are ``%.17g``, and ``%d`` prints
+    an integral float as an integer. Lines end in ``\r\n``, as
+    ``csv.writer``'s do.
     """
     line += "\r\n"
     with Path(path).open("w", newline="") as handle:
         handle.write(head)
         for start in range(0, n_rows, _BLOCK):
-            handle.writelines(line % args for args in rows(start, start + _BLOCK))
+            stop = min(start + _BLOCK, n_rows)
+            handle.write(line * (stop - start) % tuple(rows(start, stop)))
+
+
+def _flat(*columns: np.ndarray) -> list:
+    """The rows of 2-D blocks side by side, as one flat list of Python floats."""
+    return np.hstack(columns).ravel().tolist()
 
 
 def write_volatility_csv(path: str | Path, run: np.recarray) -> None:
-    """Per-step posterior volatility of a filter run: vech of ``s_star`` plus correlations."""
+    """Per-step posterior volatility of a filter run: vech of ``s_star`` plus correlations.
+
+    The correlation diagonal is the literal ``1`` in the line template: it is
+    what ``%.17g`` prints for the 1.0 that :func:`correlation_from_cov` sets.
+    """
     if len(run) == 0:
         raise DimensionMismatch("no records to write")
     p = run.s_star.shape[-1]
+    off = np.tril_indices(p, -1)  # the off-diagonal of vech_lower's order
 
     def rows(start, stop):
         block = run[start:stop]
-        table = np.hstack([vech_lower(block.s_star),
-                           vech_lower(correlation_from_cov(block.s_star))])
-        return ((t, *row) for t, row in zip(block.t.tolist(), table.tolist()))
+        corr = correlation_from_cov(block.s_star)
+        return _flat(block.t[:, None], vech_lower(block.s_star), corr[:, off[0], off[1]])
 
+    corr_fields = "".join(",1" if i == j else ",%.17g" for i in range(p) for j in range(i + 1))
     head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
             "corr diagonal is exactly 1\n"
             + _header(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p)))
-    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1)), len(run), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1) // 2) + corr_fields, len(run), rows)
 
 
 def write_forecast_csv(path: str | Path, run: np.recarray) -> None:
@@ -244,8 +260,7 @@ def write_forecast_csv(path: str | Path, run: np.recarray) -> None:
 
     def rows(start, stop):
         block = run[start:stop]
-        table = np.hstack([block.f, block.e, block.u])
-        return ((t, *row) for t, row in zip(block.t.tolist(), table.tolist()))
+        return _flat(block.t[:, None], block.f, block.e, block.u)
 
     head = _header(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
                             for j in range(p)])
@@ -257,7 +272,7 @@ def write_returns_csv(path: str | Path, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     p = values.shape[1]
     _write_csv(path, _header([f"y{j}" for j in range(p)]), ",".join(["%.17g"] * p),
-               len(values), lambda start, stop: map(tuple, values[start:stop].tolist()))
+               len(values), lambda start, stop: values[start:stop].ravel().tolist())
 
 
 def write_sim_truth_csv(path: str | Path, sigmas: np.ndarray, thetas: np.ndarray) -> None:
@@ -272,8 +287,8 @@ def write_sim_truth_csv(path: str | Path, sigmas: np.ndarray, thetas: np.ndarray
     line = "%d" + ",%.17g" * (p * (p + 1) // 2)
 
     def rows(start, stop):
-        table = np.hstack([vech_lower(sigmas[start + 1:stop + 1]), thetas[start:stop]])
-        return ((t, *row.tolist()) for t, row in enumerate(table, start + 1))
+        return _flat(np.arange(start + 1.0, stop + 1.0)[:, None],
+                     vech_lower(sigmas[start + 1:stop + 1]), thetas[start:stop])
 
     head = ("# vech ordering: row-major lower triangle; "
             "sigma at t=0 is the prior seed matrix\n"
@@ -285,8 +300,9 @@ def write_sim_truth_csv(path: str | Path, sigmas: np.ndarray, thetas: np.ndarray
 def write_search_trace_csv(path: str | Path, trace: Sequence) -> None:
     """One line per objective evaluation; a start point has no ``coordinate``."""
     def rows(start, stop):
-        return ((e.delta, e.sweep, "" if e.coordinate is None else e.coordinate,
-                 e.objective, int(e.accepted), *e.z) for e in trace[start:stop])
+        return [field for e in trace[start:stop]
+                for field in (e.delta, e.sweep, "" if e.coordinate is None else e.coordinate,
+                              e.objective, int(e.accepted), *e.z)]
 
     z = ";".join(["%.17g"] * (len(trace[0].z) if trace else 0))
     _write_csv(path, _header(["delta", "sweep", "coordinate", "objective", "accepted", "z"]),

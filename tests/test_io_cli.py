@@ -741,6 +741,25 @@ def test_non_finite_scale_exits_2_before_out_dir(scale, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["filter", "search"])
+@pytest.mark.parametrize("bad", ["input", "config"])
+def test_non_utf8_file_exits_2_before_out_dir(command, bad, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a\n" + "0.01\n-0.01\n0.02\n" * 4)  # search needs 10 rows
+    target = cfg if bad == "config" else data
+    text = target.read_bytes()
+    target.write_bytes(text.replace(b"1", b"\xff", 1))  # in a value: 1.0 or 0.01
+    assert b"\xff" in target.read_bytes()
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert re.search(rf"^error: cannot read (config )?{re.escape(str(target))}: "
+                     r"'utf-8' codec can't decode byte 0xff", res.output, re.M)
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_q_and_seed_accepted(tmp_path):
     assert load_search_spec({"q": 3.0}).q == 3
     cfg = tmp_path / "config.json"
