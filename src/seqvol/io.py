@@ -1,14 +1,21 @@
 """Data ingestion and machine-readable outputs for the batch pipeline.
 
 CSV inputs carry a header row and an optional leading date column
-(auto-detected by a non-numeric first field). Price levels are turned into
-log-returns; rows with gaps are rejected with their 1-based line number.
+(auto-detected by a non-numeric first field), and are read as UTF-8. Each
+field goes through one ``float()``, and the table's finiteness is checked
+once; only a failing file is read again, line by line, so that the error
+names the first bad line. Price levels are turned into log-returns; rows
+with gaps are rejected with their 1-based line number.
 
 All floats are serialized with 17 significant digits, so identical runs
-produce byte-identical files and every double round-trips exactly; every CSV
-table is written by one block writer, one ``%`` format per line. The
-lower-triangle vech ordering of matrix columns (:func:`vech_lower`) is
-row-major and documented in the file's leading comment line.
+produce byte-identical files and every double round-trips exactly. Every CSV
+table is written by one block writer: a block of up to ``_BLOCK`` rows is
+one ``%`` of the line template repeated once per row, over one flat list of
+the block's fields, so that what is left of a writer's cost is the
+``%.17g`` conversions. The correlation diagonal, always 1, is a literal in
+its template. The lower-triangle vech ordering of matrix columns
+(:func:`vech_lower`) is row-major and documented in the file's leading
+comment line.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
             rows = list(csv.reader(handle))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    rows = [(i + 1, r) for i, r in enumerate(rows) if r and any(f.strip() for f in r)]
+    rows = [(i + 1, r) for i, r in enumerate(rows) if "".join(r).strip()]  # not blank
     if not rows:
         raise ParseError("empty file", 1)
     header_line, header = rows[0]
@@ -209,12 +216,10 @@ def _header(labels: Sequence[str]) -> str:
 def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> None:
     """Write ``head``, then ``n_rows`` data lines in blocks of ``_BLOCK`` rows.
 
-    ``rows(start, stop)`` returns the fields of lines ``start`` to ``stop``
-    (at most ``n_rows``) as one flat sequence, and the block is one
-    ``%`` of ``line`` repeated once per row: one format call per block, not
-    one per line or per field. Float fields are ``%.17g``, and ``%d`` prints
-    an integral float as an integer. Lines end in ``\r\n``, as
-    ``csv.writer``'s do.
+    ``rows(start, stop)`` returns the fields of lines ``start`` to ``stop`` as
+    one flat list, and a block is one ``%`` of ``line`` repeated once per
+    row: float fields are ``%.17g``, and ``%d`` prints an integral float as
+    an integer. Lines end in ``\\r\\n``, as ``csv.writer``'s do.
     """
     line += "\r\n"
     with Path(path).open("w", newline="") as handle:
@@ -224,32 +229,24 @@ def _write_csv(path: str | Path, head: str, line: str, n_rows: int, rows) -> Non
             handle.write(line * (stop - start) % tuple(rows(start, stop)))
 
 
-def _flat(*columns: np.ndarray) -> list:
-    """The rows of 2-D blocks side by side, as one flat list of Python floats."""
-    return np.hstack(columns).ravel().tolist()
-
-
 def write_volatility_csv(path: str | Path, run: np.recarray) -> None:
-    """Per-step posterior volatility of a filter run: vech of ``s_star`` plus correlations.
-
-    The correlation diagonal is the literal ``1`` in the line template: it is
-    what ``%.17g`` prints for the 1.0 that :func:`correlation_from_cov` sets.
-    """
+    """Per-step posterior volatility of a filter run: vech of ``s_star`` plus correlations."""
     if len(run) == 0:
         raise DimensionMismatch("no records to write")
     p = run.s_star.shape[-1]
-    off = np.tril_indices(p, -1)  # the off-diagonal of vech_lower's order
+    i, j = np.tril_indices(p, -1)  # the correlations off the diagonal, in vech order
 
     def rows(start, stop):
         block = run[start:stop]
-        corr = correlation_from_cov(block.s_star)
-        return _flat(block.t[:, None], vech_lower(block.s_star), corr[:, off[0], off[1]])
+        return np.hstack([block.t[:, None], vech_lower(block.s_star),
+                          correlation_from_cov(block.s_star)[:, i, j]]).ravel().tolist()
 
-    corr_fields = "".join(",1" if i == j else ",%.17g" for i in range(p) for j in range(i + 1))
+    # the diagonal is the literal 1: what %.17g prints for correlation_from_cov's 1.0
+    corr = "".join(",1" if c == r else ",%.17g" for r in range(p) for c in range(r + 1))
     head = ("# vech ordering: row-major lower triangle (i=0..p-1, j=0..i); "
             "corr diagonal is exactly 1\n"
             + _header(["t"] + _vech_labels("cov", p) + _vech_labels("corr", p)))
-    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1) // 2) + corr_fields, len(run), rows)
+    _write_csv(path, head, "%d" + ",%.17g" * (p * (p + 1) // 2) + corr, len(run), rows)
 
 
 def write_forecast_csv(path: str | Path, run: np.recarray) -> None:
@@ -260,7 +257,7 @@ def write_forecast_csv(path: str | Path, run: np.recarray) -> None:
 
     def rows(start, stop):
         block = run[start:stop]
-        return _flat(block.t[:, None], block.f, block.e, block.u)
+        return np.hstack([block.t[:, None], block.f, block.e, block.u]).ravel().tolist()
 
     head = _header(["t"] + [f"{name}_{j}" for name in ("forecast", "e", "u")
                             for j in range(p)])
@@ -287,8 +284,9 @@ def write_sim_truth_csv(path: str | Path, sigmas: np.ndarray, thetas: np.ndarray
     line = "%d" + ",%.17g" * (p * (p + 1) // 2)
 
     def rows(start, stop):
-        return _flat(np.arange(start + 1.0, stop + 1.0)[:, None],
-                     vech_lower(sigmas[start + 1:stop + 1]), thetas[start:stop])
+        return np.hstack([np.arange(start + 1.0, stop + 1.0)[:, None],
+                          vech_lower(sigmas[start + 1:stop + 1]),
+                          thetas[start:stop]]).ravel().tolist()
 
     head = ("# vech ordering: row-major lower triangle; "
             "sigma at t=0 is the prior seed matrix\n"

@@ -134,6 +134,14 @@ class TestLoadPricesCsv:
         with pytest.raises(ParseError, match=r"^line 3: expected 2 fields, got 1$"):
             load_prices_csv(f)
 
+    def test_blank_rows_are_skipped_and_counted(self, tmp_path):
+        f = tmp_path / "r.csv"
+        f.write_text("\na,b\n\n0.1,0.2\n , \t\n,\n0.3,0.4\n")
+        np.testing.assert_array_equal(load_prices_csv(f).values, [[0.1, 0.2], [0.3, 0.4]])
+        f.write_text("\na,b\n\n0.1,0.2\n , \t\n,\n0.3,x\n")
+        with pytest.raises(ParseError, match=r"^line 7: cannot parse 'x' in column 'b'$"):
+            load_prices_csv(f)
+
     def test_values_are_float_of_the_field(self, tmp_path):
         fields = [" 0.1", "0.1 ", "\t-2.5e-3\t", "+1.5", " +7", "1e-300", "-4.9E-324",
                   "+1.7976931348623157e+308", "3.14159265358979323846", "1_000.5",
