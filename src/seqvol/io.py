@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -115,12 +116,15 @@ def load_prices_csv(path: str | Path, *, levels: bool = False,
     if not columns:
         raise ParseError("no numeric columns found", header_line)
 
-    try:
-        raw = np.array([[float(f) for f in row[has_dates:]] for _, row in data_rows])
-    except ValueError:  # a field float() rejects, or rows of different lengths
+    fields = chain.from_iterable(row[has_dates:] for _, row in data_rows)
+    try:  # one float() per field, into the array: no list of float objects
+        raw = np.fromiter(map(float, fields), float, len(data_rows) * len(columns))
+    except ValueError:  # a field float() rejects, or too few fields
         raw = None
-    if raw is None or raw.shape[1:] != (len(columns),) or not np.isfinite(raw).all():
+    if (raw is None or any(len(row) != len(header) for _, row in data_rows)
+            or not np.isfinite(raw).all()):
         _raise_first_bad_line(data_rows, columns, has_dates)
+    raw = raw.reshape(len(data_rows), len(columns))
     times = [row[0].strip() for _, row in data_rows] if has_dates else None
 
     if levels:
