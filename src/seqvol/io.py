@@ -1,19 +1,16 @@
 """Data ingestion and machine-readable outputs for the batch pipeline.
 
-CSV inputs carry a header row and an optional leading date column
-(auto-detected by a non-numeric first field), and are read as UTF-8. Each
-field goes through one ``float()``, and the table's finiteness is checked
-once; only a failing file is read again, line by line, so that the error
-names the first bad line. Price levels are turned into log-returns; rows
-with gaps are rejected with their 1-based line number.
+CSV inputs are UTF-8, with a header row and an optional leading date column
+(auto-detected by a non-numeric first field). Each field goes through one
+``float()``; only a table that fails is walked line by line, so that the
+error names its first bad line (1-based). Price levels become log-returns.
 
 All floats are serialized with 17 significant digits, so identical runs
-produce byte-identical files and every double round-trips exactly. Every CSV
-table is written by one block writer: a block of up to ``_BLOCK`` rows is
-one ``%`` of the line template repeated once per row, over one flat list of
-the block's fields, so that what is left of a writer's cost is the
-``%.17g`` conversions. The correlation diagonal, always 1, is a literal in
-its template. The lower-triangle vech ordering of matrix columns
+produce byte-identical files and every double round-trips exactly. A block
+of up to ``_BLOCK`` CSV rows is one ``%`` of the line template repeated
+once per row, over the block's fields as one flat list, and the correlation
+diagonal is a literal ``1`` in its template: a writer costs about its
+``%.17g`` conversions. The lower-triangle vech ordering of matrix columns
 (:func:`vech_lower`) is row-major and documented in the file's leading
 comment line.
 """
