@@ -1,10 +1,10 @@
 """Command-line batch pipeline.
 
 Subcommands: ``filter``, ``simulate``, ``loglik``, ``search``, ``metrics``.
-Each reads a JSON config (keys: ``delta``, ``phi``, ``omega_diag`` or
-``omega_matrix``, ``m0``, ``p0``, ``s0``, ``q``, ``delta_candidates``,
-``seed``, ``modes``; :data:`CONFIG_KEYS`, where any other key is an error) and
-writes machine-readable outputs into ``--out``.
+Each reads a JSON config (keys: ``delta``, ``phi``, exactly one of
+``omega_diag`` and ``omega_matrix``, ``m0``, ``p0``, ``s0``, ``q``,
+``delta_candidates``, ``seed``, ``modes``; :data:`CONFIG_KEYS`, where any
+other key is an error) and writes machine-readable outputs into ``--out``.
 
 Every command runs a validation phase (config, data, seed, then creating
 ``--out``) and then its compute phase; :mod:`seqvol.io` writes every output
@@ -135,15 +135,15 @@ def load_model_config(raw: dict) -> ModelConfig:
     _known_keys(raw, CONFIG_KEYS)
     if "delta" not in raw or "phi" not in raw:
         raise DomainError("config must provide 'delta' and 'phi'")
+    if ("omega_diag" in raw) == ("omega_matrix" in raw):
+        raise DomainError("config must provide exactly one of 'omega_diag' and 'omega_matrix'")
     if "omega_diag" in raw:
         diag = np.asarray(raw["omega_diag"], dtype=float)
         if diag.ndim != 1 or not diag.size:
             raise DomainError(f"'omega_diag' must be a non-empty vector, got {diag.tolist()}")
         omega = np.diag(diag)
-    elif "omega_matrix" in raw:
-        omega = check_square(raw["omega_matrix"], "omega")
     else:
-        raise DomainError("config must provide 'omega_diag' or 'omega_matrix'")
+        omega = check_square(raw["omega_matrix"], "omega")
     p = omega.shape[0]
     m0 = raw.get("m0")
     if m0 is not None:

@@ -52,7 +52,6 @@ of its failure.
 
 from __future__ import annotations
 
-import mmap
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, cycle, islice
@@ -83,9 +82,6 @@ _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread thei
 # steps between checks of m in a run that stops at its first failure: a failed step
 # makes m non-finite, and the block ends at the check, not a block's worth of NaN later
 _CHECK = 16
-# a run array this big or bigger gets its own mapping (glibc's default mmap
-# threshold, before its dynamic rise moves such blocks into the heap)
-_MAP_BYTES = 128 * 1024
 
 
 def discount_k(delta: float, p: int) -> float:
@@ -563,12 +559,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     dtype = np.dtype([("t", np.int64), ("f", *vec), ("scale", *mat), ("e", *vec),
                       ("u", *vec), ("s_star", *mat), ("terms", float, (4,)),
                       ("loglik_t", float)])
-    # A long run is mapped on its own and unmapped when dropped. From the heap,
-    # where glibc puts it once a bigger block has been freed, a process that
-    # filters again and again leaves a run-sized hole that a small block
-    # allocated above it can pin, and its resident size jumps by a run.
-    nbytes = n * dtype.itemsize
-    run = np.recarray(n, dtype, buf=mmap.mmap(-1, nbytes) if nbytes >= _MAP_BYTES else None)
+    run = np.recarray(n, dtype)
     # fields are written through a plain view: np.recarray's attribute access and
     # slicing cost several microseconds a call, a share of an on-line step
     fields = run.view(np.ndarray)

@@ -68,6 +68,9 @@ class SearchSpec:
             raise DomainError("delta_candidates must be non-empty")
         for d in self.delta_candidates:
             discount_k(d, 1)  # checks d
+        for i, d in enumerate(self.delta_candidates):
+            if d in self.delta_candidates[:i]:
+                raise DomainError(f"delta_candidates repeat delta={d}")
         if self.max_sweeps < 1:
             raise DomainError("max_sweeps must be >= 1")
         if self.objective not in ("loglik", "msse_distance"):

@@ -1,7 +1,6 @@
 import dataclasses
 import gc
 import math
-import mmap
 import time
 import tracemalloc
 import weakref
@@ -18,7 +17,6 @@ from seqvol.errors import (
 import seqvol.filtering
 from seqvol.filtering import (
     _BLOCK,
-    _MAP_BYTES,
     FilterState,
     ModelConfig,
     _recursion,
@@ -794,14 +792,13 @@ class TestFilterRun:
             np.testing.assert_array_equal(getattr(state, field.name),
                                           getattr(filter_init(config2), field.name))
 
-    def test_long_run_has_its_own_mapping(self, config2):
-        # a run of _MAP_BYTES or more is held outside the heap, with the same
-        # bits, and its rows and columns keep the mapping after the run goes
-        n = _MAP_BYTES // filter_run(np.zeros((1, 2)), config2)[0].itemsize + 1
+    def test_long_run_keeps_its_values(self, config2):
+        # a run of many blocks starts with the bits of a short run, and its
+        # rows and columns keep their values after the run goes
+        n = 4 * _BLOCK + 1
         ys = 0.3 * np.random.default_rng(6).standard_normal((n, 2))
         run, _ = filter_run(ys, config2)
         short, _ = filter_run(ys[:10], config2)
-        assert isinstance(run.base, mmap.mmap) and not isinstance(short.base, mmap.mmap)
         assert run[:10].tobytes() == short.tobytes()
         row, s_star, expected = run[-1], run.s_star, run.s_star.copy()
         del run

@@ -830,16 +830,36 @@ def test_omega_diag_not_a_vector_exits_2(command, diag, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_both_omega_keys_exit_2_before_out_dir(command, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0, 2.0],
+                               "omega_matrix": [[1.0, 0.5], [0.5, 1.0]]}))
+    data = tmp_path / "d.csv"
+    data.write_text("a,b\n" + "0.01,0.02\n-0.01,0.01\n" * 10)
+    res = _invoke(command, cfg, data, tmp_path / "out")
+    assert res.exit_code == 2, res.output
+    assert ("error: config must provide exactly one of 'omega_diag' and 'omega_matrix'"
+            in res.output)
+    assert "Traceback" not in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_search_settings_exit_2_before_out_dir(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("a\n0.01\n-0.01\n0.02\n")
-    # q above the bound would stack millions of candidates (q = 6) or more
-    for q, message in [(0, "must be >= 1"), (6, "must be <= 3"), (10 ** 30, "must be <= 3")]:
+    # q above the bound would stack millions of candidates (q = 6) or more, and
+    # a repeated delta would run its search twice
+    for change, message in [({"q": 0}, "grid resolution q=0 must be >= 1"),
+                            ({"q": 6}, "grid resolution q=6 must be <= 3"),
+                            ({"q": 10 ** 30}, f"grid resolution q={10 ** 30} must be <= 3"),
+                            ({"delta_candidates": [0.9, 0.9]},
+                             "delta_candidates repeat delta=0.9")]:
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], "q": q}))
+        cfg.write_text(json.dumps({"delta": 0.8, "phi": 1.0, "omega_diag": [1.0], **change}))
         res = _invoke("search", cfg, data, tmp_path / "out")
-        assert res.exit_code == 2, (q, res.output)
-        assert f"error: grid resolution q={q} {message}" in res.output
+        assert res.exit_code == 2, (change, res.output)
+        assert f"error: {message}" in res.output
         assert "Traceback" not in res.output
         assert not (tmp_path / "out").exists()
 

@@ -94,6 +94,14 @@ class TestSearchSpec:
         with pytest.raises(DomainError):
             SearchSpec(delta_candidates=())
 
+    def test_repeated_delta_is_rejected(self):
+        # a repeated candidate would run its search twice and trace it twice
+        with pytest.raises(DomainError, match=r"delta_candidates repeat delta=0\.8$"):
+            SearchSpec(delta_candidates=(0.8, 0.9, 0.8))
+        # an inadmissible value is named first, wherever the repeat is
+        with pytest.raises(DomainError, match="delta=0.5 violates"):
+            SearchSpec(delta_candidates=(0.9, 0.9, 0.5))
+
 
 class TestFastpathEquivalence:
     @pytest.mark.parametrize("objective", ["loglik", "msse_distance"])
