@@ -36,26 +36,27 @@ At ``p = 2`` the step loop runs :func:`_step2`, the whole step in closed
 form on the lower triangles of its 2 x 2 matrices with no spectrum (square
 roots ``(S + d I) / tau``, :func:`_root2`), over Python floats for one
 candidate and over ``(B,)`` arrays for a stack (``linalg``'s two
-evaluators, with the same bits); each block takes ``S``'s and ``S^*``'s
-spectra in one stacked call. At ``p >= 3`` it runs the matrix step. A
-kernel gives only its step and its row layout (a block's rows as seven
-columns, end values as a row); the block body on those columns (flags,
-restarts, ``f``, ``e``, ``u``, terms, end state) is written once. At
-``p = 2`` the block's terms run in closed form too
-(:func:`seqvol.likelihood.terms_from_spectra`, which reads the block's
-``S_t^*`` spectra, ``e`` and ``Q^{-1}``'s lower triangle), with no 2 x 2
-matrix product. For :func:`_filter`, which raises at the first failed
-block, a block checks ``m`` every ``_CHECK`` steps and ends at the first
-check that finds it non-finite, so a failed run raises within a few steps
-of its failure.
+evaluators, with the same bits). A block's edges convert nothing per step:
+one candidate's rows become one ``np.fromiter`` array, each ``P_t`` takes
+the step's form when built, and ``S``'s and ``S^*``'s spectra come from one
+stacked call. At ``p >= 3`` it runs the matrix step. A kernel gives only
+its step and its row layout (a block's rows as seven columns, end values as
+a row); the block body on those columns (flags, restarts, ``f``, ``e``,
+``u``, terms, end state) is written once. At ``p = 2`` the block's terms
+run in closed form too (:func:`seqvol.likelihood.terms_from_spectra`, which
+reads the block's ``S_t^*`` spectra, ``e`` and ``Q^{-1}``'s lower
+triangle), with no 2 x 2 matrix product. For :func:`_filter`, which raises
+at the first failed block, a block checks ``m`` every ``_CHECK`` steps and
+ends at the first check that finds it non-finite, so a failed run raises
+within a few steps of its failure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from itertools import chain, cycle, islice
-from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -335,7 +336,7 @@ def _estimate2(a, b, c, const, ops):
     return (f * xa + ya) / den, (f * xb + yb) / den, (f * xc + yc) / den
 
 
-def _step2(row, y, p_mat, const, fscale, ops):
+def _step2(const, fscale, ops, row, y, p_mat):
     """The filter step at ``p = 2`` in closed form: the next row, ``(m, S, S^*)`` flat.
 
     Forecast error, ``S_t = S_{t-1}/k + e e'`` and :func:`_estimate2` on lower
@@ -372,12 +373,13 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
     step loop runs only what the next step needs: ``S_t``, ``S_t^*``, the
     gain and ``m_t``, and at ``p >= 3`` the spectra that the matrix step
     roots. ``P_t`` comes from one generator per run: built per block until
-    periodic, then cached (see the module docstring). Each kernel
-    (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``) gives its
-    start row and step, ``inputs`` (how ``y_t`` and ``P_t`` enter),
-    ``columns_of`` (a block's rows as seven C-order ``(T + 1, B, ...)``
-    columns: ``m``, ``S`` and its spectrum ``(w, V)``, ``S^*`` and its) and
-    ``row_of`` (end values as a row). Each block
+    periodic, then cached (see the module docstring), each put in the step's
+    form once (``p_form``). Each kernel (:func:`_step2` at ``p = 2``, the
+    matrix step at ``p >= 3``) gives its start row, step and ``p_form``,
+    ``inputs`` (how ``y_t`` and ``P_t`` enter), ``finite`` (the ``_CHECK``
+    test of a row's ``m``), ``columns_of`` (a block's rows as seven C-order
+    ``(T + 1, B, ...)`` columns: ``m``, ``S`` and its spectrum ``(w, V)``,
+    ``S^*`` and its) and ``row_of`` (end values as a row). Each block
     stacks ``f``, ``e``, ``s_star``, ``s_prev``, ``failed`` and the end state;
     of ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`),
     the two that cost work, only those ``reads`` names, the other ``None``.
@@ -414,14 +416,19 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
         ma, mb, a, _, b, c = split(np.hstack([m0, s0.reshape(nb, 4)]).T)
         sa, sb, sc = _estimate2(a, b, c, const, ops)
         initial = (ma, mb, a, b, b, c, sa, sb, sb, sc)
-        step = partial(_step2, const=const, fscale=fscale, ops=ops)
-        m_of = itemgetter(0, 1)  # a row's m
+        step = partial(_step2, const, fscale, ops)
+        finite = ((lambda row: math.isfinite(row[0]) and math.isfinite(row[1])) if nb == 1
+                  else lambda row: np.isfinite(row[:2]).all())  # is a row's m finite
 
-        def inputs(block, p_mats):
-            return zip(block.tolist(), split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1)))
+        def p_form(p_mats):  # each step's P_t as the step reads it: its four entries
+            return split(np.reshape(p_mats, (-1, nb, 4)).transpose(0, 2, 1))
+
+        def inputs(block, p_ins):
+            return zip(block.tolist(), p_ins)
 
         def columns_of(rows):  # the seven columns, C order (for the products' bits)
-            x = np.array(rows).reshape(len(rows), 10, nb)
+            x = (np.fromiter(chain.from_iterable(rows), float) if nb == 1
+                 else np.array(rows)).reshape(len(rows), 10, nb)
             rows.clear()  # frees the flat rows before the fields' copies
             m = x[:, :2].transpose(0, 2, 1).copy()
             pair = x[:, 2:].reshape(-1, 2, 2, 2, nb).transpose(1, 0, 4, 2, 3).copy()  # S, S^*
@@ -440,7 +447,10 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
         ws0, vs0 = stacked_eigh(s0)
         s_star0 = estimate(s0, ws0, vs0)
         initial = (m0, s0, ws0, vs0, s_star0, *stacked_eigh(s_star0))
-        inputs, row_of, m_of = zip, tuple, itemgetter(0)
+        inputs, row_of, p_form = zip, tuple, np.asarray
+
+        def finite(row):
+            return np.isfinite(row[0]).all()
 
         def step(row, y, p_mat):
             m, s = row[:2]
@@ -471,7 +481,7 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             r = phi2 * lams[-1] + setup.w
             lams = [*lams[-2:], r / (r + 1.0)]
             if len(lams) == 3 and lams[2].tobytes() == lams[0].tobytes():
-                yield from cycle(list(zip(lams[:0:-1], p_matrices(lams[:0:-1]))))
+                yield from cycle(list(zip(lams[:0:-1], p_form(p_matrices(lams[:0:-1])))))
             yield lams[-1], None
 
     def blocks():
@@ -481,15 +491,15 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
         while lo < len(ys):
             block = ys[lo:lo + size]
             items = list(islice(path, len(block)))  # (eigenvalues, P_t or None) per step
-            p_mats = [p for _, p in items]
-            if p_mats[0] is None:  # not yet periodic: the block's P_t in one stacked product
-                p_mats = p_matrices([lam for lam, _ in items])
-            rows, steps = [row], inputs(block, p_mats)
+            p_ins = [p for _, p in items]
+            if p_ins[0] is None:  # not yet periodic: the block's P_t in one stacked product
+                p_ins = p_form(p_matrices([lam for lam, _ in items]))
+            rows, steps = [row], inputs(block, p_ins)
             for _ in range(0, len(block), chunk):
                 for y, p_in in islice(steps, chunk):
                     row = step(row, y, p_in)
                     rows.append(row)
-                if stop_at_failure and not np.isfinite(m_of(row)).all():
+                if stop_at_failure and not finite(row):
                     break
             if len(rows) <= len(block):  # ended early: the rest of it starts the next block
                 path = chain(items[len(rows) - 1:], path)

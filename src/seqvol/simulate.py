@@ -9,16 +9,18 @@ singular-beta shocks (Uhlig 1997). With ``B_t = L_t L_t'``, the matrix
 is the next factor exactly: ``U_t = sqrt(k) L_t' U_{t-1}``. The simulator
 carries the precision as this product of triangular factors (Benettin et
 al. 1980): all ``B_t`` are drawn and factored as one stack, the step loop
-holds one triangular product, and ``Sigma_t = U_t^{-1} U_t^{-T}`` with its
+holds one triangular product (at ``p = 2`` one formula over Python floats
+on ``U_t``'s three entries), and ``Sigma_t = U_t^{-1} U_t^{-T}`` with its
 symmetric root comes from stacked decompositions after the loop. A path
 makes the same number of decompositions whatever its length.
 
 The signal follows an AR(1) with innovation ``Sigma_t^{1/2} Omega^{1/2} z_t``
 and the observation adds ``Sigma_t^{1/2} eps_t``, with ``z_t`` and ``eps_t``
-standard normal. The innovation has the model's covariance
-``Sigma_t^{1/2} Omega Sigma_t^{1/2}`` without forming its square root
-(equality is in distribution, not of the matrix factors). A path draws all
-``B_t`` first, then all ``z_t``, then all ``eps_t``.
+standard normal; at ``p = 2`` its loop runs over Python floats, with numpy's
+bits. The innovation has the model's covariance ``Sigma_t^{1/2} Omega
+Sigma_t^{1/2}`` without forming its square root (equality is in
+distribution, not of the matrix factors). A path draws all ``B_t`` first,
+then all ``z_t``, then all ``eps_t``.
 
 For ``p >= 2`` the condition number of ``Sigma_t`` grows geometrically, so
 long paths at small ``delta`` leave double precision. The simulator raises
@@ -84,11 +86,18 @@ def _evolve(gen: np.random.Generator, sigma0: np.ndarray, config: ModelConfig,
     params = SingularBetaParams(m=config.beta_m, n_int=1, p=config.p)
     lows = chol_lower(sample_singular_beta(gen, params, size=n_steps))
     lows *= math.sqrt(config.k)
-    us = np.empty_like(lows)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = chol_upper(spd_inverse(sigma0))
-        for t in range(n_steps):
-            u = np.matmul(lows[t].T, u, out=us[t])
+        if config.p == 2:  # the same product over floats, on U_t's entries (a, b, c)
+            (a, b, c), entries = u[(0, 0, 1), (0, 1, 1)].tolist(), []
+            for l00, l10, l11 in lows[:, (0, 1, 1), (0, 0, 1)].tolist():
+                a, b, c = l00 * a, l00 * b + l10 * c, l11 * c
+                entries += (a, b, 0.0, c)
+            us = np.array(entries).reshape(lows.shape)
+        else:
+            us = np.empty_like(lows)
+            for t in range(n_steps):
+                u = np.matmul(lows[t].T, u, out=us[t])
         diag = np.diagonal(us, axis1=-2, axis2=-1)
         sound = np.isfinite(us).all(axis=(-2, -1)) & (diag > 0.0).all(axis=-1)
         n_ok = n_steps if sound.all() else int(np.argmin(sound))
@@ -132,6 +141,8 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
     case lives in the simulator only. Raises :class:`FilterNumericalError`
     with the step index when the path leaves double precision.
     """
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
+        raise DomainError(f"n_steps={n_steps!r} must be an integer")
     if n_steps < 1:
         raise DomainError(f"n_steps={n_steps} must be at least 1")
     seed = rng if isinstance(rng, (int, np.integer)) else None
@@ -157,7 +168,14 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
     draws = np.stack([gen.standard_normal((n_steps, p)) @ omega_sqrt,
                       gen.standard_normal((n_steps, p))], axis=-1)
     shocks = spectral(v, np.sqrt(w)) @ draws
-    thetas = np.empty((n_steps, p))
-    for t in range(n_steps):
-        theta = thetas[t] = config.phi * theta + shocks[t, :, 0]
+    if p == 2:  # the same recursion over floats
+        phi, (x0, x1), entries = float(config.phi), theta.tolist(), []
+        for s0, s1 in shocks[:, :, 0].tolist():
+            x0, x1 = phi * x0 + s0, phi * x1 + s1
+            entries += (x0, x1)
+        thetas = np.array(entries).reshape(n_steps, 2)
+    else:
+        thetas = np.empty((n_steps, p))
+        for t in range(n_steps):
+            theta = thetas[t] = config.phi * theta + shocks[t, :, 0]
     return SimPath(ys=thetas + shocks[..., 1], thetas=thetas, sigmas=sigmas, seed=seed)

@@ -709,7 +709,7 @@ class TestClosedFormStep:
         conds = []
         for m, s_prev, y, p_mat in self.one_step_states(150):
             row = [*m, s_prev[0, 0], s_prev[1, 0], s_prev[1, 0], s_prev[1, 1]] + [0.0] * 4
-            out = _step2(row, y.tolist(), p_mat.ravel().tolist(), const, 1.0, _FLOAT_OPS)
+            out = _step2(const, 1.0, _FLOAT_OPS, row, y.tolist(), p_mat.ravel().tolist())
             s_star_ref, m_ref, cond_s, cond, size = self.extended_step(m, s_prev, y, p_mat,
                                                                        setup)
             bound = c_bound * np.finfo(float).eps * max(cond, np.sqrt(cond_s))
@@ -732,11 +732,11 @@ class TestClosedFormStep:
         grid[10:12, :11] = 0.0
         rows, y, p_mat = grid[:10], grid[10:12], grid[12:]
         with np.errstate(all="ignore"):
-            stacked = _step2(tuple(rows), tuple(y), tuple(p_mat), tuple(const), 0.95, _ARRAY_OPS)
+            stacked = _step2(tuple(const), 0.95, _ARRAY_OPS, tuple(rows), tuple(y), tuple(p_mat))
         stacked = np.array(stacked)
         for i in range(grid.shape[1]):
-            one = np.array(_step2(rows[:, i].tolist(), y[:, i].tolist(), p_mat[:, i].tolist(),
-                                  const[:, i].tolist(), 0.95, _FLOAT_OPS))
+            one = np.array(_step2(const[:, i].tolist(), 0.95, _FLOAT_OPS, rows[:, i].tolist(),
+                                  y[:, i].tolist(), p_mat[:, i].tolist()))
             nan = np.isnan(stacked[:, i])
             assert np.array_equal(np.isnan(one), nan), i
             assert one[~nan].tobytes() == stacked[~nan, i].tobytes(), i

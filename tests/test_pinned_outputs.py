@@ -6,17 +6,23 @@ in ``PINNED``; each case of ``ARRAY_CASES`` hashes the bytes of arrays a
 library call returns (the search's stacked evaluator and an on-line
 ``filter_step`` chain, each at ``p = 3`` and at ``p = 2``, where the step runs
 in closed form; :func:`~seqvol.likelihood.loglik_path` on a simulated truth,
-at ``p = 3`` and at ``p = 2``)
-and compares with ``PINNED_ARRAYS``. A change that should
-move no output bit keeps every digest; one that moves a bit on purpose
-regenerates them, and says why. The one way to regenerate them is to run
-this file as a script, ``python tests/test_pinned_outputs.py``, which prints
-the current digests in the form of ``PINNED`` and ``PINNED_ARRAYS``.
+at ``p = 3`` and at ``p = 2``) and compares with ``PINNED_ARRAYS``. At
+``p = 2`` the simulator's two step loops, the factor chain and the signal,
+run over Python floats; ``simulate_p2`` and ``loglik_path_truth_p2`` pin
+their bits. A change that should move no output bit keeps every digest; one
+that moves a bit on purpose regenerates them, and says why. The one way to
+regenerate them is to run this file as a script, ``python
+tests/test_pinned_outputs.py``, which prints the current digests in the
+form of ``PINNED`` and ``PINNED_ARRAYS``.
 
-The digests hold for one floating-point environment: a different numpy or
-BLAS may round differently, so a failure names both.
+The digests hold for one floating-point environment: a different numpy, a
+different BLAS build, or another OpenBLAS kernel core may round differently,
+so a failure names all three. OpenBLAS picks its core for the CPU at run
+time (``OPENBLAS_CORETYPE`` overrides it), so the same build can give other
+digests on another machine.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -79,9 +85,9 @@ PINNED = {
     },
     'simulate_p2': {
         'returns.csv':
-            'd38c53aa6feb71f9318bd1d399860346caa458619570d4b978587cdcb23f39a2',
+            '24d0700d5f71071af3f162fa0f36ae782d1e69a594d9a34e4007660c164722f3',
         'sim_truth.csv':
-            '03584cd6a9a0cc1187a62a97112db15797751c07ca94f88b8b210bd5138e05d1',
+            '0e53270c7c489ad56563929de949a69ff6cc993024da6d57d8db58afc6a49504',
     },
     'search_p2': {
         'search_trace.csv':
@@ -103,7 +109,7 @@ PINNED_ARRAYS = {
     'loglik_path_truth_p3':
         'a4b6d6a12e42dadd0504e7ae6890664484f86481a5b51d96ab82e0b486abe641',
     'loglik_path_truth_p2':
-        '1e9af0fd975a6afd150f748737e8f6607243343dfd0d8529ebcd864b0baff1c4',
+        'c0b557bf5efc31c476980dc594b8616ae4d0fdd898909204989f5eeb6544e03b',
 }
 
 
@@ -259,13 +265,38 @@ def array_digest(case):
     return digest.hexdigest()
 
 
+def _openblas_core():
+    """The kernel core OpenBLAS chose at run time for this CPU, read from the loaded library.
+
+    ``OPENBLAS_CORETYPE`` overrides the choice. None when no loaded OpenBLAS
+    reports one.
+    """
+    try:
+        with open("/proc/self/maps") as handle:
+            libs = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(dll, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode()
+    return None
+
+
 def _environment():
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = blas.get("openblas configuration") or f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.25 only prints its config
         blas = "unknown"
-    return f"numpy {np.__version__}, BLAS {blas}"
+    return f"numpy {np.__version__}, BLAS {blas}, OpenBLAS core {_openblas_core()}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

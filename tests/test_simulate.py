@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from seqvol.gwishart import (
     sample_singular_beta,
     sample_wishart_scaled,
 )
-from seqvol.linalg import chol_upper, positive_eigenvalues, spd_inverse, sym, sym_sqrt
+from seqvol.linalg import (DEFAULT_REL_TOL, chol_upper, positive_eigenvalues, spd_inverse,
+                           spectral, sym, sym_sqrt)
 from seqvol.simulate import SimPath, _evolve, evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -146,6 +149,13 @@ class TestSimulatePath:
     def test_rejects_bad_args(self, config2):
         with pytest.raises(DomainError):
             simulate_path(1, config2, n_steps=0)
+        for n_steps in (2.5, True, "3", 3.0, np.float64(3.0), None):
+            # rejected before any draw: the generator is not advanced
+            gen = np.random.default_rng(4)
+            with pytest.raises(DomainError, match=re.escape(f"n_steps={n_steps!r} must be an")):
+                simulate_path(gen, config2, n_steps=n_steps)
+            assert gen.random() == np.random.default_rng(4).random()
+        assert simulate_path(1, config2, n_steps=np.int64(3)).ys.shape == (3, 2)
         with pytest.raises(DomainError):
             SimPath(ys=np.zeros((3, 2)), thetas=np.zeros((2, 2)),
                     sigmas=[np.eye(2)] * 4, seed=None)
@@ -225,6 +235,64 @@ class TestFactoredEvolution:
         bs = sample_singular_beta(np.random.default_rng(seed), params, size=n_steps)
         for t, (got, ref) in enumerate(zip(path.sigmas, _dense_sigmas(np.eye(p), bs, config.k))):
             assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)), t
+
+    @pytest.mark.parametrize("delta", [0.99, 0.7])
+    def test_p2_factor_chain_against_exact_arithmetic(self, delta, monkeypatch):
+        # U_t = L_t' U_{t-1} over floats, against Fraction arithmetic on the
+        # same float64 L_t. Each step rounds a diagonal entry once and the
+        # off-diagonal l00 b + l10 c at most twice, so after t steps every
+        # entry errs by at most gamma_{2t} = 2tu / (1 - 2tu), u = 2^-53, of
+        # the same chain on |L_t'| and |U_0| (Higham 2002, sections 3.1 and 3.5);
+        # that bound, not a tolerance, was fixed before the first run
+        n_steps, seed = 300, 17
+        config = ModelConfig(delta=delta, phi=1.0, omega=np.eye(2))
+        factors = []
+
+        def inv(a, _inv=np.linalg.inv):  # _evolve inverts the stack of U_t
+            factors.append(a.copy())
+            return _inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        try:
+            _evolve(np.random.default_rng(seed), np.eye(2), config, n_steps)
+        except FilterNumericalError:  # Sigma_t may leave float64 at delta = 0.7
+            pass
+        us = factors[-1]
+        assert us.shape == (n_steps, 2, 2) and not us[:, 1, 0].any()
+        params = SingularBetaParams(m=config.beta_m, n_int=1, p=2)
+        lows = np.linalg.cholesky(
+            sample_singular_beta(np.random.default_rng(seed), params, size=n_steps))
+        lows *= math.sqrt(config.k)
+        u = Fraction(1, 2 ** 53)
+        exact = bound = [Fraction(1), Fraction(0), Fraction(1)]  # U_0 = I, exactly
+        for t, (low, got) in enumerate(zip(lows.tolist(), us), start=1):
+            (l00, _), (l10, l11) = (map(Fraction, row) for row in low)
+            a, b, c = exact
+            exact = [l00 * a, l00 * b + l10 * c, l11 * c]
+            a, b, c = bound
+            bound = [abs(l00) * a, abs(l00) * b + abs(l10) * c, abs(l11) * c]
+            gamma = 2 * t * u / (1 - 2 * t * u)
+            for x, ref, size in zip(got[(0, 0, 1), (0, 1, 1)].tolist(), exact, bound):
+                assert abs(Fraction(x) - ref) <= gamma * size, t
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, 1.0])
+    def test_p2_signal_is_numpys_recursion_bit_for_bit(self, phi):
+        # the path's own shocks, replayed in its draw order (all B_t, then
+        # z_t, then eps_t), through numpy's phi * theta + s
+        config = ModelConfig(delta=0.95, phi=phi, omega=np.array([[0.5, 0.1], [0.1, 1.2]]))
+        theta0, n_steps = np.array([0.3, -1.1]), 400
+        path = simulate_path(23, config, theta0=theta0, n_steps=n_steps)
+        gen = np.random.default_rng(23)
+        _, w, v = _evolve(gen, np.eye(2), config, n_steps)
+        omega_sqrt = sym_sqrt(config.omega, DEFAULT_REL_TOL)
+        draws = np.stack([gen.standard_normal((n_steps, 2)) @ omega_sqrt,
+                          gen.standard_normal((n_steps, 2))], axis=-1)
+        shocks = spectral(v, np.sqrt(w)) @ draws
+        theta = theta0
+        for t in range(n_steps):
+            theta = phi * theta + shocks[t, :, 0]
+            assert path.thetas[t].tobytes() == theta.tobytes(), t
+        assert path.ys.tobytes() == (path.thetas + shocks[..., 1]).tobytes()
 
     def test_decompositions_do_not_grow_with_the_path(self, config2, monkeypatch):
         calls = {"n": 0}
