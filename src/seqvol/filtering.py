@@ -45,10 +45,11 @@ a row); the block body on those columns (flags, restarts, ``f``, ``e``,
 ``u``, terms, end state) is written once. At ``p = 2`` the block's terms
 run in closed form too (:func:`seqvol.likelihood.terms_from_spectra`, which
 reads the block's ``S_t^*`` spectra, ``e`` and ``Q^{-1}``'s lower
-triangle), with no 2 x 2 matrix product. For :func:`_filter`, which raises
-at the first failed block, a block checks ``m`` every ``_CHECK`` steps and
-ends at the first check that finds it non-finite, so a failed run raises
-within a few steps of its failure.
+triangle), with no 2 x 2 matrix product. Every run, solo or stacked,
+checks ``m`` every ``_CHECK`` steps within a block (a stack of 16 or more
+has no longer blocks) and ends the block at the first check that finds a
+candidate's ``m`` non-finite: a failed run raises, or a failed candidate
+restarts, a few steps after its ``m`` fails.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ STANDARDIZATION_MODES = ("forecast_cov", "posterior_st")
 # block's kernels over many steps, and bounds the memory of the block's arrays
 _BLOCK = 256
 _MIN_STEPS = 8  # fewest steps per block: a big stack's blocks still spread their cost
-# steps between checks of m in a run that stops at its first failure: a failed step
-# makes m non-finite, and the block ends at the check, not a block's worth of NaN later
+# steps between checks of m in every run: a failed step makes m non-finite, and the
+# block ends at the check, not a block's worth of NaN later
 _CHECK = 16
 
 
@@ -357,32 +358,30 @@ def _step2(const, fscale, ops, row, y, p_mat):
     return m0 + (ma * g0 + mb * g1), m1 + (mb * g0 + mc * g1), a, b, b, c, sa, sb, sb, sc
 
 
-def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
-               stop_at_failure: bool = False) -> Iterator[_Block]:
+def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str]) -> Iterator[_Block]:
     """The filter recursion for the ``B`` candidates of ``setup``, in lockstep.
 
     Every candidate starts from ``start``, its ``p_eigs`` read in the
     candidate's basis ``setup.v[b]`` (``P_0 = p0 I`` is the same in every
     basis). Checks the series (a non-finite observation raises
     :class:`DomainError` naming its step) and returns an iterator of blocks
-    (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each. A
-    caller that stops at the first failed block (``stop_at_failure``, as
-    :func:`_filter`) gets a block that ends at the first of every ``_CHECK``
-    steps whose ``m`` is not finite, not a block's worth of NaN steps later;
-    were it not to stop, the next block would start after it. The
-    step loop runs only what the next step needs: ``S_t``, ``S_t^*``, the
-    gain and ``m_t``, and at ``p >= 3`` the spectra that the matrix step
-    roots. ``P_t`` comes from one generator per run: built per block until
-    periodic, then cached (see the module docstring), each put in the step's
-    form once (``p_form``). Each kernel (:func:`_step2` at ``p = 2``, the
-    matrix step at ``p >= 3``) gives its start row, step and ``p_form``,
-    ``inputs`` (how ``y_t`` and ``P_t`` enter), ``finite`` (the ``_CHECK``
-    test of a row's ``m``), ``columns_of`` (a block's rows as seven C-order
-    ``(T + 1, B, ...)`` columns: ``m``, ``S`` and its spectrum ``(w, V)``,
-    ``S^*`` and its) and ``row_of`` (end values as a row). Each block
-    stacks ``f``, ``e``, ``s_star``, ``s_prev``, ``failed`` and the end state;
-    of ``u_t`` and the terms (:func:`seqvol.likelihood.terms_from_spectra`),
-    the two that cost work, only those ``reads`` names, the other ``None``.
+    (:class:`_Block`) of ``max(_MIN_STEPS, _BLOCK // B)`` steps each, or
+    fewer: a block ends at the first of every ``_CHECK`` steps at which a
+    candidate's ``m`` is not finite, not a block's worth of NaN steps later,
+    and the next block starts after it. The step loop runs only what the
+    next step needs: ``S_t``, ``S_t^*``, the gain and ``m_t``, and at ``p >=
+    3`` the spectra that the matrix step roots. ``P_t`` comes from one
+    generator per run: built per block until periodic, then cached (see the
+    module docstring), each put in the step's form once (``p_form``). Each
+    kernel (:func:`_step2` at ``p = 2``, the matrix step at ``p >= 3``)
+    gives its start row, step and ``p_form``, ``inputs`` (how ``y_t`` and
+    ``P_t`` enter), ``finite`` (the ``_CHECK`` test of a row's ``m``),
+    ``columns_of`` (a block's rows as seven C-order ``(T + 1, B, ...)``
+    columns: ``m``, ``S`` and its spectrum ``(w, V)``, ``S^*`` and its) and
+    ``row_of`` (end values as a row). Each block stacks ``f``, ``e``,
+    ``s_star``, ``s_prev``, ``failed`` and the end state; of ``u_t`` and the
+    terms (:func:`seqvol.likelihood.terms_from_spectra`), the two that cost
+    work, only those ``reads`` names, the other ``None``.
 
     A candidate's values depend neither on the rest of its stack nor on the
     block size, bit for bit. Callers silence floating-point warnings. Each
@@ -403,7 +402,6 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
     fscale = 1.0 if setup.forecast_mean_mode == "plain" else phi  # f_t = fscale m_{t-1}
     vt_omega = setup.v.swapaxes(-1, -2)
     size = max(_MIN_STEPS, _BLOCK // nb)  # steps per block
-    chunk = _CHECK if stop_at_failure else size  # steps between checks of m
     # rows of steps whose S spectrum whitens e_t into u_t: S_{t-1} or S_t
     whiten = slice(0, -1) if setup.standardization_mode == "forecast_cov" else slice(1, None)
     m0, s0, p_eigs0 = (np.broadcast_to(x, (nb,) + x.shape)
@@ -495,11 +493,11 @@ def _recursion(ys, setup: _Setup, start: FilterState, reads: set[str], *,
             if p_ins[0] is None:  # not yet periodic: the block's P_t in one stacked product
                 p_ins = p_form(p_matrices([lam for lam, _ in items]))
             rows, steps = [row], inputs(block, p_ins)
-            for _ in range(0, len(block), chunk):
-                for y, p_in in islice(steps, chunk):
+            for _ in range(0, len(block), _CHECK):
+                for y, p_in in islice(steps, _CHECK):
                     row = step(row, y, p_in)
                     rows.append(row)
-                if stop_at_failure and not finite(row):
+                if len(rows) > len(block) or not finite(row):  # done, or m has failed
                     break
             if len(rows) <= len(block):  # ended early: the rest of it starts the next block
                 path = chain(items[len(rows) - 1:], path)
@@ -576,8 +574,7 @@ def _filter(ys, config: ModelConfig, state: FilterState, compute_loglik: bool
     fields["t"] = np.arange(t + 1, t + n + 1)
     fields["terms"] = fields["loglik_t"] = np.nan
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        blocks = _recursion(ys, setup, state, {"u", "terms"} if compute_loglik else {"u"},
-                            stop_at_failure=True)
+        blocks = _recursion(ys, setup, state, {"u", "terms"} if compute_loglik else {"u"})
         done = 0  # steps copied
         for block in blocks:
             if block.failed[-1, 0]:

@@ -4,7 +4,10 @@ Everything here is a pure function of its arguments. Matrices are plain
 ``numpy`` arrays; symmetry and positive definiteness are checked where the
 contract demands it, using relative tolerances so that round-off on
 well-conditioned input never trips an error meant for genuine model
-violations.
+violations. Each rule has one fixed tolerance: symmetry ``1e-12``
+(:func:`check_symmetric`), input definiteness ``1e-10`` (:func:`check_spd`,
+:func:`psd_sqrt`), run-time definiteness ``p * eps`` (the default of
+:func:`positive_spectrum`, the one definiteness rule) and rank ``1e-8``.
 
 Conventions fixed across the package:
 
@@ -56,28 +59,23 @@ def check_square(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def check_symmetric(m: np.ndarray, rel_tol: float = SYMMETRY_REL_TOL,
-                    name: str = "matrix") -> np.ndarray:
+def check_symmetric(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = check_square(m, name)
     if not np.isfinite(m).all():
         raise NotPositiveDefinite(f"{name} has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(m))))
-    if np.max(np.abs(m - m.T)) > rel_tol * scale:
-        raise NotPositiveDefinite(f"{name} is not symmetric within {rel_tol:g}")
+    if np.max(np.abs(m - m.T)) > SYMMETRY_REL_TOL * scale:
+        raise NotPositiveDefinite(f"{name} is not symmetric within {SYMMETRY_REL_TOL:g}")
     return sym(m)
 
 
-def check_spd(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL,
-              name: str = "matrix") -> np.ndarray:
+def check_spd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Validate a symmetric positive definite matrix from untrusted input."""
     if not check_square(m, name).size:
         raise DimensionMismatch(f"{name} is empty")
     m = check_symmetric(m, name=name)
     eigvals = stacked_eigh(m, values_only=True)
-    if not np.isfinite(eigvals).all():
-        raise NotPositiveDefinite(f"{name} has non-finite entries")
-    scale = float(np.max(np.abs(eigvals)))
-    if scale == 0.0 or eigvals[0] <= rel_tol * scale:
+    if not positive_spectrum(eigvals, DEFAULT_REL_TOL):  # which rejects a NaN spectrum too
         raise NotPositiveDefinite(
             f"{name} is not positive definite (min eigenvalue {eigvals[0]:.3e})"
         )
@@ -166,19 +164,18 @@ def stacked_eigh(m: np.ndarray, values_only: bool = False):
     return _umath_linalg.eigh_lo(m, signature="d->dd")
 
 
-def spd_eigh(m: np.ndarray, rel_tol: float | None = None
-             ) -> tuple[np.ndarray, np.ndarray]:
+def spd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition ``(w, V)`` of an SPD matrix, ascending ``w``.
 
     Raises :class:`NotPositiveDefinite` when any eigenvalue is non-finite or
-    falls at or below the positivity threshold (machine level by default).
+    falls at or below the machine-level positivity threshold.
     """
     m = check_square(m, "spd_eigh input")
     with np.errstate(invalid="ignore", divide="ignore"):  # a non-finite m: NaN w, rejected below
         w, v = stacked_eigh(m)
     if not np.isfinite(w).all():
         raise NotPositiveDefinite("matrix has non-finite entries")
-    if w.size == 0 or not positive_spectrum(w, rel_tol):
+    if w.size == 0 or not positive_spectrum(w):
         raise NotPositiveDefinite(
             f"matrix not positive definite (min eigenvalue {w[0]:.3e})"
         )
@@ -190,37 +187,36 @@ def spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return sym((v * fw[..., None, :]) @ v.swapaxes(-1, -2))
 
 
-def sym_sqrt(m: np.ndarray, rel_tol: float | None = None) -> np.ndarray:
+def sym_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric positive definite square root of an SPD matrix.
 
     Raises :class:`NotPositiveDefinite` when any eigenvalue falls at or below
-    the positivity threshold (machine level by default).
+    the machine-level positivity threshold.
     """
-    w, v = spd_eigh(m, rel_tol)
+    w, v = spd_eigh(m)
     return spectral(v, np.sqrt(w))
 
 
-def sym_sqrt_pair(m: np.ndarray, rel_tol: float | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def sym_sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(M**0.5, M**-0.5)`` from a single eigendecomposition."""
-    w, v = spd_eigh(m, rel_tol)
+    w, v = spd_eigh(m)
     sq = np.sqrt(w)
     return spectral(v, sq), sym((v / sq) @ v.T)
 
 
-def psd_sqrt(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a positive *semi*-definite matrix.
 
-    Eigenvalues in ``[-rel_tol * scale, 0]`` are treated as round-off and
-    clamped to zero; anything further below raises, since that signals a
+    Eigenvalues in ``[-1e-10 * max(1, scale), 0]`` are treated as round-off
+    and clamped to zero; anything further below raises, since that signals a
     genuine violation rather than noise. The zero matrix maps to itself.
     """
     m = check_square(m, "psd_sqrt input")
     w, v = np.linalg.eigh(m)
     scale = float(np.max(np.abs(w))) if m.size else 0.0
-    if w.size and w[0] < -rel_tol * max(1.0, scale):
+    if w.size and w[0] < -DEFAULT_REL_TOL * max(1.0, scale):
         raise NotPositiveDefinite(
-            f"psd_sqrt input has eigenvalue {w[0]:.3e} below -rel_tol"
+            f"psd_sqrt input has eigenvalue {w[0]:.3e} below -{DEFAULT_REL_TOL:g} times its scale"
         )
     return sym((v * np.sqrt(np.clip(w, 0.0, None))) @ v.T)
 

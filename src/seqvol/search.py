@@ -60,6 +60,9 @@ class SearchSpec:
     objective: str = "loglik"  # or "msse_distance"
 
     def __post_init__(self):
+        for name, value in (("q", self.q), ("max_sweeps", self.max_sweeps)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name}={value!r} must be an integer")
         if self.q < 1:
             raise DomainError(f"grid resolution q={self.q} must be >= 1")
         if self.q > MAX_Q:

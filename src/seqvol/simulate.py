@@ -40,7 +40,6 @@ from .errors import DimensionMismatch, DomainError, FilterNumericalError, NotPos
 from .filtering import ModelConfig
 from .gwishart import SingularBetaParams, sample_singular_beta
 from .linalg import (
-    DEFAULT_REL_TOL,
     check_spd,
     chol_lower,
     chol_upper,
@@ -133,26 +132,29 @@ def simulate_path(rng, config: ModelConfig, sigma0: np.ndarray | None = None,
                   omega: np.ndarray | None = None) -> SimPath:
     """Simulate ``n_steps`` observations from the generative model.
 
-    ``rng`` may be a ``numpy.random.Generator`` or an integer seed; an
-    integer is recorded on the returned path. ``omega`` overrides the
-    config's state innovation scale and may be positive semi-definite
-    (including zero, which freezes the signal when ``phi = 1``); the filter
-    itself requires a strictly positive definite matrix, so this degenerate
-    case lives in the simulator only. Raises :class:`FilterNumericalError`
-    with the step index when the path leaves double precision.
+    ``rng`` may be a ``numpy.random.Generator`` or a non-negative integer
+    seed (not a ``bool``); an integer is recorded on the returned path.
+    ``omega`` overrides the config's state innovation scale and may be
+    positive semi-definite (including zero, which freezes the signal when
+    ``phi = 1``); the filter itself requires a strictly positive definite
+    matrix, so this degenerate case lives in the simulator only. Raises
+    :class:`FilterNumericalError` with the step index when the path leaves
+    double precision.
     """
     if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)):
         raise DomainError(f"n_steps={n_steps!r} must be an integer")
     if n_steps < 1:
         raise DomainError(f"n_steps={n_steps} must be at least 1")
     seed = rng if isinstance(rng, (int, np.integer)) else None
+    if isinstance(rng, bool) or (seed is not None and seed < 0):
+        raise DomainError(f"seed={rng!r} must be a non-negative integer")
     gen = np.random.default_rng(rng)
 
     p = config.p
     sigma0 = np.eye(p) if sigma0 is None else check_spd(sigma0, name="sigma0")
     theta = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float)
     if omega is None:
-        omega_sqrt = sym_sqrt(config.omega, DEFAULT_REL_TOL)
+        omega_sqrt = sym_sqrt(config.omega)
     else:
         omega_sqrt = psd_sqrt(np.asarray(omega, dtype=float))
     for name, x in (("sigma0", sigma0), ("omega", omega_sqrt)):

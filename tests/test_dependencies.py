@@ -47,11 +47,12 @@ def test_declared_dependencies():
 
 
 def test_every_import_is_used():
-    # a name a seqvol module imports is used there, or its line is marked
-    # "# noqa: F401" (kept for a caller outside the module); a string spelling
-    # the name (a quoted annotation, an __all__ entry) counts as a use
+    # a name a seqvol module or a test file imports is used there, or its line
+    # is marked "# noqa: F401" (kept for a caller outside the module); a string
+    # spelling the name (a quoted annotation, an __all__ entry) counts as a use
     unused = []
-    for path in sorted((ROOT / "src" / "seqvol").glob("*.py")):
+    for path in sorted([*(ROOT / "src" / "seqvol").glob("*.py"),
+                        *(ROOT / "tests").glob("*.py")]):
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
@@ -65,7 +66,8 @@ def test_every_import_is_used():
                 bound = [(a, a.asname or a.name) for a in node.names]
             else:
                 continue
-            unused += [f"{path.name}:{alias.lineno}: {name}" for alias, name in bound
+            unused += [f"{path.parent.name}/{path.name}:{alias.lineno}: {name}"
+                       for alias, name in bound
                        if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]]
     assert unused == []
 

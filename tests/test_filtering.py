@@ -17,6 +17,7 @@ from seqvol.errors import (
 import seqvol.filtering
 from seqvol.filtering import (
     _BLOCK,
+    _CHECK,
     FilterState,
     ModelConfig,
     _recursion,
@@ -978,8 +979,20 @@ class TestTimeBlocks:
 
 
 class TestFailingBlockEndsEarly:
-    """A one-candidate block checks ``m`` every ``_CHECK`` steps and ends at the
-    first check after a failed step, so a run raises soon after it fails."""
+    """Every block, solo or stacked, checks ``m`` every ``_CHECK`` steps and ends
+    at the first check that finds a candidate's ``m`` non-finite, so a run
+    raises soon after it fails and a failed member of a stack restarts as soon."""
+
+    # three members of TestClosedFormStep's stack, healthy here, and delta =
+    # 0.999, which forgets S_t slowest: on a series of scale 8e152 its S_t
+    # overflows mid-block, m turning NaN at the same step, while the others'
+    # S_t stay below a third of float64's range
+    DELTAS = [0.9, 0.95, 0.7, 0.999]
+    OMEGAS = {2: [np.diag([0.4, 1.5]), np.array([[0.5, 0.1], [0.1, 1.2]]),
+                  np.diag([1e-3, 2.0]), np.eye(2)],
+              3: [np.diag([0.4, 1.5, 0.7]),
+                  np.array([[0.5, 0.1, 0.0], [0.1, 1.2, 0.2], [0.0, 0.2, 0.9]]),
+                  np.diag([1e-3, 2.0, 1.0]), np.eye(3)]}
 
     @staticmethod
     def _series(p):
@@ -1015,6 +1028,31 @@ class TestFailingBlockEndsEarly:
         times = [(seconds(shocked), seconds(clean[:151])) for _ in range(7)]
         to_raise, prefix = map(min, zip(*times))
         assert to_raise < 2 * prefix
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_stack_ends_its_block_at_the_check_after_a_failure(self, p):
+        scale = 8e152
+        ys = scale * np.random.default_rng(9).standard_normal((300, p))
+        base = ModelConfig(delta=0.9, phi=0.95, omega=np.eye(p), s0=scale ** 2 * np.eye(p))
+        deltas, omegas = np.array(self.DELTAS), np.array(self.OMEGAS[p])
+        stack, end, sizes = _stacked_run(ys, base, omegas, deltas)
+        failed = stack["failed"]
+        assert not failed[:, :3].any() and failed[:, 3].any()
+        # four members: blocks of 64 steps, each checked after 16, 32 and 48
+        size, first = _BLOCK // 4, int(np.argmax(failed[:, 3]))
+        lo = first - first % size
+        hi = lo + (first - lo) // _CHECK * _CHECK + _CHECK  # the first check after it
+        assert hi < lo + size  # mid-block: the block ends before its 64 steps
+        assert sizes[:lo // size + 1] == [size] * (lo // size) + [hi - lo]
+        # the rest of the series runs on in full blocks, the failed member restarted
+        assert set(sizes[lo // size + 1:-1]) == {size}
+        for b in range(3):
+            solo, solo_end, _ = _stacked_run(ys, base, omegas[b:b + 1], deltas[b:b + 1])
+            pairs = [(x[:, b], solo[name][:, 0], name) for name, x in stack.items()]
+            pairs += [(x[b], ref[0], "end state") for x, ref in zip(end, solo_end)]
+            for x, ref, name in pairs:
+                x, ref = np.ascontiguousarray(x), np.ascontiguousarray(ref)
+                assert x.tobytes() == ref.tobytes(), (b, name)
 
 
 class TestPointEstimate:

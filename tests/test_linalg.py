@@ -429,6 +429,13 @@ class TestValidationHelpers:
             check_spd(np.diag([1.0, 0.0]))
         with pytest.raises(DimensionMismatch):
             check_spd(np.ones((2, 3)))
+        # definite means the smallest eigenvalue exceeds 1e-10 times the largest
+        for diagonal in ([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], [-2.0, 0.5, 1.0],
+                         [1e-10, 0.5, 1.0]):
+            with pytest.raises(NotPositiveDefinite, match="not positive definite"):
+                check_spd(np.diag(diagonal))
+        accepted = np.diag([2e-10, 0.5, 1.0])
+        np.testing.assert_array_equal(check_spd(accepted), accepted)
 
     def test_spd_inverse_and_logdet(self, rng):
         m = random_spd(rng, 4)

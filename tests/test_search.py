@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -93,6 +94,16 @@ class TestSearchSpec:
             SearchSpec(objective="nonsense")
         with pytest.raises(DomainError):
             SearchSpec(delta_candidates=())
+        spec = SearchSpec(q=np.int64(2), max_sweeps=np.int32(3))
+        assert (spec.q, spec.max_sweeps) == (2, 3)
+
+    @pytest.mark.parametrize("name", ["q", "max_sweeps"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+    def test_non_integer_is_rejected(self, name, value):
+        # q = 1.5 ran an off-grid search, q = True ran as q = 1 and max_sweeps
+        # = 2.5 raised a bare TypeError once the search had started
+        with pytest.raises(DomainError, match=re.escape(f"{name}={value!r} must be an integer")):
+            SearchSpec(**{name: value})
 
     def test_repeated_delta_is_rejected(self):
         # a repeated candidate would run its search twice and trace it twice

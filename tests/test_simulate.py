@@ -18,8 +18,8 @@ from seqvol.gwishart import (
     sample_singular_beta,
     sample_wishart_scaled,
 )
-from seqvol.linalg import (DEFAULT_REL_TOL, chol_upper, positive_eigenvalues, spd_inverse,
-                           spectral, sym, sym_sqrt)
+from seqvol.linalg import (chol_upper, positive_eigenvalues, spd_inverse, spectral, sym,
+                           sym_sqrt)
 from seqvol.simulate import SimPath, _evolve, evolve_precision, simulate_path
 
 from conftest import random_spd
@@ -156,6 +156,12 @@ class TestSimulatePath:
                 simulate_path(gen, config2, n_steps=n_steps)
             assert gen.random() == np.random.default_rng(4).random()
         assert simulate_path(1, config2, n_steps=np.int64(3)).ys.shape == (3, 2)
+        for seed in (True, False, -1, np.int64(-3)):
+            # a bool is not recorded as the path's seed, nor a negative one given to numpy
+            with pytest.raises(DomainError,
+                               match=re.escape(f"seed={seed!r} must be a non-negative integer")):
+                simulate_path(seed, config2, n_steps=3)
+        assert simulate_path(np.int64(0), config2, n_steps=3).seed == 0
         with pytest.raises(DomainError):
             SimPath(ys=np.zeros((3, 2)), thetas=np.zeros((2, 2)),
                     sigmas=[np.eye(2)] * 4, seed=None)
@@ -284,7 +290,7 @@ class TestFactoredEvolution:
         path = simulate_path(23, config, theta0=theta0, n_steps=n_steps)
         gen = np.random.default_rng(23)
         _, w, v = _evolve(gen, np.eye(2), config, n_steps)
-        omega_sqrt = sym_sqrt(config.omega, DEFAULT_REL_TOL)
+        omega_sqrt = sym_sqrt(config.omega)
         draws = np.stack([gen.standard_normal((n_steps, 2)) @ omega_sqrt,
                           gen.standard_normal((n_steps, 2))], axis=-1)
         shocks = spectral(v, np.sqrt(w)) @ draws
